@@ -168,8 +168,7 @@ void BM_Qualify(benchmark::State& state) {
   // 5-port V=10 router (the `saturation` operating-point router shape,
   // 50 units): arg 0 = the pre-bitmap per-candidate loop (route-word
   // gather + arrival compare + downstream size probe per live unit),
-  // arg 1 = the arena-bitmap pass with the SIMD port sweep forced scalar,
-  // arg 2 = the bitmap pass with the vector sweep.
+  // arg 1 = the arena-bitmap pass.
   constexpr int kPorts = 5, kVcs = 10, kDepth = 4;
   RouterArena a(2, kPorts, kPorts - 1, kVcs, kDepth);
   const int units = a.unitsPerRouter();
@@ -219,17 +218,14 @@ void BM_Qualify(benchmark::State& state) {
       benchmark::DoNotOptimize(okp[0]);
     }
   } else {
-    const bool prev = simd::forceScalar();
-    simd::setForceScalar(state.range(0) == 1);
     for (auto _ : state) {
       benchmark::DoNotOptimize(qualifyLinkCandidates(a, 0, okp, kPorts));
       benchmark::DoNotOptimize(okp[0]);
     }
-    simd::setForceScalar(prev);
   }
   state.SetItemsProcessed(state.iterations() * units);
 }
-BENCHMARK(BM_Qualify)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Qualify)->Arg(0)->Arg(1);
 
 void BM_CdgBuild(benchmark::State& state) {
   const TorusTopology topo(static_cast<int>(state.range(0)), 2);
@@ -554,8 +550,6 @@ std::string resultsToJson(const std::vector<PointResult>& results) {
   // Machine/toolchain metadata, so cross-machine comparisons of the numbers
   // below are honest about what produced them.
   os << "  \"simd_isa\": \"" << simd::isaName() << "\",\n";
-  os << "  \"simd_mode\": \""
-     << (simd::forceScalar() ? "scalar-forced" : "vector") << "\",\n";
   os << "  \"compiler\": \"" << compilerString() << "\",\n";
   os << "  \"hardware_concurrency\": "
      << std::max(1u, std::thread::hardware_concurrency()) << ",\n";

@@ -1,6 +1,7 @@
 #include "src/sim/config_parse.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,11 +11,17 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw std::invalid_argument(what); }
 
-long long parseInt(const std::string& key, const std::string& value) {
-  long long out = 0;
+/// Parse `value` as an integer of the destination field's type T. A value
+/// outside T's range (a negative one for an unsigned field included) is
+/// rejected rather than wrapped by a narrowing cast.
+template <typename T>
+T parseInt(const std::string& key, const std::string& value) {
+  T out{};
   const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
   if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    fail("config: '" + key + "' expects an integer, got '" + value + "'");
+    fail("config: '" + key + "' expects an integer in [" +
+         std::to_string(std::numeric_limits<T>::min()) + ", " +
+         std::to_string(std::numeric_limits<T>::max()) + "], got '" + value + "'");
   }
   return out;
 }
@@ -43,7 +50,9 @@ RegionShape parseShape(const std::string& name) {
 }
 
 /// region value syntax: shape:E0xE1[@x,y], e.g. "U:4x3@2,2" or "rect:3x3".
-RegionSpec parseRegion(const SimConfig& cfg, const std::string& value) {
+/// The anchor keeps only the digits given; sizeRegionAnchors pads it to the
+/// final `n` once every assignment is applied.
+RegionSpec parseRegion(const std::string& value) {
   const auto colon = value.find(':');
   if (colon == std::string::npos) fail("config: region needs 'shape:E0xE1[@x,y]'");
   RegionSpec spec;
@@ -56,19 +65,36 @@ RegionSpec parseRegion(const SimConfig& cfg, const std::string& value) {
   }
   const auto x = rest.find('x');
   if (x == std::string::npos) fail("config: region extents need 'E0xE1'");
-  spec.extent0 = static_cast<int>(parseInt("region", rest.substr(0, x)));
-  spec.extent1 = static_cast<int>(parseInt("region", rest.substr(x + 1)));
-  spec.anchor.digit.resize(static_cast<std::size_t>(cfg.dims));
-  for (int d = 0; d < cfg.dims; ++d) spec.anchor[d] = static_cast<std::int16_t>(1);
+  spec.extent0 = parseInt<int>("region", rest.substr(0, x));
+  spec.extent1 = parseInt<int>("region", rest.substr(x + 1));
   if (!anchorPart.empty()) {
     std::stringstream ss(anchorPart);
     std::string digit;
-    int d = 0;
-    while (std::getline(ss, digit, ',') && d < cfg.dims) {
-      spec.anchor[d++] = static_cast<std::int16_t>(parseInt("region anchor", digit));
+    while (std::getline(ss, digit, ',')) {
+      if (spec.anchor.digit.size() == spec.anchor.digit.capacity()) {
+        fail("config: region anchor '" + anchorPart + "' has more than " +
+             std::to_string(kMaxDims) + " digits");
+      }
+      spec.anchor.digit.push_back(parseInt<std::int16_t>("region anchor", digit));
     }
   }
   return spec;
+}
+
+/// Size every region anchor to the final `cfg.dims`: missing trailing digits
+/// default to 1 (inside the torus), extra digits are an error.
+void sizeRegionAnchors(SimConfig& cfg) {
+  for (RegionSpec& r : cfg.faults.regions) {
+    if (cfg.dims < 1 || cfg.dims > kMaxDims) {
+      fail("config: region needs 1 <= n <= " + std::to_string(kMaxDims) + ", got n=" +
+           std::to_string(cfg.dims));
+    }
+    if (r.anchor.dims() > cfg.dims) {
+      fail("config: region anchor has " + std::to_string(r.anchor.dims()) +
+           " digits but n=" + std::to_string(cfg.dims));
+    }
+    r.anchor.digit.resize(static_cast<std::size_t>(cfg.dims), std::int16_t{1});
+  }
 }
 
 }  // namespace
@@ -82,35 +108,35 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
   const std::string value = assignment.substr(eq + 1);
 
   if (key == "k") {
-    cfg.radix = static_cast<int>(parseInt(key, value));
+    cfg.radix = parseInt<int>(key, value);
   } else if (key == "n") {
-    cfg.dims = static_cast<int>(parseInt(key, value));
+    cfg.dims = parseInt<int>(key, value);
   } else if (key == "vcs") {
-    cfg.vcs = static_cast<int>(parseInt(key, value));
+    cfg.vcs = parseInt<int>(key, value);
   } else if (key == "escape_vcs") {
-    cfg.escapeVcs = static_cast<int>(parseInt(key, value));
+    cfg.escapeVcs = parseInt<int>(key, value);
   } else if (key == "buffer_depth") {
-    cfg.bufferDepth = static_cast<int>(parseInt(key, value));
+    cfg.bufferDepth = parseInt<int>(key, value);
   } else if (key == "msg_length") {
-    cfg.messageLength = static_cast<int>(parseInt(key, value));
+    cfg.messageLength = parseInt<int>(key, value);
   } else if (key == "rate") {
     cfg.injectionRate = parseDouble(key, value);
   } else if (key == "delta") {
-    cfg.reinjectDelay = static_cast<int>(parseInt(key, value));
+    cfg.reinjectDelay = parseInt<int>(key, value);
   } else if (key == "td") {
-    cfg.routerDecisionTime = static_cast<int>(parseInt(key, value));
+    cfg.routerDecisionTime = parseInt<int>(key, value);
   } else if (key == "nf") {
-    cfg.faults.randomNodes = static_cast<int>(parseInt(key, value));
+    cfg.faults.randomNodes = parseInt<int>(key, value);
   } else if (key == "warmup") {
-    cfg.warmupMessages = static_cast<std::uint32_t>(parseInt(key, value));
+    cfg.warmupMessages = parseInt<std::uint32_t>(key, value);
   } else if (key == "measured") {
-    cfg.measuredMessages = static_cast<std::uint32_t>(parseInt(key, value));
+    cfg.measuredMessages = parseInt<std::uint32_t>(key, value);
   } else if (key == "max_cycles") {
-    cfg.maxCycles = static_cast<std::uint64_t>(parseInt(key, value));
+    cfg.maxCycles = parseInt<std::uint64_t>(key, value);
   } else if (key == "seed") {
-    cfg.seed = static_cast<std::uint64_t>(parseInt(key, value));
+    cfg.seed = parseInt<std::uint64_t>(key, value);
   } else if (key == "livelock_threshold") {
-    cfg.livelockThreshold = static_cast<int>(parseInt(key, value));
+    cfg.livelockThreshold = parseInt<int>(key, value);
   } else if (key == "routing") {
     if (value == "det" || value == "deterministic") {
       cfg.routing = RoutingMode::Deterministic;
@@ -139,14 +165,14 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
       fail("config: engine must be sparse|dense|sparse-mt, got '" + value + "'");
     }
   } else if (key == "sim_threads") {
-    cfg.simThreads = static_cast<int>(parseInt(key, value));
+    cfg.simThreads = parseInt<int>(key, value);
     if (cfg.simThreads < 1) {
       fail("config: sim_threads must be >= 1, got '" + value + "'");
     }
   } else if (key == "phase_timers") {
-    cfg.phaseTimers = parseInt(key, value) != 0;
+    cfg.phaseTimers = parseInt<int>(key, value) != 0;
   } else if (key == "region") {
-    cfg.faults.regions.push_back(parseRegion(cfg, value));
+    cfg.faults.regions.push_back(parseRegion(value));
   } else {
     fail("config: unknown key '" + key + "'");
   }
@@ -155,6 +181,7 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
 SimConfig parseConfig(std::span<const std::string> assignments, const SimConfig& defaults) {
   SimConfig cfg = defaults;
   for (const std::string& a : assignments) applyConfigAssignment(cfg, a);
+  sizeRegionAnchors(cfg);
   return cfg;
 }
 

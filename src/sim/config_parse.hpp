@@ -16,11 +16,15 @@
 namespace swft {
 
 /// Parse one `key=value` assignment into `cfg`. Throws std::invalid_argument
-/// with a descriptive message on unknown keys or malformed values.
+/// with a descriptive message on unknown keys, malformed values, or integers
+/// that do not fit their field. A `region` anchor keeps only the digits
+/// given; parseConfig sizes it to the final `n`.
 void applyConfigAssignment(SimConfig& cfg, const std::string& assignment);
 
 /// Parse a whole argument list (e.g. argv[1..]); each element must be a
-/// `key=value` pair.
+/// `key=value` pair. Region anchors are sized to the final `n` once every
+/// assignment is applied, so key order does not matter; an anchor with more
+/// digits than `n` throws.
 SimConfig parseConfig(std::span<const std::string> assignments,
                       const SimConfig& defaults = SimConfig{});
 

@@ -27,62 +27,6 @@
 #include "src/sim/network.hpp"
 #include "src/util/simd.hpp"
 
-// Per-phase wall-clock breakdown is a *runtime* option now (`phase_timers=1`
-// on the swft_sim command line, `--phase-timers` on swft_bench): PhaseClock
-// against Network::phaseShard(0), a no-op when the flag is off. The old
-// SWFT_PHASE_TIMERS compile-time define is gone.
-
-// Temporary event-count instrumentation (diagnostics only, off by default).
-#ifdef SWFT_EVENT_COUNTS
-#include <cstdio>
-#include <x86intrin.h>
-namespace {
-struct EventCounts {
-  unsigned long long cycles = 0, routers = 0, phaseAUnits = 0, livePorts = 0,
-                     okIters = 0, commits = 0, ejections = 0, ejCand = 0;
-  unsigned long long tPhaseA = 0, tQual = 0, tWinners = 0, tOther = 0;
-  unsigned long long tPop = 0, tPush = 0, tEject = 0;
-  unsigned long long tGen = 0, tInj = 0, tWalk = 0;
-  ~EventCounts() {
-    std::fprintf(stderr,
-                 "event counts per cycle: routers %.2f phaseA %.2f livePorts "
-                 "%.2f okIters %.2f commits %.2f ejCand %.2f ejections %.2f\n",
-                 1.0 * routers / cycles, 1.0 * phaseAUnits / cycles,
-                 1.0 * livePorts / cycles, 1.0 * okIters / cycles,
-                 1.0 * commits / cycles, 1.0 * ejCand / cycles,
-                 1.0 * ejections / cycles);
-    std::fprintf(stderr,
-                 "tsc per cycle: phaseA %.0f qual %.0f winners %.0f other %.0f "
-                 "pop %.0f push %.0f eject %.0f\n",
-                 1.0 * tPhaseA / cycles, 1.0 * tQual / cycles,
-                 1.0 * tWinners / cycles, 1.0 * tOther / cycles,
-                 1.0 * tPop / cycles, 1.0 * tPush / cycles,
-                 1.0 * tEject / cycles);
-    std::fprintf(stderr, "tsc per cycle: gen %.0f inj %.0f walk %.0f\n",
-                 1.0 * tGen / cycles, 1.0 * tInj / cycles, 1.0 * tWalk / cycles);
-  }
-} g_ec;
-}  // namespace
-#define SWFT_EC_ADD(field, n) g_ec.field += static_cast<unsigned long long>(n)
-#define SWFT_EC_TSC(field, stmt)                  \
-  do {                                            \
-    const unsigned long long t0_ = __rdtsc();     \
-    stmt;                                         \
-    g_ec.field += __rdtsc() - t0_;                \
-  } while (0)
-// Fine-grained (per-pop/push) pairs distort the enclosing buckets by the
-// rdtsc cost; enable them separately.
-#ifdef SWFT_EVENT_COUNTS_FINE
-#define SWFT_EC_TSC_F(field, stmt) SWFT_EC_TSC(field, stmt)
-#else
-#define SWFT_EC_TSC_F(field, stmt) stmt
-#endif
-#else
-#define SWFT_EC_ADD(field, n)
-#define SWFT_EC_TSC(field, stmt) stmt
-#define SWFT_EC_TSC_F(field, stmt) stmt
-#endif
-
 namespace swft {
 
 void Network::advanceCycle() {
@@ -103,29 +47,26 @@ void Network::advanceCycle() {
 
 void Network::advanceCycleSparse() {
   PhaseClock clock(phaseShard(0));
-  SWFT_EC_ADD(cycles, 1);
   // Phase 1a: generation, due PEs only. The calendar returns them ascending
   // by id — the order the dense sweep would reach them — so the global
   // generation sequence numbers match. Generation touches no injection
   // state of *other* nodes, so running all generations before all
   // injections is observationally identical to the dense gen/inj interleave.
-  SWFT_EC_TSC(tGen, for (NodeId id : calendar_.takeDue(cycle_)) {
+  for (NodeId id : calendar_.takeDue(cycle_)) {
     stepGeneration(id);
     const std::uint64_t next = nodes_[id].nextGenCycle;
     if (next != ~std::uint64_t{0}) calendar_.schedule(id, next);
-  });
+  }
 
   clock.mark(PhaseBreakdown::kGen);
   // Phase 1b: injection, only PEs with queued or streaming work, ascending.
   // stepInjection on a workless node is a no-op with no RNG draws, so the
   // conservative bitset (cleared lazily here) cannot change results.
-  // (stepInjection never marks work on other nodes, so the SIMD skip over
-  // zero words cannot miss a bit set mid-walk.)
-  SWFT_EC_TSC(tInj, for (std::size_t w = simd::findNonZero(nodeWork_.data(), 0,
-                                                           nodeWork_.size());
-                         w < nodeWork_.size();
-                         w = simd::findNonZero(nodeWork_.data(), w + 1,
-                                               nodeWork_.size())) {
+  // (stepInjection never marks work on other nodes, so the skip over zero
+  // words cannot miss a bit set mid-walk.)
+  for (std::size_t w = simd::findNonZero(nodeWork_.data(), 0, nodeWork_.size());
+       w < nodeWork_.size();
+       w = simd::findNonZero(nodeWork_.data(), w + 1, nodeWork_.size())) {
     std::uint64_t bits = nodeWork_[w];
     while (bits) {
       const int b = std::countr_zero(bits);
@@ -133,7 +74,7 @@ void Network::advanceCycleSparse() {
       const auto id = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
       if (stepInjection(id)) nodeWork_[w] &= ~(1ULL << b);
     }
-  });
+  }
 
   clock.mark(PhaseBreakdown::kInj);
   // Phase 2+3: walk the live active set in the alternating sweep direction.
@@ -141,14 +82,14 @@ void Network::advanceCycleSparse() {
   // into a previously-empty buffer); the dense sweep visits such a router
   // if and only if it lies later in sweep order, so the walk re-reads the
   // current word after every step instead of iterating a stale snapshot.
-  // The SIMD scan to the next nonzero word is safe for the same reason the
+  // The scan to the next nonzero word is safe for the same reason the
   // per-word re-read is: a mid-sweep activation the dense sweep would visit
   // lies *later* in sweep order than the router that caused it, i.e. at or
   // after the scan position; a word skipped as zero can only have gained
   // bits the dense sweep would also skip this cycle.
   const std::vector<std::uint64_t>& active = arena_.activeWords();
   const bool forward = (cycle_ & 1) == 0;
-  SWFT_EC_TSC(tWalk, if (forward) {
+  if (forward) {
     for (std::size_t w = simd::findNonZero(active.data(), 0, active.size());
          w < active.size();
          w = simd::findNonZero(active.data(), w + 1, active.size())) {
@@ -170,10 +111,10 @@ void Network::advanceCycleSparse() {
         bits = active[w] & ((1ULL << b) - 1);
       }
     }
-  });
+  }
   // Cycle-end boundary: mature the freshness snapshots (fronts pushed this
   // cycle become eligible next cycle) after the last push/pop of the cycle.
-  SWFT_EC_TSC(tOther, arena_.matureFreshness());
+  arena_.matureFreshness();
   clock.mark(PhaseBreakdown::kWalk);
 }
 
@@ -356,7 +297,6 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
 }
 
 void Network::stepRouter(NodeId id) {
-  SWFT_EC_ADD(routers, 1);
   const int localPort = networkPorts_;
   const auto td = static_cast<std::uint64_t>(cfg_.routerDecisionTime);
   const int routerBase = arena_.base(id);
@@ -367,20 +307,17 @@ void Network::stepRouter(NodeId id) {
   // in ascending unit order. This is the only RNG-drawing part of a router
   // step, so the order must match the dense reference scan exactly.
   const std::uint64_t* routedW = arena_.routedWords(id);
-  SWFT_EC_TSC(tPhaseA, {
-    for (int w = 0; w < occW; ++w) {
-      std::uint64_t bits = occ[w] & ~routedW[w];
-      while (bits) {
-        const int unitIdx = w * 64 + std::countr_zero(bits);
-        bits &= bits - 1;
-        const int g = routerBase + unitIdx;
-        SWFT_EC_ADD(phaseAUnits, 1);
-        if (!arena_.front(g).isHeader()) continue;
-        if (td != 0 && arena_.frontArrival(g) + td > cycle_) continue;  // Td model
-        routeHeader(id, unitIdx);
-      }
+  for (int w = 0; w < occW; ++w) {
+    std::uint64_t bits = occ[w] & ~routedW[w];
+    while (bits) {
+      const int unitIdx = w * 64 + std::countr_zero(bits);
+      bits &= bits - 1;
+      const int g = routerBase + unitIdx;
+      if (!arena_.front(g).isHeader()) continue;
+      if (td != 0 && arena_.frontArrival(g) + td > cycle_) continue;  // Td model
+      routeHeader(id, unitIdx);
     }
-  });
+  }
 
   // Phase B: the batched link pass. One pass per output link, ascending port
   // order with the ejection port last: the link's candidate set is a single
@@ -405,7 +342,7 @@ void Network::stepRouter(NodeId id) {
     // three row loads and two word ANDs against the arena's incrementally
     // maintained bitmaps — ok = fresh & downOk (freshness and mapped
     // downstream credit, each a superset-pruned subset of live), bucketed
-    // per output port by the SIMD membership sweep. Reading all
+    // per output port by the membership sweep. Reading all
     // qualifications from pre-commit state is legal by the non-interference
     // argument above: no commit on port p changes port q's candidates, their
     // arrival stamps, or their downstream credit line. occW == 1 bounds the
@@ -413,18 +350,14 @@ void Network::stepRouter(NodeId id) {
     // in link_qual.hpp, shared with the sparse-mt engine's P1
     // precomputation, and owns the okp rows outright (no zeroing prelude).
     std::uint64_t okp[64];
-    std::uint64_t pm;
-    SWFT_EC_TSC(tQual,
-                pm = qualifyLinkCandidates(arena_, id, okp, localPort + 1));
-    SWFT_EC_ADD(okIters, std::popcount(occ[0] & routedW[0]));
+    std::uint64_t pm = qualifyLinkCandidates(arena_, id, okp, localPort + 1);
     // Commit winners in ascending port order, ejection (the highest port)
     // last. Per port, the first qualified bit in circular round-robin order
     // from the cursor is picked with one rotate: rotr moves bit u to
     // (u - cur) mod 64, so the lowest rotated bit is exactly the min-key
     // winner of the dense reference's scan.
     const int unitCount = arena_.unitsPerRouter();
-    SWFT_EC_TSC(tWinners, while (pm != 0) {
-      SWFT_EC_ADD(livePorts, 1);
+    while (pm != 0) {
       const int port = std::countr_zero(pm);
       pm &= pm - 1;
       const int cur = arena_.cursor(id, port);
@@ -434,13 +367,11 @@ void Network::stepRouter(NodeId id) {
         arena_.setCursor(id, port,
                          static_cast<std::uint16_t>(
                              winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
-        SWFT_EC_ADD(ejections, 1);
-        SWFT_EC_TSC_F(tEject, ejectFlit(id, winnerIdx));
+        ejectFlit(id, winnerIdx);
       } else {
-        SWFT_EC_ADD(commits, 1);
         commitLink(id, port, winnerIdx);
       }
-    });
+    }
     return;
   }
 
@@ -489,8 +420,7 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
                        winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
   const int g = arena_.base(id) + winnerIdx;
   const int outVc = arena_.outVc(g);
-  Flit flit;
-  SWFT_EC_TSC_F(tPop, flit = arena_.pop(id, g, cycle_));
+  const Flit flit = arena_.pop(id, g, cycle_);
   lastMovementCycle_ = cycle_;
   // Draining an injection unit re-arms the owning PE: it may have been
   // parked by stepInjection while this buffer was full.
@@ -507,9 +437,8 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
                  static_cast<std::uint8_t>(port), msg.seq});
     }
   }
-  SWFT_EC_TSC_F(tPush, arena_.push(cachedNeighbor(id, port),
-                                 cachedDownBase(id, port) + outVc, flit,
-                                 cycle_));
+  arena_.push(cachedNeighbor(id, port), cachedDownBase(id, port) + outVc, flit,
+              cycle_);
 
   if (flit.isTail()) {
     arena_.releaseRoute(id, winnerIdx);

@@ -8,7 +8,7 @@
 //
 //   ok          = fresh & downOk            (fresh ⊆ occ, downOk ⊆ routed,
 //                                            so no extra live AND is needed)
-//   okp[port]   = ok & portMembers[port]    (SIMD sweep over the contiguous
+//   okp[port]   = ok & portMembers[port]    (one sweep over the contiguous
 //                                            per-port membership rows)
 //   blocked     = fresh & routed & ~downOk  (optional: candidates stalled
 //                                            only on credit)

@@ -211,7 +211,7 @@ class RouterArena {
   /// Bit per unit: routed with outPort == `port` (switch requesters). The
   /// `ports` rows of a router are contiguous: with one occupancy word per
   /// router, portMembers(id, 0) is the base of a dense ports x 1 matrix the
-  /// SIMD port sweep strides through.
+  /// port sweep strides through.
   [[nodiscard]] const std::uint64_t* portMembers(NodeId id, int port) const noexcept {
     return portMembers_.data() +
            (static_cast<std::size_t>(id) * static_cast<std::size_t>(totalPorts_) +

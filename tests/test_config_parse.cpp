@@ -117,10 +117,26 @@ TEST(ConfigParse, AllShapeNames) {
 }
 
 TEST(ConfigParse, DimsOrderIndependence) {
-  // `region` uses cfg.dims for the anchor; n must apply regardless of order
-  // because the anchor is re-checked at network construction.
-  const SimConfig cfg = parse({"n=3", "region=rect:2x2"});
-  EXPECT_EQ(cfg.faults.regions[0].anchor.dims(), 3);
+  // Region anchors are sized from the final n, whichever order the keys
+  // come in; the network rejects an anchor of the wrong dimensionality.
+  for (const SimConfig& cfg : {parse({"n=3", "region=rect:2x2@4,5"}),
+                               parse({"region=rect:2x2@4,5", "n=3"})}) {
+    const Coordinates& a = cfg.faults.regions[0].anchor;
+    ASSERT_EQ(a.dims(), 3);
+    EXPECT_EQ(a[0], 4);
+    EXPECT_EQ(a[1], 5);
+    EXPECT_EQ(a[2], 1);
+  }
+  EXPECT_NO_THROW(runSimulation(parse({"region=rect:2x2", "k=4", "n=3", "warmup=10",
+                                       "measured=50"})));
+  // An anchor with more digits than n is an error naming `region`, not a
+  // silent truncation.
+  try {
+    (void)parse({"n=2", "region=rect:2x2@1,2,3"});
+    ADD_FAILURE() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("region"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ConfigParse, Errors) {
@@ -133,6 +149,18 @@ TEST(ConfigParse, Errors) {
   EXPECT_THROW(parse({"region=blob:3x3"}), std::invalid_argument);
   EXPECT_THROW(parse({"region=rect"}), std::invalid_argument);
   EXPECT_THROW(parse({"region=rect:3"}), std::invalid_argument);
+  // Integers that do not fit their field are rejected, naming the key,
+  // instead of wrapping through a narrowing cast.
+  for (const char* bad : {"k=4294967304", "warmup=-1"}) {
+    try {
+      (void)parse({bad});
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string key(bad, std::string(bad).find('='));
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(parse({"seed=18446744073709551615"}).seed, ~std::uint64_t{0});
 }
 
 TEST(ConfigParse, DescribeMentionsKeyFacts) {

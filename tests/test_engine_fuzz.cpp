@@ -33,7 +33,6 @@
 #include "src/sim/stats.hpp"
 #include "src/traffic/patterns.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/simd.hpp"
 
 namespace swft {
 namespace {
@@ -153,23 +152,13 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
 
   std::uint64_t ran = 0, skippedDisconnected = 0;
   std::uint64_t totalDelivered = 0, completedRuns = 0;
-  // Scalar-vs-vector rotation axis: odd indices force the SIMD layer's
-  // scalar fallback for the sparse and mt runs of that config. The dense
-  // reference never touches the SIMD paths, so the exact-double comparisons
-  // below simultaneously assert scalar == vector == dense. An environment
-  // override (SWFT_FORCE_SCALAR=1, as in the sanitizer CI job) pins every
-  // index scalar instead.
-  const bool envForcedScalar = simd::forceScalar();
   for (std::uint64_t i = 0; i < configs; ++i) {
-    const bool forcedScalar = envForcedScalar || (i % 2) != 0;
-    simd::setForceScalar(forcedScalar);
     Rng rng(baseSeed);
     rng = rng.split(i);
     SimConfig cfg = drawConfig(rng);
     const std::string repro =
         "repro: " + reproString(cfg) + "  (fuzz index " + std::to_string(i) +
-        ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) +
-        (forcedScalar ? ", SWFT_FORCE_SCALAR=1" : "") + ")";
+        ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) + ")";
 
     // sim_threads axis for the sparse-mt run: rotate through single-domain,
     // small odd/even splits, and a count that often exceeds small tori (the
@@ -219,11 +208,9 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
     if (dense.completed) ++completedRuns;
 
     if (::testing::Test::HasFailure()) {
-      simd::setForceScalar(envForcedScalar);
       FAIL() << "stopping at first divergent config\n" << repro;
     }
   }
-  simd::setForceScalar(envForcedScalar);
   RecordProperty("configs_compared", static_cast<int>(ran));
   RecordProperty("configs_disconnected", static_cast<int>(skippedDisconnected));
   RecordProperty("configs_completed", static_cast<int>(completedRuns));
