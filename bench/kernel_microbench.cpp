@@ -3,11 +3,11 @@
 //
 //   (default)       google-benchmark microbenchmarks (adaptive iteration
 //                   counts), used for interactive profiling. The engine
-//                   benches take the engine kind as the last argument
-//                   (0 = sparse, 1 = dense reference).
+//                   benches time the production (sparse) engine only.
 //
 //   --emit-json=F   the repeatable before/after harness: times the dense
-//                   reference engine against the event-sparse engine on
+//                   reference engine (DenseReference, the test oracle)
+//                   against the event-sparse engine on
 //                   four pinned operating points (low load, saturation,
 //                   faulty adaptive) and writes machine-readable JSON
 //                   (schema swft-bench-engine-v1, see README.md). The two
@@ -47,7 +47,7 @@
 #include "src/harness/result_cache.hpp"
 #include "src/sim/config_parse.hpp"
 #include "src/sim/link_qual.hpp"
-#include "src/sim/network.hpp"
+#include "src/sim/engine_dense.hpp"
 #include "src/util/simd.hpp"
 #include "src/verify/cdg.hpp"
 
@@ -91,10 +91,6 @@ void BM_TopoNeighbor(benchmark::State& state) {
 }
 BENCHMARK(BM_TopoNeighbor);
 
-EngineKind kindArg(std::int64_t v) {
-  return v == 0 ? EngineKind::Sparse : EngineKind::Dense;
-}
-
 void BM_EngineCyclesPerSecond(benchmark::State& state) {
   // Steady-state stepping cost of a loaded 8-ary n-cube.
   SimConfig cfg;
@@ -105,7 +101,6 @@ void BM_EngineCyclesPerSecond(benchmark::State& state) {
   cfg.injectionRate = 0.004;
   cfg.warmupMessages = 0;
   cfg.measuredMessages = ~std::uint32_t{0};
-  cfg.engine = kindArg(state.range(1));
   Network net(cfg);
   net.step(2000);  // warm the network to steady state
   for (auto _ : state) {
@@ -113,12 +108,7 @@ void BM_EngineCyclesPerSecond(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 100);
 }
-BENCHMARK(BM_EngineCyclesPerSecond)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({3, 0})
-    ->Args({3, 1})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_EngineCyclesPerSecond)->Arg(2)->Arg(3)->Unit(benchmark::kMicrosecond);
 
 void BM_EngineSaturated(benchmark::State& state) {
   SimConfig cfg;
@@ -129,7 +119,6 @@ void BM_EngineSaturated(benchmark::State& state) {
   cfg.injectionRate = 0.05;  // deep saturation: worst-case per-cycle cost
   cfg.warmupMessages = 0;
   cfg.measuredMessages = ~std::uint32_t{0};
-  cfg.engine = kindArg(state.range(0));
   Network net(cfg);
   net.step(5000);
   for (auto _ : state) {
@@ -137,7 +126,7 @@ void BM_EngineSaturated(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 100);
 }
-BENCHMARK(BM_EngineSaturated)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_EngineSaturated)->Unit(benchmark::kMicrosecond);
 
 void BM_LinkBatch(benchmark::State& state) {
   // The batched link pass in isolation-by-dominance: a knee-loaded 8-ary
@@ -153,7 +142,6 @@ void BM_LinkBatch(benchmark::State& state) {
   cfg.injectionRate = 0.015;
   cfg.warmupMessages = 0;
   cfg.measuredMessages = ~std::uint32_t{0};
-  cfg.engine = kindArg(state.range(0));
   Network net(cfg);
   net.step(5000);
   for (auto _ : state) {
@@ -161,7 +149,7 @@ void BM_LinkBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 100);
 }
-BENCHMARK(BM_LinkBatch)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LinkBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_Qualify(benchmark::State& state) {
   // The link-qualification pass in isolation on a synthetic saturated
@@ -359,12 +347,8 @@ struct MeasuredPair {
 };
 
 MeasuredPair measureCyclesPerSecond(const OperatingPoint& point, int reps = 7) {
-  SimConfig denseCfg = point.cfg;
-  denseCfg.engine = EngineKind::Dense;
-  SimConfig sparseCfg = point.cfg;
-  sparseCfg.engine = EngineKind::Sparse;
-  Network dense(denseCfg);
-  Network sparse(sparseCfg);
+  DenseReference dense(point.cfg);
+  Network sparse(point.cfg);
   dense.step(point.warmCycles);
   sparse.step(point.warmCycles);
   std::vector<double> denseSamples;

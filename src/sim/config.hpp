@@ -12,17 +12,15 @@
 
 namespace swft {
 
-/// Cycle-engine implementation selector. `Sparse` (default) is the
-/// event-sparse engine: a calendar queue for generation, active-set bitsets
-/// for injection and router sweeps, contiguous arena storage. `Dense` is the
-/// straightforward all-nodes reference sweep retained for equivalence
-/// testing and as the "before" side of the perf baseline. `SparseMt` is the
-/// domain-decomposed multithreaded variant of the sparse engine: the torus
-/// is partitioned into contiguous node-id domains (`simThreads` workers)
-/// with a barrier-phased cycle (DESIGN.md §6). All three produce
-/// bit-identical SimResults by construction — at every thread count —
-/// (see DESIGN.md); anything else is a bug.
-enum class EngineKind : std::uint8_t { Sparse = 0, Dense = 1, SparseMt = 2 };
+/// Cycle-engine selector. `Sparse` (default) is the event-sparse engine: a
+/// calendar queue for generation, active-set bitsets for injection and
+/// router sweeps, contiguous arena storage. `SparseMt` is its
+/// domain-decomposed multithreaded variant: the torus is partitioned into
+/// contiguous node-id domains (`simThreads` workers) with a barrier-phased
+/// cycle (DESIGN.md §6). Both produce bit-identical SimResults — at every
+/// thread count — and match the test-only dense reference (engine_dense.hpp)
+/// bit for bit; anything else is a bug.
+enum class EngineKind : std::uint8_t { Sparse = 0, SparseMt = 1 };
 
 /// Declarative fault pattern: applied to a fresh FaultSet at network build.
 struct FaultSpec {

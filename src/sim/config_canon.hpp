@@ -5,9 +5,10 @@
 // to a different key. Concretely: every semantic field (topology, router
 // shape, workload, routing, faults, measurement protocol, seed) is written
 // in a fixed order with exact value encodings, while the engine selector and
-// `sim_threads` are deliberately EXCLUDED — the dense, sparse and sparse-mt
-// engines are proven bit-identical at every thread count (DESIGN.md §4/§6),
-// so a result simulated by any of them satisfies a lookup from any other.
+// `sim_threads` are deliberately EXCLUDED — the sparse and sparse-mt engines
+// are proven bit-identical to each other at every thread count and to the
+// test-only dense reference (DESIGN.md §4/§6), so a result simulated by
+// either satisfies a lookup from the other.
 //
 // The key embeds kEngineSemanticsVersion. Any PR that changes what a
 // simulation computes for a fixed config — RNG draw order, arbitration

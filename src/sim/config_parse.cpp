@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/router/message.hpp"
+
 namespace swft {
 
 namespace {
@@ -157,12 +159,10 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
   } else if (key == "engine") {
     if (value == "sparse") {
       cfg.engine = EngineKind::Sparse;
-    } else if (value == "dense") {
-      cfg.engine = EngineKind::Dense;
     } else if (value == "sparse-mt") {
       cfg.engine = EngineKind::SparseMt;
     } else {
-      fail("config: engine must be sparse|dense|sparse-mt, got '" + value + "'");
+      fail("config: engine must be sparse|sparse-mt, got '" + value + "'");
     }
   } else if (key == "sim_threads") {
     cfg.simThreads = parseInt<int>(key, value);
@@ -182,7 +182,31 @@ SimConfig parseConfig(std::span<const std::string> assignments, const SimConfig&
   SimConfig cfg = defaults;
   for (const std::string& a : assignments) applyConfigAssignment(cfg, a);
   sizeRegionAnchors(cfg);
+  validateConfig(cfg);
   return cfg;
+}
+
+void validateConfig(const SimConfig& cfg) {
+  // Each range below is one the engine would otherwise wrap or misread
+  // silently: Message::length is a uint16_t, Delta and Td are cast to
+  // uint64_t cycle offsets, and Rng::geometric reads a NaN or negative rate
+  // as "never" and a rate above 1 as 1.
+  constexpr int kMaxLength = std::numeric_limits<decltype(Message::length)>::max();
+  if (cfg.messageLength < 1 || cfg.messageLength > kMaxLength) {
+    fail("config: 'msg_length' must be in [1, " + std::to_string(kMaxLength) +
+         "], got " + std::to_string(cfg.messageLength));
+  }
+  if (cfg.reinjectDelay < 0) {
+    fail("config: 'delta' must be >= 0, got " + std::to_string(cfg.reinjectDelay));
+  }
+  if (cfg.routerDecisionTime < 0) {
+    fail("config: 'td' must be >= 0, got " + std::to_string(cfg.routerDecisionTime));
+  }
+  if (!(cfg.injectionRate >= 0.0 && cfg.injectionRate <= 1.0)) {
+    std::ostringstream os;
+    os << "config: 'rate' must be in [0, 1], got " << cfg.injectionRate;
+    fail(os.str());
+  }
 }
 
 std::string describeConfig(const SimConfig& cfg) {

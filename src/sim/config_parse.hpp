@@ -5,7 +5,8 @@
 //   (det|adaptive), traffic (uniform|transpose|bitcomp|bitrev|shuffle|
 //   tornado|hotspot; `pattern` is a legacy alias), hotspot_fraction,
 //   delta, td, nf (random node faults), region (shape:e0xe1[@x,y] —
-//   repeatable), warmup, measured, max_cycles, seed, livelock_threshold
+//   repeatable), warmup, measured, max_cycles, seed, livelock_threshold,
+//   engine (sparse|sparse-mt), sim_threads, phase_timers
 #pragma once
 
 #include <span>
@@ -27,6 +28,12 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment);
 /// digits than `n` throws.
 SimConfig parseConfig(std::span<const std::string> assignments,
                       const SimConfig& defaults = SimConfig{});
+
+/// Reject values the engine cannot represent: msg_length outside
+/// [1, 65535], negative delta or td, a rate that is NaN or outside [0, 1].
+/// Throws std::invalid_argument naming the key. parseConfig and the Network
+/// constructor both call it.
+void validateConfig(const SimConfig& cfg);
 
 /// One-line human-readable summary of a configuration.
 [[nodiscard]] std::string describeConfig(const SimConfig& cfg);

@@ -30,13 +30,14 @@
 namespace swft {
 
 void Network::advanceCycle() {
-  if (cfg_.engine == EngineKind::Dense) {
-    advanceCycleDense();
-  } else if (cfg_.engine == EngineKind::SparseMt) {
+  if (cfg_.engine == EngineKind::SparseMt) {
     mt_->advanceCycle();
   } else {
     advanceCycleSparse();
   }
+}
+
+void Network::endCycle() noexcept {
   ++cycle_;
 
   // Deadlock watchdog (invariant: must never fire; see tests).

@@ -9,35 +9,44 @@
 // deliberate divergences from the seed are the two ISSUE-2 injection fixes
 // (peek-don't-pop requeue, single unsigned VC-rotation draw), which both
 // engines must share to stay bit-identical.
+#include "src/sim/engine_dense.hpp"
+
 #include <bit>
 #include <cassert>
 
-#include "src/sim/network.hpp"
-
 namespace swft {
 
-void Network::advanceCycleDense() {
+DenseReference::DenseReference(const SimConfig& cfg)
+    : net_([single = cfg]() mutable {  // no idle sparse-mt workers
+        single.engine = EngineKind::Sparse;
+        return single;
+      }()),
+      routers_(net_.topo_.nodeCount(), RouterState(net_.topo_.totalPorts(),
+                                                   net_.topo_.networkPorts(), cfg.vcs,
+                                                   cfg.bufferDepth)) {}
+
+void DenseReference::advanceCycleDense() {
   // Phase 1: PEs generate traffic and stream flits into injection VCs.
-  for (NodeId id = 0; id < topo_.nodeCount(); ++id) {
-    stepGeneration(id);
+  for (NodeId id = 0; id < net_.topo_.nodeCount(); ++id) {
+    net_.stepGeneration(id);
     stepInjectionDense(id);
   }
 
   // Phase 2+3 per router. Alternate the sweep direction each cycle so the
   // single-pass commit semantics do not systematically favour low ids.
-  const bool forward = (cycle_ & 1) == 0;
-  const auto n = static_cast<std::int64_t>(topo_.nodeCount());
+  const bool forward = (net_.cycle_ & 1) == 0;
+  const auto n = static_cast<std::int64_t>(net_.topo_.nodeCount());
   for (std::int64_t i = 0; i < n; ++i) {
     const NodeId id = static_cast<NodeId>(forward ? i : n - 1 - i);
-    if (!legacy_[id].anyOccupied()) continue;
+    if (!routers_[id].anyOccupied()) continue;
     stepRouterDense(id);
   }
 }
 
-void Network::stepInjectionDense(NodeId id) {
-  NodeState& node = nodes_[id];
-  RouterState& router = legacy_[id];
-  const int injPort = topo_.localPort();
+void DenseReference::stepInjectionDense(NodeId id) {
+  NodeState& node = net_.nodes_[id];
+  RouterState& router = routers_[id];
+  const int injPort = net_.topo_.localPort();
 
   // Pick the next message to stream: absorbed messages have priority over
   // new messages (paper §4, starvation prevention). Peek, don't pop — on a
@@ -45,7 +54,7 @@ void Network::stepInjectionDense(NodeId id) {
   if (node.streaming == kInvalidMsg) {
     MsgId next = kInvalidMsg;
     bool fromSwQueue = false;
-    if (!node.swQueue.empty() && node.swQueue.front().readyCycle <= cycle_) {
+    if (!node.swQueue.empty() && node.swQueue.front().readyCycle <= net_.cycle_) {
       next = node.swQueue.front().msg;
       fromSwQueue = true;
     } else if (!node.sourceQueue.empty()) {
@@ -54,11 +63,11 @@ void Network::stepInjectionDense(NodeId id) {
     if (next == kInvalidMsg) return;
     // Choose an injection VC whose buffer is empty; rotate the start index
     // to spread successive messages over the V injection buffers.
-    const auto start = static_cast<std::uint32_t>(engineRng_.next() >> 32);
+    const auto start = static_cast<std::uint32_t>(net_.engineRng_.next() >> 32);
     int chosenVc = -1;
-    for (int i = 0; i < cfg_.vcs; ++i) {
+    for (int i = 0; i < net_.cfg_.vcs; ++i) {
       const int vc = static_cast<int>((start + static_cast<std::uint32_t>(i)) %
-                                      static_cast<std::uint32_t>(cfg_.vcs));
+                                      static_cast<std::uint32_t>(net_.cfg_.vcs));
       if (router.unit(injPort, vc).buf.empty() && !router.unit(injPort, vc).routed) {
         chosenVc = vc;
         break;
@@ -73,14 +82,14 @@ void Network::stepInjectionDense(NodeId id) {
     node.streaming = next;
     node.streamVc = chosenVc;
     node.nextFlit = 0;
-    Message& m = pool_.get(next);
+    Message& m = net_.pool_.get(next);
     m.resetTransit();  // fresh network segment: wrap classes reset
     m.flitsEjected = 0;
-    if (m.firstInjectCycle == ~std::uint64_t{0}) m.firstInjectCycle = cycle_;
+    if (m.firstInjectCycle == ~std::uint64_t{0}) m.firstInjectCycle = net_.cycle_;
   }
 
   // Stream one flit per cycle (injection channel bandwidth, assumption (g)).
-  Message& m = pool_.get(node.streaming);
+  Message& m = net_.pool_.get(node.streaming);
   const int unitIdx = router.unitIndex(injPort, node.streamVc);
   InputUnit& unit = router.unit(unitIdx);
   if (unit.buf.full()) return;
@@ -88,13 +97,13 @@ void Network::stepInjectionDense(NodeId id) {
   f.msg = node.streaming;
   f.kind = m.flitKindAt(node.nextFlit);
   const bool wasEmpty = unit.buf.empty();
-  unit.buf.push(f, cycle_);
+  unit.buf.push(f, net_.cycle_);
   if (wasEmpty) router.markOccupied(unitIdx);
-  lastMovementCycle_ = cycle_;
-  if (trace_ != nullptr && node.nextFlit == 0) {
-    trace_->record({m.absorptions > 0 ? TraceEvent::Kind::Reinject
-                                      : TraceEvent::Kind::Inject,
-                    cycle_, id, 0, m.seq});
+  net_.lastMovementCycle_ = net_.cycle_;
+  if (net_.trace_ != nullptr && node.nextFlit == 0) {
+    net_.trace_->record({m.absorptions > 0 ? TraceEvent::Kind::Reinject
+                                           : TraceEvent::Kind::Inject,
+                         net_.cycle_, id, 0, m.seq});
   }
   ++node.nextFlit;
   if (f.isTail()) {
@@ -103,24 +112,24 @@ void Network::stepInjectionDense(NodeId id) {
   }
 }
 
-void Network::routeHeaderDense(NodeId id, int unitIdx) {
-  RouterState& router = legacy_[id];
+void DenseReference::routeHeaderDense(NodeId id, int unitIdx) {
+  RouterState& router = routers_[id];
   InputUnit& unit = router.unit(unitIdx);
-  Message& msg = pool_.get(unit.buf.front().msg);
+  Message& msg = net_.pool_.get(unit.buf.front().msg);
 
   RouteDecision decision;
   if (msg.curTarget == id) {
     decision = RouteDecision::deliver();
   } else if (msg.mode == RoutingMode::Adaptive) {
-    decision = duato_.route(msg, id, faults_, part_);
+    decision = net_.duato_.route(msg, id, net_.faults_, net_.part_);
   } else {
-    decision = ecube_.route(msg, id, faults_, part_);
+    decision = net_.ecube_.route(msg, id, net_.faults_, net_.part_);
   }
 
   switch (decision.kind) {
     case RouteDecision::Kind::Deliver:
       unit.routed = true;
-      unit.outPort = static_cast<std::uint8_t>(topo_.localPort());
+      unit.outPort = static_cast<std::uint8_t>(net_.topo_.localPort());
       return;
     case RouteDecision::Kind::Absorb:
       // The required outgoing channel leads to a fault: eject here and hand
@@ -129,7 +138,7 @@ void Network::routeHeaderDense(NodeId id, int unitIdx) {
       msg.blockedDim = decision.blockedDim;
       msg.blockedDirStep = decision.blockedDirStep;
       unit.routed = true;
-      unit.outPort = static_cast<std::uint8_t>(topo_.localPort());
+      unit.outPort = static_cast<std::uint8_t>(net_.topo_.localPort());
       return;
     case RouteDecision::Kind::Forward:
       break;
@@ -141,7 +150,7 @@ void Network::routeHeaderDense(NodeId id, int unitIdx) {
   InlineVector<std::uint16_t, 128> free;  // encoded port * 16 + vc
   for (const RouteCandidate& cand : decision.candidates) {
     if (free.size() == free.capacity()) break;
-    for (int vc = 0; vc < cfg_.vcs; ++vc) {
+    for (int vc = 0; vc < net_.cfg_.vcs; ++vc) {
       if (!(cand.vcs & (1u << vc))) continue;
       if (router.outOwner(cand.outPort, vc) >= 0) continue;
       free.push_back(static_cast<std::uint16_t>(cand.outPort * 16 + vc));
@@ -150,7 +159,7 @@ void Network::routeHeaderDense(NodeId id, int unitIdx) {
   }
   if (free.empty()) return;  // all admissible VCs busy: retry next cycle
   const std::uint16_t pick =
-      free[engineRng_.uniform(static_cast<std::uint32_t>(free.size()))];
+      free[net_.engineRng_.uniform(static_cast<std::uint32_t>(free.size()))];
   const int outPort = pick / 16;
   const int outVc = pick % 16;
   unit.routed = true;
@@ -159,11 +168,11 @@ void Network::routeHeaderDense(NodeId id, int unitIdx) {
   router.setOutOwner(outPort, outVc, static_cast<std::int16_t>(unitIdx));
 }
 
-void Network::stepRouterDense(NodeId id) {
-  RouterState& router = legacy_[id];
-  const int ports = topo_.totalPorts();
-  const int localPort = topo_.localPort();
-  const auto td = static_cast<std::uint64_t>(cfg_.routerDecisionTime);
+void DenseReference::stepRouterDense(NodeId id) {
+  RouterState& router = routers_[id];
+  const int ports = net_.topo_.totalPorts();
+  const int localPort = net_.topo_.localPort();
+  const auto td = static_cast<std::uint64_t>(net_.cfg_.routerDecisionTime);
 
   // Single pass over occupied units: route-compute unrouted headers, then
   // record switch requests; per output port keep the round-robin-best
@@ -183,16 +192,16 @@ void Network::stepRouterDense(NodeId id) {
       InputUnit& unit = router.unit(unitIdx);
       if (!unit.routed) {
         if (!unit.buf.front().isHeader()) continue;
-        if (unit.buf.frontArrival() + td > cycle_) continue;  // Td model
+        if (unit.buf.frontArrival() + td > net_.cycle_) continue;  // Td model
         routeHeaderDense(id, unitIdx);
         if (!unit.routed) continue;
       }
-      if (unit.buf.frontArrival() >= cycle_) continue;  // arrived this cycle
+      if (unit.buf.frontArrival() >= net_.cycle_) continue;  // arrived this cycle
       const int port = unit.outPort;
       if (port != localPort) {
         // Credit check: the downstream input buffer must have a free slot.
-        const RouterState& downRouter = legacy_[cachedNeighbor(id, port)];
-        if (downRouter.unit((port ^ 1) * cfg_.vcs + unit.outVc).buf.full()) continue;
+        const RouterState& downRouter = routers_[net_.cachedNeighbor(id, port)];
+        if (downRouter.unit((port ^ 1) * net_.cfg_.vcs + unit.outVc).buf.full()) continue;
       }
       // Round-robin key relative to the port cursor (branch beats modulo).
       int key = unitIdx - router.cursor(port);
@@ -215,22 +224,22 @@ void Network::stepRouterDense(NodeId id) {
     InputUnit& unit = router.unit(unitIdx);
     const Flit flit = unit.buf.pop();
     if (unit.buf.empty()) router.markEmpty(unitIdx);
-    lastMovementCycle_ = cycle_;
+    net_.lastMovementCycle_ = net_.cycle_;
 
-    Message& msg = pool_.get(flit.msg);
+    Message& msg = net_.pool_.get(flit.msg);
     if (flit.isHeader()) {
       ++msg.hops;
-      if (cachedWrap(id, port)) msg.setWrapped(dimOfPort(port));
-      if (trace_ != nullptr) {
-        trace_->record({TraceEvent::Kind::Hop, cycle_, id,
-                        static_cast<std::uint8_t>(port), msg.seq});
+      if (net_.cachedWrap(id, port)) msg.setWrapped(dimOfPort(port));
+      if (net_.trace_ != nullptr) {
+        net_.trace_->record({TraceEvent::Kind::Hop, net_.cycle_, id,
+                             static_cast<std::uint8_t>(port), msg.seq});
       }
     }
-    RouterState& downRouter = legacy_[cachedNeighbor(id, port)];
+    RouterState& downRouter = routers_[net_.cachedNeighbor(id, port)];
     const int downUnitIdx = downRouter.unitIndex(port ^ 1, unit.outVc);
     InputUnit& downUnit = downRouter.unit(downUnitIdx);
     const bool wasEmpty = downUnit.buf.empty();
-    downUnit.buf.push(flit, cycle_);
+    downUnit.buf.push(flit, net_.cycle_);
     if (wasEmpty) downRouter.markOccupied(downUnitIdx);
 
     if (flit.isTail()) {
@@ -240,27 +249,27 @@ void Network::stepRouterDense(NodeId id) {
   }
 }
 
-void Network::ejectFlitDense(NodeId id, int unitIdx) {
-  RouterState& router = legacy_[id];
+void DenseReference::ejectFlitDense(NodeId id, int unitIdx) {
+  RouterState& router = routers_[id];
   InputUnit& unit = router.unit(unitIdx);
   const Flit flit = unit.buf.pop();
   if (unit.buf.empty()) router.markEmpty(unitIdx);
-  lastMovementCycle_ = cycle_;
+  net_.lastMovementCycle_ = net_.cycle_;
 
-  Message& msg = pool_.get(flit.msg);
+  Message& msg = net_.pool_.get(flit.msg);
   ++msg.flitsEjected;
   if (flit.isTail()) {
     unit.routed = false;
-    finalizeEjected(id, flit.msg);
+    net_.finalizeEjected(id, flit.msg);
   }
 }
 
-// Seed-shape invariant validation over the legacy storage (the arena-based
-// validator in network.cpp covers the sparse engine).
-std::string Network::validateLegacyRouters() const {
-  const int vcs = cfg_.vcs;
-  for (NodeId id = 0; id < topo_.nodeCount(); ++id) {
-    const RouterState& router = legacy_[id];
+// Seed-shape invariant validation over the RouterState storage (the arena
+// validator in network.cpp covers the production engines).
+std::string DenseReference::validateInvariants() const {
+  const int vcs = net_.cfg_.vcs;
+  for (NodeId id = 0; id < net_.topo_.nodeCount(); ++id) {
+    const RouterState& router = routers_[id];
     // 1. Occupancy bits mirror buffer emptiness exactly.
     for (int u = 0; u < router.unitCount(); ++u) {
       const bool bit = (router.occupancy()[static_cast<std::size_t>(u) >> 6] >>
@@ -273,7 +282,7 @@ std::string Network::validateLegacyRouters() const {
     }
     // 2. Output-VC ownership: every owner refers to a routed unit whose
     //    allocation points back at exactly that (port, vc).
-    for (int port = 0; port < topo_.networkPorts(); ++port) {
+    for (int port = 0; port < net_.topo_.networkPorts(); ++port) {
       for (int vc = 0; vc < vcs; ++vc) {
         const std::int16_t owner = router.outOwner(port, vc);
         if (owner < 0) continue;
@@ -290,7 +299,7 @@ std::string Network::validateLegacyRouters() const {
     // 3. A routed unit targeting a network port must hold that output VC.
     for (int u = 0; u < router.unitCount(); ++u) {
       const InputUnit& unit = router.unit(u);
-      if (!unit.routed || unit.outPort == topo_.localPort()) continue;
+      if (!unit.routed || unit.outPort == net_.topo_.localPort()) continue;
       if (router.outOwner(unit.outPort, unit.outVc) != static_cast<std::int16_t>(u)) {
         return "routed unit without matching ownership at node " + std::to_string(id);
       }
@@ -313,7 +322,7 @@ std::string Network::validateLegacyRouters() const {
       }
     }
   }
-  return {};
+  return net_.validateNodeState();
 }
 
 }  // namespace swft

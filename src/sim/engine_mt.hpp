@@ -78,8 +78,8 @@ class MtEngine {
   MtEngine(const MtEngine&) = delete;
   MtEngine& operator=(const MtEngine&) = delete;
 
-  /// One simulation cycle (called from Network::advanceCycle, which owns the
-  /// cycle counter increment and the deadlock watchdog).
+  /// One simulation cycle (called from Network::advanceCycle; the cycle
+  /// counter increment and the deadlock watchdog are Network::endCycle).
   void advanceCycle();
 
   [[nodiscard]] int domains() const noexcept { return domains_; }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "src/sim/config_parse.hpp"
 #include "src/sim/engine_mt.hpp"
 
 namespace swft {
@@ -42,15 +43,7 @@ Network::Network(const SimConfig& cfg)
              topo_.networkPorts(), cfg.vcs, cfg.bufferDepth,
              /*exactArrivals=*/cfg.routerDecisionTime > 0),
       engineRng_(Rng(cfg.seed).split(0xE61E)) {
-  if (cfg.engine == EngineKind::Dense) {
-    // The dense reference engine runs on the seed's per-router storage; the
-    // arena stays unused (it is cheap to construct and keeps the type simple).
-    legacy_.reserve(topo_.nodeCount());
-    for (NodeId id = 0; id < topo_.nodeCount(); ++id) {
-      legacy_.emplace_back(topo_.totalPorts(), topo_.networkPorts(), cfg.vcs,
-                           cfg.bufferDepth);
-    }
-  }
+  validateConfig(cfg);
   nodes_.reserve(topo_.nodeCount());
   nodeWork_.resize((static_cast<std::size_t>(topo_.nodeCount()) + 63) / 64, 0);
   const Rng nodeSeeder = Rng(cfg.seed).split(0x50DE);
@@ -171,19 +164,6 @@ double Network::sourceQueueMean() const {
   return static_cast<double>(total) / static_cast<double>(healthyNodeCount_);
 }
 
-SimResult Network::run() {
-  while (cycle_ < cfg_.maxCycles) {
-    if (deliveredMeasured_ >= cfg_.measuredMessages) break;
-    if (deadlockSuspected_) break;
-    advanceCycle();
-  }
-  return snapshot();
-}
-
-void Network::step(std::uint64_t cycles) {
-  for (std::uint64_t i = 0; i < cycles && !deadlockSuspected_; ++i) advanceCycle();
-}
-
 SimResult runSimulation(const SimConfig& cfg) {
   Network net(cfg);
   SimResult result = net.run();
@@ -203,15 +183,7 @@ SimResult runSimulation(const SimConfig& cfg) {
   return result;
 }
 
-std::string Network::validateInvariants() const {
-  if (cfg_.engine == EngineKind::Dense) {
-    std::string v = validateLegacyRouters();
-    if (!v.empty()) return v;
-  } else {
-    std::string v = validateArenaRouters();
-    if (!v.empty()) return v;
-  }
-  // Shared checks, independent of the storage backend.
+std::string Network::validateNodeState() const {
   // Message accounting: pool live count covers queued + in-network flits.
   std::size_t queued = 0;
   for (const NodeState& n : nodes_) queued += n.queuedMessages();
@@ -238,7 +210,7 @@ std::string Network::validateInvariants() const {
   return {};
 }
 
-std::string Network::validateArenaRouters() const {
+std::string Network::validateInvariants() const {
   const int vcs = cfg_.vcs;
   const int unitCount = arena_.unitsPerRouter();
   // 0. The incremental qualification bitmaps (fresh/creditOk/downOk/
@@ -332,7 +304,7 @@ std::string Network::validateArenaRouters() const {
       }
     }
   }
-  return {};
+  return validateNodeState();
 }
 
 }  // namespace swft

@@ -2,22 +2,18 @@
 // engine implementing flit-level wormhole switching with Software-Based
 // fault-tolerant routing (paper §4, §5).
 //
-// Two engine implementations coexist (selected by `cfg.engine`):
+// One production engine over the contiguous RouterArena, run either
+// single-threaded (Sparse, engine.cpp) or domain-decomposed across
+// `cfg.simThreads` workers with a barrier-phased cycle (SparseMt,
+// engine_mt.cpp, DESIGN.md §6).
 //
-//   Sparse (engine.cpp)        — the production event-sparse engine over the
-//                                contiguous RouterArena.
-//   Dense  (engine_dense.cpp)  — the seed engine, kept deliberately
-//                                verbatim (per-router RouterState storage,
-//                                all-nodes sweep) as the reference
-//                                implementation and the "before" side of
-//                                bench/kernel_microbench's perf baseline.
-//   SparseMt (engine_mt.cpp)   — the sparse engine domain-decomposed across
-//                                `cfg.simThreads` worker threads with a
-//                                barrier-phased cycle (DESIGN.md §6).
-//
-// All engines must produce bit-identical SimResults for identical configs —
-// SparseMt at every thread count; tests/test_engine_equivalence.cpp,
-// test_engine_mt.cpp and test_engine_fuzz.cpp enforce it.
+// The seed engine survives only as a test oracle, DenseReference
+// (engine_dense.hpp, the swft_dense_ref library that only the tests and
+// bench/kernel_microbench link). It drives a Network through the same cycle
+// driver (runCycles/stepCycles/endCycle below). Both modes must match it
+// bit for bit — SparseMt at every thread count;
+// tests/test_engine_equivalence.cpp, test_engine_mt.cpp and
+// test_engine_fuzz.cpp enforce it.
 #pragma once
 
 #include <memory>
@@ -33,7 +29,6 @@
 #include "src/sim/gen_calendar.hpp"
 #include "src/sim/node.hpp"
 #include "src/sim/router_arena.hpp"
-#include "src/sim/router_state.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/trace.hpp"
 #include "src/traffic/patterns.hpp"
@@ -52,10 +47,10 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Run the full experiment: warm-up, measurement, stop conditions.
-  SimResult run();
+  SimResult run() { return runCycles([this] { advanceCycle(); }); }
 
   /// Advance exactly `cycles` cycles (stepping API for tests/examples).
-  void step(std::uint64_t cycles);
+  void step(std::uint64_t cycles) { stepCycles(cycles, [this] { advanceCycle(); }); }
 
   /// Finalise counters into a SimResult without running further.
   [[nodiscard]] SimResult snapshot() const;
@@ -100,13 +95,31 @@ class Network {
  private:
   friend struct NetworkTestAccess;  // white-box unit tests
   friend class MtEngine;            // the sparse-mt engine (engine_mt.cpp)
+  friend class DenseReference;      // the test oracle (engine_dense.cpp)
+
+  // The cycle driver, shared with DenseReference: the run()/step() stop
+  // conditions and the cycle tail (endCycle) exist only here.
+  template <typename Body>
+  SimResult runCycles(Body body) {
+    while (cycle_ < cfg_.maxCycles && deliveredMeasured_ < cfg_.measuredMessages &&
+           !deadlockSuspected_) {
+      body();
+      endCycle();
+    }
+    return snapshot();
+  }
+  template <typename Body>
+  void stepCycles(std::uint64_t cycles, Body body) {
+    for (std::uint64_t i = 0; i < cycles && !deadlockSuspected_; ++i) {
+      body();
+      endCycle();
+    }
+  }
+  void endCycle() noexcept;
 
   // One simulation cycle: injection, route computation + VC allocation,
-  // switch allocation + link traversal, ejection.
+  // switch allocation + link traversal, ejection (everything but endCycle).
   void advanceCycle();
-  // Reference implementation (engine_dense.cpp): the seed engine — sweep
-  // every node every cycle over per-router RouterState storage.
-  void advanceCycleDense();
   // Event-sparse implementation: generation calendar + active-set walks.
   void advanceCycleSparse();
 
@@ -127,13 +140,8 @@ class Network {
   // so arena row pointers stay in registers across selection and commit.
   [[gnu::always_inline]] void commitLink(NodeId id, int port, int winnerIdx);
 
-  // Seed-engine step functions over the legacy storage (engine_dense.cpp).
-  void stepInjectionDense(NodeId id);
-  void routeHeaderDense(NodeId id, int unitIdx);
-  void stepRouterDense(NodeId id);
-  void ejectFlitDense(NodeId id, int unitIdx);
-  [[nodiscard]] std::string validateLegacyRouters() const;
-  [[nodiscard]] std::string validateArenaRouters() const;
+  // validateInvariants' storage-independent checks, reused by DenseReference.
+  [[nodiscard]] std::string validateNodeState() const;
 
   [[nodiscard]] NodeId cachedNeighbor(NodeId id, int port) const noexcept {
     return nbr_[static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
@@ -178,7 +186,6 @@ class Network {
   MessagePool pool_;
 
   RouterArena arena_;
-  std::vector<RouterState> legacy_;  // populated only for EngineKind::Dense
   std::vector<NodeState> nodes_;
   Rng engineRng_;
 

@@ -46,4 +46,21 @@ if(NOT row MATCHES ",0$")
   message(FATAL_ERROR "deadlock column should be 0 on a clean run: ${row}")
 endif()
 
+# Rejected configurations exit 2 before simulating, naming the bad key on
+# stderr. The trailing keys bound the run should one be accepted.
+foreach(bad engine=dense msg_length=0)
+  string(REGEX REPLACE "=.*" "" key "${bad}")
+  execute_process(
+    COMMAND ${SWFT_SIM} ${bad} k=4 warmup=10 measured=50 max_cycles=20000
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "swft_sim ${bad} should exit 2, got ${rc}\nstderr: ${err}")
+  endif()
+  if(NOT err MATCHES "${key}")
+    message(FATAL_ERROR "swft_sim ${bad}: stderr does not name ${key}:\n${err}")
+  endif()
+endforeach()
+
 message(STATUS "swft_sim smoke OK: ${row}")

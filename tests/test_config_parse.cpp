@@ -76,7 +76,6 @@ TEST(ConfigParse, HotspotFractionRoundTrip) {
 
 TEST(ConfigParse, EngineThreadsAndPhaseTimers) {
   EXPECT_EQ(SimConfig{}.engine, parse({}).engine);
-  EXPECT_EQ(parse({"engine=dense"}).engine, EngineKind::Dense);
   EXPECT_EQ(parse({"engine=sparse"}).engine, EngineKind::Sparse);
   EXPECT_EQ(parse({"engine=sparse-mt"}).engine, EngineKind::SparseMt);
   EXPECT_EQ(parse({"sim_threads=5"}).simThreads, 5);
@@ -84,6 +83,7 @@ TEST(ConfigParse, EngineThreadsAndPhaseTimers) {
   EXPECT_TRUE(parse({"phase_timers=1"}).phaseTimers);
   EXPECT_FALSE(parse({"phase_timers=0"}).phaseTimers);
   EXPECT_THROW(parse({"engine=turbo"}), std::invalid_argument);
+  EXPECT_THROW(parse({"engine=dense"}), std::invalid_argument);
   EXPECT_THROW(parse({"sim_threads=0"}), std::invalid_argument);
   EXPECT_THROW(parse({"phase_timers=yes"}), std::invalid_argument);
 }
@@ -149,9 +149,11 @@ TEST(ConfigParse, Errors) {
   EXPECT_THROW(parse({"region=blob:3x3"}), std::invalid_argument);
   EXPECT_THROW(parse({"region=rect"}), std::invalid_argument);
   EXPECT_THROW(parse({"region=rect:3"}), std::invalid_argument);
-  // Integers that do not fit their field are rejected, naming the key,
-  // instead of wrapping through a narrowing cast.
-  for (const char* bad : {"k=4294967304", "warmup=-1"}) {
+  // Integers that do not fit their field, and values the engine would wrap
+  // or misread (a 0- or 70000-flit message, a negative delay, a NaN or
+  // out-of-range rate), are rejected naming the key.
+  for (const char* bad : {"k=4294967304", "warmup=-1", "msg_length=0", "msg_length=70000",
+                          "delta=-5", "td=-1", "rate=nan", "rate=-0.5", "rate=1.5"}) {
     try {
       (void)parse({bad});
       ADD_FAILURE() << bad << " parsed";
@@ -161,6 +163,11 @@ TEST(ConfigParse, Errors) {
     }
   }
   EXPECT_EQ(parse({"seed=18446744073709551615"}).seed, ~std::uint64_t{0});
+  EXPECT_EQ(parse({"msg_length=65535", "rate=1", "delta=0", "td=0"}).messageLength, 65535);
+  // A SimConfig built in code is validated by the Network constructor.
+  SimConfig direct;
+  direct.messageLength = 0;
+  EXPECT_THROW(Network{direct}, std::invalid_argument);
 }
 
 TEST(ConfigParse, DescribeMentionsKeyFacts) {

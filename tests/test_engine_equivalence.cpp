@@ -1,27 +1,22 @@
 // Engine equivalence: the event-sparse production engine must be
-// bit-identical to the dense reference sweep on every field of SimResult,
+// bit-identical to the dense reference sweep (DenseReference, the seed
+// engine kept as a test oracle) on every field of SimResult,
 // across traffic patterns, fault states and routing modes. The invariant
 // under test (DESIGN.md): activity tracking may skip provably-dead work but
 // may never reorder or change live work.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <unordered_map>
 
 #include "src/harness/sweep.hpp"
+#include "src/sim/config_canon.hpp"
 #include "src/sim/config_parse.hpp"
-#include "src/sim/network.hpp"
-#include "src/sim/router_state.hpp"
+#include "src/sim/engine_dense.hpp"
+#include "src/util/fnv.hpp"
 #include "tests/naming.hpp"
 
 namespace swft {
-
-// White-box access for the conservation walk (dense storage is private).
-struct NetworkTestAccess {
-  static const std::vector<RouterState>& legacy(const Network& net) {
-    return net.legacy_;
-  }
-};
-
 namespace {
 
 struct EngineCase {
@@ -110,7 +105,7 @@ class EngineEquivalence : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(EngineEquivalence, SparseMatchesDenseBitForBit) {
   const SimConfig cfg = caseConfig(GetParam());
-  const SimResult dense = runWith(cfg, EngineKind::Dense);
+  const SimResult dense = DenseReference(cfg).run();
   const SimResult sparse = runWith(cfg, EngineKind::Sparse);
   EXPECT_TRUE(dense.completed) << "case must finish within maxCycles";
   expectIdentical(dense, sparse);
@@ -118,7 +113,7 @@ TEST_P(EngineEquivalence, SparseMatchesDenseBitForBit) {
 
 TEST_P(EngineEquivalence, SparseMtMatchesDenseAtEveryThreadCount) {
   const SimConfig cfg = caseConfig(GetParam());
-  const SimResult dense = runWith(cfg, EngineKind::Dense);
+  const SimResult dense = DenseReference(cfg).run();
   EXPECT_TRUE(dense.completed) << "case must finish within maxCycles";
   for (const int threads : kThreadAxis) {
     const SimResult mt = runWith(cfg, EngineKind::SparseMt, threads);
@@ -190,6 +185,24 @@ TEST(EngineEquivalence, MatchesRecordedReferenceValues) {
 // messages 0/1 contend for the link (1,0)->(2,0), messages 2/3 for the
 // ejection channel at (2,2). Captured from both engines (identical) when
 // the batched pass landed. A diff here means the arbitration order changed.
+struct PinnedEvent {
+  TraceEvent::Kind kind;
+  std::uint64_t cycle;
+  NodeId node;
+  std::uint8_t port;
+};
+using K = TraceEvent::Kind;
+// clang-format off
+const std::vector<std::vector<PinnedEvent>> kPinnedHops = {
+    // seq 0: header stalls at node 1 cycles 2-4 behind seq 1's data flits.
+    {{K::Inject, 0, 0, 0}, {K::Hop, 1, 0, 0}, {K::Hop, 5, 1, 0}, {K::Deliver, 9, 2, 0}},
+    {{K::Inject, 0, 1, 0}, {K::Hop, 1, 1, 0}, {K::Hop, 2, 2, 0}, {K::Deliver, 6, 3, 0}},
+    // seqs 2/3: ejection at node 10 serialises the tails (cycles 8 and 9).
+    {{K::Inject, 0, 2, 0}, {K::Hop, 1, 2, 2}, {K::Hop, 2, 6, 2}, {K::Deliver, 9, 10, 0}},
+    {{K::Inject, 0, 14, 0}, {K::Hop, 1, 14, 3}, {K::Deliver, 8, 10, 0}},
+};
+// clang-format on
+
 void runPinnedContention(EngineKind engine, int simThreads) {
   SimConfig cfg;
   cfg.radix = 4;
@@ -214,32 +227,15 @@ void runPinnedContention(EngineKind engine, int simThreads) {
   net.injectTestMessage(at(2, 3), at(2, 2), 4, RoutingMode::Deterministic);
   net.run();
 
-  struct PinnedEvent {
-    TraceEvent::Kind kind;
-    std::uint64_t cycle;
-    NodeId node;
-    std::uint8_t port;
-  };
-  using K = TraceEvent::Kind;
-  // clang-format off
-  const std::vector<std::vector<PinnedEvent>> expected = {
-      // seq 0: header stalls at node 1 cycles 2-4 behind seq 1's data flits.
-      {{K::Inject, 0, 0, 0}, {K::Hop, 1, 0, 0}, {K::Hop, 5, 1, 0}, {K::Deliver, 9, 2, 0}},
-      {{K::Inject, 0, 1, 0}, {K::Hop, 1, 1, 0}, {K::Hop, 2, 2, 0}, {K::Deliver, 6, 3, 0}},
-      // seqs 2/3: ejection at node 10 serialises the tails (cycles 8 and 9).
-      {{K::Inject, 0, 2, 0}, {K::Hop, 1, 2, 2}, {K::Hop, 2, 6, 2}, {K::Deliver, 9, 10, 0}},
-      {{K::Inject, 0, 14, 0}, {K::Hop, 1, 14, 3}, {K::Deliver, 8, 10, 0}},
-  };
-  // clang-format on
-  ASSERT_EQ(trace.messageCount(), expected.size());
-  for (std::uint32_t seq = 0; seq < expected.size(); ++seq) {
+  ASSERT_EQ(trace.messageCount(), kPinnedHops.size());
+  for (std::uint32_t seq = 0; seq < kPinnedHops.size(); ++seq) {
     const auto& events = trace.eventsFor(seq);
-    ASSERT_EQ(events.size(), expected[seq].size()) << "seq " << seq;
+    ASSERT_EQ(events.size(), kPinnedHops[seq].size()) << "seq " << seq;
     for (std::size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ(events[i].kind, expected[seq][i].kind) << "seq " << seq << " event " << i;
-      EXPECT_EQ(events[i].cycle, expected[seq][i].cycle) << "seq " << seq << " event " << i;
-      EXPECT_EQ(events[i].node, expected[seq][i].node) << "seq " << seq << " event " << i;
-      EXPECT_EQ(events[i].port, expected[seq][i].port) << "seq " << seq << " event " << i;
+      EXPECT_EQ(events[i].kind, kPinnedHops[seq][i].kind) << "seq " << seq << " event " << i;
+      EXPECT_EQ(events[i].cycle, kPinnedHops[seq][i].cycle) << "seq " << seq << " event " << i;
+      EXPECT_EQ(events[i].node, kPinnedHops[seq][i].node) << "seq " << seq << " event " << i;
+      EXPECT_EQ(events[i].port, kPinnedHops[seq][i].port) << "seq " << seq << " event " << i;
     }
   }
 }
@@ -256,6 +252,31 @@ TEST(EngineEquivalence, PinnedHopVectorsUnderContentionSparseMt) {
   runPinnedContention(EngineKind::SparseMt, 5);
 }
 
+// The goldens and pinned hop vectors are the recorded results of one engine
+// semantics. Re-recording them without bumping kEngineSemanticsVersion would
+// let every existing result cache keep serving the old results, so a digest
+// of both is pinned beside the version.
+TEST(EngineEquivalence, RecordedResultsPinnedToSemanticsVersion) {
+  std::ostringstream rec;
+  for (const GoldenRecord& g : kGolden) {
+    rec << g.name << ' ' << g.cycles << ' ' << g.generatedTotal << ' '
+        << g.deliveredTotal << ' ' << g.deliveredMeasured << ' ' << g.messagesQueued
+        << ' ' << exactDoubleToken(g.meanLatency) << ' ' << exactDoubleToken(g.meanHops)
+        << '\n';
+  }
+  for (const auto& events : kPinnedHops) {
+    for (const PinnedEvent& e : events) {
+      rec << static_cast<int>(e.kind) << ' ' << e.cycle << ' ' << e.node << ' '
+          << static_cast<int>(e.port) << ';';
+    }
+    rec << '\n';
+  }
+  ASSERT_EQ(kEngineSemanticsVersion, 1u);
+  EXPECT_EQ(fnv1a64(rec.str()), 0x933664e07b8db000ULL)
+      << "the recorded goldens or pinned hop vectors changed: re-record this "
+         "digest AND bump kEngineSemanticsVersion (src/sim/config_canon.hpp)";
+}
+
 // Event-for-event trace agreement on a loaded case: the full per-message
 // (kind, cycle, node, port) streams — not just the end-of-run aggregates —
 // must coincide between the engines. This is the commit-order contract at
@@ -264,13 +285,9 @@ TEST(EngineEquivalence, HopTracesMatchDenseEventForEvent) {
   SimConfig cfg = caseConfig(kCases[7]);  // transpose_adp_faulty: the busiest
   cfg.measuredMessages = 300;             // keep the traced volume bounded
   TraceRecorder dense, sparse, mt;
-  {
-    SimConfig d = cfg;
-    d.engine = EngineKind::Dense;
-    Network net(d);
-    net.attachTrace(&dense);
-    net.run();
-  }
+  DenseReference ref(cfg);
+  ref.attachTrace(&dense);
+  ref.run();
   {
     SimConfig s = cfg;
     s.engine = EngineKind::Sparse;
@@ -306,9 +323,9 @@ TEST(EngineEquivalence, HopTracesMatchDenseEventForEvent) {
 
 // Lockstep: both engines stepped cycle by cycle must agree on every counter
 // at every cycle, and both must keep the microarchitectural invariants.
-// Tally flits per message across every input-VC buffer of `net`, reading
-// whichever storage its engine actually uses (arena for sparse, legacy
-// RouterState for dense). Asserts credit safety along the way: no buffer
+// Tally flits per message across every input-VC buffer of a network (its
+// arena) or of the reference (its RouterState storage). Asserts credit
+// safety along the way: no buffer
 // ever holds more flits than its depth. Credits are implicit (one credit =
 // one free downstream slot), so this is exactly "per-link credits never
 // exceed the buffer depth" — the batched link pass hoists the credit read
@@ -318,29 +335,29 @@ TEST(EngineEquivalence, HopTracesMatchDenseEventForEvent) {
 // ejection must never be throttled by it and nothing may push through it.
 std::unordered_map<MsgId, int> bufferTally(const Network& net, int cycle) {
   std::unordered_map<MsgId, int> buffered;
-  const NodeId nodes = net.topology().nodeCount();
-  if (net.config().engine != EngineKind::Dense) {
-    const RouterArena& a = net.arena();
-    for (NodeId id = 0; id < nodes; ++id) {
-      for (int u = 0; u < a.unitsPerRouter(); ++u) {
-        const int g = a.base(id) + u;
-        const int sz = a.size(g);
-        EXPECT_LE(sz, a.depth()) << "overfilled unit " << g << " cycle " << cycle;
-        for (int i = 0; i < sz; ++i) ++buffered[a.flitAt(g, i).msg];
-      }
+  const RouterArena& a = net.arena();
+  for (NodeId id = 0; id < net.topology().nodeCount(); ++id) {
+    for (int u = 0; u < a.unitsPerRouter(); ++u) {
+      const int g = a.base(id) + u;
+      const int sz = a.size(g);
+      EXPECT_LE(sz, a.depth()) << "overfilled unit " << g << " cycle " << cycle;
+      for (int i = 0; i < sz; ++i) ++buffered[a.flitAt(g, i).msg];
     }
-    for (int vc = 0; vc < a.vcs(); ++vc) {
-      EXPECT_EQ(a.size(a.creditSinkBase() + vc), 0)
-          << "credit sink dirtied, vc " << vc << " cycle " << cycle;
-    }
-  } else {
-    for (const RouterState& r : NetworkTestAccess::legacy(net)) {
-      for (int u = 0; u < r.unitCount(); ++u) {
-        const FlitFifo& buf = r.unit(u).buf;
-        EXPECT_LE(buf.size(), buf.capacity())
-            << "overfilled unit " << u << " cycle " << cycle;
-        for (int i = 0; i < buf.size(); ++i) ++buffered[buf.flitAt(i).msg];
-      }
+  }
+  for (int vc = 0; vc < a.vcs(); ++vc) {
+    EXPECT_EQ(a.size(a.creditSinkBase() + vc), 0)
+        << "credit sink dirtied, vc " << vc << " cycle " << cycle;
+  }
+  return buffered;
+}
+
+std::unordered_map<MsgId, int> bufferTally(const DenseReference& ref, int cycle) {
+  std::unordered_map<MsgId, int> buffered;
+  for (const RouterState& r : ref.routers()) {
+    for (int u = 0; u < r.unitCount(); ++u) {
+      const FlitFifo& buf = r.unit(u).buf;
+      EXPECT_LE(buf.size(), buf.capacity()) << "overfilled unit " << u << " cycle " << cycle;
+      for (int i = 0; i < buf.size(); ++i) ++buffered[buf.flitAt(i).msg];
     }
   }
   return buffered;
@@ -358,8 +375,9 @@ std::unordered_map<MsgId, int> bufferTally(const Network& net, int cycle) {
 //     flits ejected in that segment. No flit is lost, duplicated, or left
 //     behind by the batched commit — caught at the cycle it happens, not
 //     hundreds of cycles later in a diverged SimResult.
-void checkConservation(const Network& dense, const Network& sparse, int cycle) {
-  const std::unordered_map<MsgId, int> bufD = bufferTally(dense, cycle);
+void checkConservation(const DenseReference& ref, const Network& sparse, int cycle) {
+  const Network& dense = ref.network();
+  const std::unordered_map<MsgId, int> bufD = bufferTally(ref, cycle);
   const std::unordered_map<MsgId, int> bufS = bufferTally(sparse, cycle);
   ASSERT_EQ(bufD.size(), bufS.size()) << "buffered message sets differ, cycle " << cycle;
   for (const auto& [msg, count] : bufD) {
@@ -395,21 +413,18 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
   cfg.measuredMessages = ~std::uint32_t{0};
   cfg.seed = 11;
 
-  SimConfig denseCfg = cfg;
-  denseCfg.engine = EngineKind::Dense;
-  SimConfig sparseCfg = cfg;
-  sparseCfg.engine = EngineKind::Sparse;
   // The mt engine joins the lockstep at three domains: 16 nodes split 6/5/5,
   // so cross-domain links and mid-word domain boundaries are exercised on
   // every cycle, and the invariant validator sees the post-commit arena.
   SimConfig mtCfg = cfg;
   mtCfg.engine = EngineKind::SparseMt;
   mtCfg.simThreads = 3;
-  Network dense(denseCfg);
-  Network sparse(sparseCfg);
+  DenseReference ref(cfg);
+  const Network& dense = ref.network();
+  Network sparse(cfg);
   Network mt(mtCfg);
   for (int c = 0; c < 500; ++c) {
-    dense.step(1);
+    ref.step(1);
     sparse.step(1);
     mt.step(1);
     ASSERT_EQ(dense.generated(), sparse.generated()) << "cycle " << c;
@@ -418,8 +433,8 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
     ASSERT_EQ(dense.generated(), mt.generated()) << "cycle " << c;
     ASSERT_EQ(dense.delivered(), mt.delivered()) << "cycle " << c;
     ASSERT_EQ(dense.inFlight(), mt.inFlight()) << "cycle " << c;
-    ASSERT_NO_FATAL_FAILURE(checkConservation(dense, sparse, c));
-    ASSERT_NO_FATAL_FAILURE(checkConservation(dense, mt, c));
+    ASSERT_NO_FATAL_FAILURE(checkConservation(ref, sparse, c));
+    ASSERT_NO_FATAL_FAILURE(checkConservation(ref, mt, c));
     // Arena-invariant oracle: every cycle, recompute the incremental
     // qualification bitmaps (fresh/creditOk/downOk/portMembers + feeder
     // edges) from scratch from scalar state and require exact equality
@@ -427,7 +442,7 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
     ASSERT_EQ(sparse.arena().auditMasks(sparse.now() - 1), "") << "cycle " << c;
     ASSERT_EQ(mt.arena().auditMasks(mt.now() - 1), "") << "cycle " << c;
     if (c % 25 == 0) {
-      ASSERT_EQ(dense.validateInvariants(), "") << "cycle " << c;
+      ASSERT_EQ(ref.validateInvariants(), "") << "cycle " << c;
       ASSERT_EQ(sparse.validateInvariants(), "") << "cycle " << c;
       ASSERT_EQ(mt.validateInvariants(), "") << "cycle " << c;
     }
@@ -450,7 +465,7 @@ TEST(EngineEquivalence, SweepDeterministicAcrossThreadCounts) {
     p.cfg.measuredMessages = 300;
     p.cfg.maxCycles = 200'000;
     p.cfg.seed = 40 + static_cast<std::uint64_t>(i);
-    p.cfg.engine = (i % 2 == 0) ? EngineKind::Sparse : EngineKind::Dense;
+    p.cfg.engine = (i % 2 == 0) ? EngineKind::Sparse : EngineKind::SparseMt;
     points.push_back(p);
   }
   const auto serial = runSweep(points, 1);
@@ -465,8 +480,6 @@ TEST(EngineEquivalence, SweepDeterministicAcrossThreadCounts) {
 // The engine selector must be reachable from config strings (CLI sweeps).
 TEST(EngineEquivalence, EngineKeyParses) {
   SimConfig cfg;
-  applyConfigAssignment(cfg, "engine=dense");
-  EXPECT_EQ(cfg.engine, EngineKind::Dense);
   applyConfigAssignment(cfg, "engine=sparse");
   EXPECT_EQ(cfg.engine, EngineKind::Sparse);
   applyConfigAssignment(cfg, "engine=sparse-mt");
@@ -474,6 +487,8 @@ TEST(EngineEquivalence, EngineKeyParses) {
   applyConfigAssignment(cfg, "sim_threads=8");
   EXPECT_EQ(cfg.simThreads, 8);
   EXPECT_THROW(applyConfigAssignment(cfg, "engine=warp"), std::invalid_argument);
+  // The dense reference is a test oracle, not a user-selectable engine.
+  EXPECT_THROW(applyConfigAssignment(cfg, "engine=dense"), std::invalid_argument);
   EXPECT_THROW(applyConfigAssignment(cfg, "sim_threads=0"), std::invalid_argument);
   EXPECT_THROW(applyConfigAssignment(cfg, "sim_threads=-2"), std::invalid_argument);
 }

@@ -5,8 +5,8 @@
 // representative corners; this suite draws a few hundred random points from
 // the full configuration space (topology size and dimensionality, VC counts,
 // buffer depths, routing mode, every traffic pattern, fault counts, router
-// decision time, message lengths, injection rates) and runs each under all
-// three engines to completion — dense, sparse, and sparse-mt twice, with
+// decision time, message lengths, injection rates) and runs each to
+// completion on the dense reference, sparse, and sparse-mt twice, with
 // sim_threads axes cycling {1, 2, 3, 8} and {2, 5, 8} — requiring
 // bit-identical SimResults: exact double equality, no tolerance.
 //
@@ -29,7 +29,7 @@
 #include <string>
 
 #include "src/sim/config.hpp"
-#include "src/sim/network.hpp"
+#include "src/sim/engine_dense.hpp"
 #include "src/sim/stats.hpp"
 #include "src/traffic/patterns.hpp"
 #include "src/util/rng.hpp"
@@ -166,14 +166,12 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
     constexpr int kThreadAxis[] = {1, 2, 3, 8};
     const int simThreads = kThreadAxis[i % (sizeof(kThreadAxis) / sizeof(kThreadAxis[0]))];
 
-    cfg.engine = EngineKind::Dense;
     SimResult dense;
     try {
-      dense = runSimulation(cfg);
+      dense = DenseReference(cfg).run();
     } catch (const std::runtime_error&) {
       // Random faults occasionally disconnect a small torus; the sparse
       // builds must reject the identical pattern the same way.
-      cfg.engine = EngineKind::Sparse;
       EXPECT_THROW((void)runSimulation(cfg), std::runtime_error) << repro;
       cfg.engine = EngineKind::SparseMt;
       cfg.simThreads = simThreads;
@@ -181,7 +179,6 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
       ++skippedDisconnected;
       continue;
     }
-    cfg.engine = EngineKind::Sparse;
     const SimResult sparse = runSimulation(cfg);
     expectIdentical(sparse, dense, repro);
     cfg.engine = EngineKind::SparseMt;

@@ -173,8 +173,7 @@ TEST(CanonicalKey, BitIdenticalEnginesCollapseToOneKey) {
   base.seed = 99;
   const std::string key = canonicalConfigKey(base);
 
-  for (const EngineKind engine :
-       {EngineKind::Sparse, EngineKind::Dense, EngineKind::SparseMt}) {
+  for (const EngineKind engine : {EngineKind::Sparse, EngineKind::SparseMt}) {
     for (const int threads : {1, 2, 5, 8}) {
       SimConfig c = base;
       c.engine = engine;
@@ -297,9 +296,6 @@ TEST(ResultCache, EnginesShareEntries) {
   mt.engine = EngineKind::SparseMt;
   mt.simThreads = 8;
   EXPECT_TRUE(cache.lookup(mt).has_value());
-  SimConfig dense = sparse;
-  dense.engine = EngineKind::Dense;
-  EXPECT_TRUE(cache.lookup(dense).has_value());
 }
 
 TEST(ResultCache, CorruptEntryIsAMissAndRestorable) {
