@@ -152,68 +152,39 @@ void BM_LinkBatch(benchmark::State& state) {
 BENCHMARK(BM_LinkBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_Qualify(benchmark::State& state) {
-  // The link-qualification pass in isolation on a synthetic saturated
-  // 5-port V=10 router (the `saturation` operating-point router shape,
-  // 50 units): arg 0 = the pre-bitmap per-candidate loop (route-word
-  // gather + arrival compare + downstream size probe per live unit),
-  // arg 1 = the arena-bitmap pass.
+  // The link-qualification pass (link_qual.hpp) in isolation on a synthetic
+  // saturated 5-port V=10 router (the `saturation` operating-point router
+  // shape, 50 units): route-word gather + arrival compare + downstream size
+  // probe per live unit.
   constexpr int kPorts = 5, kVcs = 10, kDepth = 4;
   RouterArena a(2, kPorts, kPorts - 1, kVcs, kDepth);
   const int units = a.unitsPerRouter();
   // Node 0 is the router under test; spread its routed units across all
   // ports (ejection = port 4 targets the credit sink), downstream rows on
   // node 1, with every third downstream full so the credit axis is live.
+  std::int32_t downBase[kPorts];
+  for (int p = 0; p < kPorts - 1; ++p) downBase[p] = a.unitIndex(1, p, 0);
+  downBase[kPorts - 1] = a.creditSinkBase();
   for (int u = 0; u < units; ++u) {
     a.push(0, u, Flit{static_cast<MsgId>(u), FlitKind::Body}, 0);
     const int port = u % kPorts;
     const int vc = u / kPorts % kVcs;
-    const int du = port == kPorts - 1 ? a.creditSinkBase() + vc
-                                      : a.unitIndex(1, port, vc);
-    a.allocateRoute(0, u, port, vc, du);
+    a.allocateRoute(0, u, port, vc);
     if (port != kPorts - 1 && u % 3 == 0) {
       for (int d = 0; d < kDepth; ++d) {
-        a.push(1, du, Flit{static_cast<MsgId>(u), FlitKind::Body}, 0);
+        a.push(1, downBase[port] + vc, Flit{static_cast<MsgId>(u), FlitKind::Body}, 0);
       }
     }
   }
-  a.matureFreshness();  // mature: every front arrived before "cycle 1"
-  const std::uint64_t cycle = 1;
-  std::uint64_t okp[64];
-  if (state.range(0) == 0) {
-    const std::uint32_t* rw = a.routeRow(0);
-    const auto fullDepth = a.depth();
-    const int sink = a.creditSinkBase();
-    for (auto _ : state) {
-      for (int p = 0; p < kPorts; ++p) okp[p] = 0;
-      std::uint64_t pm = 0;
-      std::uint64_t m = a.occWords(0)[0] & a.routedWords(0)[0];
-      while (m != 0) {
-        const int u = std::countr_zero(m);
-        m &= m - 1;
-        const std::uint32_t r = rw[u];
-        const int port = RouterArena::wordOutPort(r);
-        const int down = port == kPorts - 1
-                             ? sink
-                             : a.unitIndex(1, port, 0);
-        const auto fresh = static_cast<std::uint64_t>(a.frontArrival(u) < cycle);
-        const auto cred = static_cast<std::uint64_t>(
-            a.size(down + RouterArena::wordOutVc(r)) != fullDepth);
-        const std::uint64_t q = fresh & cred;
-        okp[port] |= q << u;
-        pm |= q << port;
-      }
-      benchmark::DoNotOptimize(pm);
-      benchmark::DoNotOptimize(okp[0]);
-    }
-  } else {
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(qualifyLinkCandidates(a, 0, okp, kPorts));
-      benchmark::DoNotOptimize(okp[0]);
-    }
+  const std::uint64_t cycle = 1;  // every front arrived at cycle 0
+  std::uint64_t okp[kPorts];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qualifyLinkCandidates(a, 0, downBase, cycle, okp, kPorts));
+    benchmark::DoNotOptimize(okp[0]);
   }
   state.SetItemsProcessed(state.iterations() * units);
 }
-BENCHMARK(BM_Qualify)->Arg(0)->Arg(1);
+BENCHMARK(BM_Qualify);
 
 void BM_CdgBuild(benchmark::State& state) {
   const TorusTopology topo(static_cast<int>(state.range(0)), 2);

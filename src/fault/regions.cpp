@@ -107,6 +107,13 @@ std::vector<NodeId> regionNodes(const TorusTopology& topo, const RegionSpec& spe
   if (spec.anchor.dims() != topo.dims()) {
     throw std::invalid_argument("regionNodes: anchor dimensionality mismatch");
   }
+  // In-plane digits wrap around the torus below; the others are used as-is.
+  for (int d = 0; d < topo.dims(); ++d) {
+    if (d != spec.dim0 && d != spec.dim1 &&
+        (spec.anchor[d] < 0 || spec.anchor[d] >= topo.radix())) {
+      throw std::invalid_argument("regionNodes: anchor digit outside [0, k)");
+    }
+  }
   std::vector<NodeId> out;
   for (const auto& [x, y] : regionCells(spec)) {
     Coordinates c = spec.anchor;
@@ -187,6 +194,12 @@ std::vector<NodeId> applyRandomNodeFaults(FaultSet& faults, int count, Rng& rng,
   if (count == 0) return {};
   if (count < 0 || static_cast<NodeId>(count) >= topo.nodeCount()) {
     throw std::invalid_argument("applyRandomNodeFaults: bad count");
+  }
+  // Faults already in place (regions) may leave fewer healthy nodes than
+  // the draw below needs; it would never finish.
+  if (count >= static_cast<int>(topo.nodeCount()) - faults.faultyNodeCount()) {
+    throw std::runtime_error("applyRandomNodeFaults: " + std::to_string(count) +
+                             " random faults would leave no healthy node");
   }
   for (int attempt = 0; attempt < maxAttempts; ++attempt) {
     // Draw a candidate set, then validate connectivity on a scratch fault set.

@@ -5,7 +5,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/router/flit.hpp"
 #include "src/router/message.hpp"
+#include "src/routing/vc_partition.hpp"
 
 namespace swft {
 
@@ -153,9 +155,6 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
     cfg.pattern = *p;
   } else if (key == "hotspot_fraction") {
     cfg.hotspotFraction = parseDouble(key, value);
-    if (cfg.hotspotFraction < 0.0 || cfg.hotspotFraction > 1.0) {
-      fail("config: hotspot_fraction must be in [0, 1], got '" + value + "'");
-    }
   } else if (key == "engine") {
     if (value == "sparse") {
       cfg.engine = EngineKind::Sparse;
@@ -186,27 +185,102 @@ SimConfig parseConfig(std::span<const std::string> assignments, const SimConfig&
   return cfg;
 }
 
+namespace {
+
+/// "config: 'key' must be <rule>, got <value>".
+template <typename T>
+[[noreturn]] void failRange(const char* key, const std::string& rule, T got) {
+  std::ostringstream os;
+  os << "config: '" << key << "' must be " << rule << ", got " << got;
+  fail(os.str());
+}
+
+void validateRegion(const SimConfig& cfg, const RegionSpec& r) {
+  const std::string k = std::to_string(cfg.radix);
+  if (r.dim0 == r.dim1 || r.dim0 < 0 || r.dim1 < 0 || r.dim0 >= cfg.dims ||
+      r.dim1 >= cfg.dims) {
+    fail("config: 'region' needs two distinct plane dimensions below n=" +
+         std::to_string(cfg.dims) + ", got " + std::to_string(r.dim0) + " and " +
+         std::to_string(r.dim1));
+  }
+  if (r.anchor.dims() != cfg.dims) {
+    fail("config: 'region' anchor has " + std::to_string(r.anchor.dims()) +
+         " digits but n=" + std::to_string(cfg.dims));
+  }
+  for (int d = 0; d < cfg.dims; ++d) {
+    if (r.anchor[d] < 0 || r.anchor[d] >= cfg.radix) {
+      fail("config: 'region' anchor digit " + std::to_string(d) + " must be in [0, " +
+           k + "), got " + std::to_string(r.anchor[d]));
+    }
+  }
+  // A plus is two cells thick in both bars.
+  const int minExtent = r.shape == RegionShape::Plus ? 2 : 1;
+  for (const int e : {r.extent0, r.extent1}) {
+    if (e < minExtent || e > cfg.radix) {
+      fail("config: 'region' extents must be in [" + std::to_string(minExtent) + ", " +
+           k + "], got " + std::to_string(r.extent0) + "x" + std::to_string(r.extent1));
+    }
+  }
+}
+
+}  // namespace
+
 void validateConfig(const SimConfig& cfg) {
+  // Topology first: the node count bounds `nf`, the radix bounds regions.
+  if (cfg.radix < 2) failRange("k", ">= 2", cfg.radix);
+  if (cfg.dims < 1 || cfg.dims > kMaxDims) {
+    failRange("n", "in [1, " + std::to_string(kMaxDims) + "]", cfg.dims);
+  }
+  constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 24;  // AddressSpace limit
+  std::uint64_t nodes = 1;
+  for (int d = 0; d < cfg.dims; ++d) {
+    nodes *= static_cast<std::uint64_t>(cfg.radix);
+    if (nodes > kMaxNodes) {
+      fail("config: 'k' and 'n' give more than 2^24 nodes (k=" +
+           std::to_string(cfg.radix) + ", n=" + std::to_string(cfg.dims) + ")");
+    }
+  }
+  // Router geometry: both wrap classes need a VC, the arena keeps at most
+  // 16 VCs and FlitFifo::kMaxDepth slots per VC, and Duato's escape pool is
+  // split evenly between the wrap classes.
+  if (cfg.vcs < 2 || cfg.vcs > kMaxVcs) {
+    failRange("vcs", "in [2, " + std::to_string(kMaxVcs) + "]", cfg.vcs);
+  }
+  if (cfg.bufferDepth < 1 || cfg.bufferDepth > FlitFifo::kMaxDepth) {
+    failRange("buffer_depth", "in [1, " + std::to_string(FlitFifo::kMaxDepth) + "]",
+              cfg.bufferDepth);
+  }
+  if (cfg.routing == RoutingMode::Adaptive &&
+      (cfg.escapeVcs < 2 || cfg.escapeVcs > cfg.vcs || cfg.escapeVcs % 2 != 0)) {
+    failRange("escape_vcs", "even and in [2, vcs=" + std::to_string(cfg.vcs) + "]",
+              cfg.escapeVcs);
+  }
   // Each range below is one the engine would otherwise wrap or misread
   // silently: Message::length is a uint16_t, Delta and Td are cast to
-  // uint64_t cycle offsets, and Rng::geometric reads a NaN or negative rate
-  // as "never" and a rate above 1 as 1.
+  // uint64_t cycle offsets, Rng::geometric reads a NaN or negative rate as
+  // "never" and a rate above 1 as 1, and a NaN hotspot fraction never
+  // compares true.
   constexpr int kMaxLength = std::numeric_limits<decltype(Message::length)>::max();
   if (cfg.messageLength < 1 || cfg.messageLength > kMaxLength) {
-    fail("config: 'msg_length' must be in [1, " + std::to_string(kMaxLength) +
-         "], got " + std::to_string(cfg.messageLength));
+    failRange("msg_length", "in [1, " + std::to_string(kMaxLength) + "]",
+              cfg.messageLength);
   }
-  if (cfg.reinjectDelay < 0) {
-    fail("config: 'delta' must be >= 0, got " + std::to_string(cfg.reinjectDelay));
-  }
-  if (cfg.routerDecisionTime < 0) {
-    fail("config: 'td' must be >= 0, got " + std::to_string(cfg.routerDecisionTime));
-  }
+  if (cfg.reinjectDelay < 0) failRange("delta", ">= 0", cfg.reinjectDelay);
+  if (cfg.routerDecisionTime < 0) failRange("td", ">= 0", cfg.routerDecisionTime);
   if (!(cfg.injectionRate >= 0.0 && cfg.injectionRate <= 1.0)) {
-    std::ostringstream os;
-    os << "config: 'rate' must be in [0, 1], got " << cfg.injectionRate;
-    fail(os.str());
+    failRange("rate", "in [0, 1]", cfg.injectionRate);
   }
+  if (!(cfg.hotspotFraction >= 0.0 && cfg.hotspotFraction <= 1.0)) {
+    failRange("hotspot_fraction", "in [0, 1]", cfg.hotspotFraction);
+  }
+  if (cfg.livelockThreshold < 0) {
+    failRange("livelock_threshold", ">= 0", cfg.livelockThreshold);
+  }
+  if (cfg.faults.randomNodes < 0 ||
+      static_cast<std::uint64_t>(cfg.faults.randomNodes) >= nodes) {
+    failRange("nf", "in [0, " + std::to_string(nodes) + ")", cfg.faults.randomNodes);
+  }
+  for (const RegionSpec& r : cfg.faults.regions) validateRegion(cfg, r);
 }
 
 std::string describeConfig(const SimConfig& cfg) {

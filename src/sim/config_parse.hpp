@@ -29,10 +29,15 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment);
 SimConfig parseConfig(std::span<const std::string> assignments,
                       const SimConfig& defaults = SimConfig{});
 
-/// Reject values the engine cannot represent: msg_length outside
-/// [1, 65535], negative delta or td, a rate that is NaN or outside [0, 1].
-/// Throws std::invalid_argument naming the key. parseConfig and the Network
-/// constructor both call it.
+/// Reject configurations the network cannot build or the engine would
+/// misread: k < 2, n outside [1, kMaxDims], more than 2^24 nodes, vcs
+/// outside [2, 16], buffer_depth outside [1, FlitFifo::kMaxDepth], an odd or
+/// out-of-range escape_vcs under adaptive routing, msg_length outside
+/// [1, 65535], negative delta, td or livelock_threshold, a rate or
+/// hotspot_fraction that is NaN or outside [0, 1], nf outside [0, nodes),
+/// and regions whose anchor digits leave [0, k) or whose extents leave
+/// [1, k]. Throws std::invalid_argument naming the key. parseConfig and the
+/// Network constructor (before it builds anything) both call it.
 void validateConfig(const SimConfig& cfg);
 
 /// One-line human-readable summary of a configuration.

@@ -113,9 +113,6 @@ void Network::advanceCycleSparse() {
       }
     }
   }
-  // Cycle-end boundary: mature the freshness snapshots (fronts pushed this
-  // cycle become eligible next cycle) after the last push/pop of the cycle.
-  arena_.matureFreshness();
   clock.mark(PhaseBreakdown::kWalk);
 }
 
@@ -253,8 +250,7 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
                                  const RouteDecision& decision) {
   switch (decision.kind) {
     case RouteDecision::Kind::Deliver:
-      arena_.allocateRoute(id, unitIdx, topo_.localPort(), 0,
-                           cachedDownBase(id, topo_.localPort()));
+      arena_.allocateRoute(id, unitIdx, topo_.localPort(), 0);
       return;
     case RouteDecision::Kind::Absorb: {
       // The required outgoing channel leads to a fault: eject here and hand
@@ -263,8 +259,7 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
       msg.blockedValid = true;
       msg.blockedDim = decision.blockedDim;
       msg.blockedDirStep = decision.blockedDirStep;
-      arena_.allocateRoute(id, unitIdx, topo_.localPort(), 0,
-                           cachedDownBase(id, topo_.localPort()));
+      arena_.allocateRoute(id, unitIdx, topo_.localPort(), 0);
       return;
     }
     case RouteDecision::Kind::Forward:
@@ -292,8 +287,7 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
       free[engineRng_.uniform(static_cast<std::uint32_t>(free.size()))];
   const int outPort = pick / 16;
   const int outVc = pick % 16;
-  arena_.allocateRoute(id, unitIdx, outPort, outVc,
-                       cachedDownBase(id, outPort) + outVc);
+  arena_.allocateRoute(id, unitIdx, outPort, outVc);
   arena_.setOutOwner(id, outPort, outVc, static_cast<std::int16_t>(unitIdx));
 }
 
@@ -339,19 +333,17 @@ void Network::stepRouter(NodeId id) {
   // so software-layer RNG draws (absorption replanning) stay in the dense
   // engine's position in the stream.
   if (occW == 1) {
-    // Every router configuration with <= 64 input units. Qualification is
-    // three row loads and two word ANDs against the arena's incrementally
-    // maintained bitmaps — ok = fresh & downOk (freshness and mapped
-    // downstream credit, each a superset-pruned subset of live), bucketed
-    // per output port by the membership sweep. Reading all
-    // qualifications from pre-commit state is legal by the non-interference
-    // argument above: no commit on port p changes port q's candidates, their
-    // arrival stamps, or their downstream credit line. occW == 1 bounds the
-    // unit count by 64 and hence the port count by 64 / vcs. The pass lives
-    // in link_qual.hpp, shared with the sparse-mt engine's P1
-    // precomputation, and owns the okp rows outright (no zeroing prelude).
+    // Every router configuration with <= 64 input units. Qualification
+    // (link_qual.hpp, shared with the sparse-mt engine's P1 link cards) reads
+    // each live candidate's front stamp and downstream size and buckets the
+    // qualified ones per output port. Reading all qualifications from
+    // pre-commit state is legal by the non-interference argument above: no
+    // commit on port p changes port q's candidates, their arrival stamps, or
+    // their downstream credit line. occW == 1 bounds the unit count by 64
+    // and hence the port count by 64 / vcs.
     std::uint64_t okp[64];
-    std::uint64_t pm = qualifyLinkCandidates(arena_, id, okp, localPort + 1);
+    std::uint64_t pm = qualifyLinkCandidates(arena_, id, cachedDownBaseRow(id),
+                                             cycle_, okp, localPort + 1);
     // Commit winners in ascending port order, ejection (the highest port)
     // last. Per port, the first qualified bit in circular round-robin order
     // from the cursor is picked with one rotate: rotr moves bit u to
@@ -377,33 +369,16 @@ void Network::stepRouter(NodeId id) {
   }
 
   // Generic multi-word path (routers with more than 64 input units, e.g. a
-  // 3-cube with V = 10): same per-link batching, candidate words walked
-  // circularly from the cursor word, qualified by the same bitmap ANDs as
-  // the one-word fast path (fresh & downOk; membership plays the role of
-  // the request mask).
+  // 3-cube with V = 10): same per-link batching and the same two reads per
+  // candidate, walked circularly from the cursor (firstLinkWinner).
   const int unitCount = arena_.unitsPerRouter();
-  const std::uint64_t* freshW = arena_.freshWords(id);
-  const std::uint64_t* downOkW = arena_.downOkWords(id);
+  const int depth = arena_.depth();
   for (int port = 0; port <= localPort; ++port) {
-    const std::uint64_t* req = arena_.portMembers(id, port);
-    const bool isLocal = port == localPort;
-    const int cur = arena_.cursor(id, port);
-    const int cw = cur >> 6;
-    const int cb = cur & 63;
-    int winnerIdx = -1;
-    for (int k = 0; k <= occW && winnerIdx < 0; ++k) {
-      int w = cw + k;
-      if (w >= occW) w -= occW;
-      std::uint64_t m = req[w] & freshW[w] & downOkW[w];
-      if (k == 0) {
-        m &= ~0ULL << cb;
-      } else if (k == occW) {
-        m &= (cb == 0) ? 0 : ((1ULL << cb) - 1);  // wrapped tail of cursor word
-      }
-      if (m != 0) winnerIdx = w * 64 + std::countr_zero(m);
-    }
+    const int winnerIdx = firstLinkWinner(
+        arena_, id, port, cachedDownBase(id, port), cycle_,
+        [&](int du) { return arena_.size(du) != depth; });
     if (winnerIdx < 0) continue;
-    if (isLocal) {
+    if (port == localPort) {
       arena_.setCursor(id, port,
                        static_cast<std::uint16_t>(
                            winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));

@@ -161,9 +161,6 @@ void MtEngine::advanceCycle() {
     resetSizeDeltas();
     applyCommands(0);
     if (net_.trace_ != nullptr) traceStage_.flushTo(*net_.trace_);
-    // Cycle-end boundary: mature the freshness snapshots after the last
-    // push/pop so next cycle's P1 reads fully matured rows.
-    net_.arena_.matureFreshness();
     clock.mark(PhaseBreakdown::kCommit);
     return;
   }
@@ -191,10 +188,6 @@ void MtEngine::advanceCycle() {
   if (net_.trace_ != nullptr) traceStage_.flushTo(*net_.trace_);
   clock.mark(PhaseBreakdown::kCommit);
   awaitWorkers();
-  // Cycle-end boundary: the P3 join published every worker's pushes and
-  // pops, so the occupancy words are final — mature the freshness snapshots
-  // on this thread for next cycle's P1.
-  net_.arena_.matureFreshness();
   clock.mark(PhaseBreakdown::kBarrier);
 }
 
@@ -278,18 +271,15 @@ void MtEngine::buildLinkCards(int d) {
       std::uint64_t* okp = lqOk_.data() +
                            static_cast<std::size_t>(id) *
                                static_cast<std::size_t>(lqPorts_);
-      // P1 runs against the post-commit arena with every sizeDelta_ zero,
-      // so the incremental bitmaps *are* the snapshot: last cycle's
-      // matureFreshness() left fresh == occ (every front arrived in an
-      // earlier cycle), and downOk_ carries each candidate's downstream
-      // credit.
-      // The blocked word is exactly the credit-starved candidate set, which
-      // the baton re-checks against virtual credits. The pass assigns the
-      // okp rows (no zeroing prelude).
+      // P1 runs against the post-commit arena with every sizeDelta_ zero, so
+      // the arena *is* the snapshot: every front arrived in an earlier cycle
+      // (the arrival read is vacuous here), and the arena sizes are the
+      // downstream credit. The blocked word is exactly the credit-starved
+      // candidate set, which the baton re-checks against virtual credits.
       std::uint64_t* meta = lqMeta_ + static_cast<std::size_t>(id) * kMStride;
       std::uint64_t blocked = 0;
-      const std::uint64_t pm =
-          qualifyLinkCandidates(a, id, okp, lqPorts_, &blocked);
+      const std::uint64_t pm = qualifyLinkCandidates(
+          a, id, n.cachedDownBaseRow(id), cycle, okp, lqPorts_, &blocked);
       // Resolve each port's round-robin winner now: the cursor is only
       // written at the owning router's baton turn, so the value P1 reads is
       // the value the turn would read, and qualified candidates never drop
@@ -713,33 +703,13 @@ void MtEngine::stepRouterMt(NodeId id) {
     return;
   }
 
-  // Generic multi-word path (> 64 input units per router).
+  // Generic multi-word path (> 64 input units per router): the shared
+  // predicate, with credit read from the virtual sizes.
   const int unitCount = a.unitsPerRouter();
   for (int port = 0; port <= localPort; ++port) {
-    const std::uint64_t* req = a.portMembers(id, port);
-    const std::int32_t downBase = n.cachedDownBase(id, port);
-    const int cur = a.cursor(id, port);
-    const int cw = cur >> 6;
-    const int cb = cur & 63;
-    int winnerIdx = -1;
-    for (int k = 0; k <= occW && winnerIdx < 0; ++k) {
-      int w = cw + k;
-      if (w >= occW) w -= occW;
-      std::uint64_t m = req[w] & occ[w];
-      if (k == 0) {
-        m &= ~0ULL << cb;
-      } else if (k == occW) {
-        m &= (cb == 0) ? 0 : ((1ULL << cb) - 1);
-      }
-      while (m != 0) {
-        const int u = w * 64 + std::countr_zero(m);
-        m &= m - 1;
-        if (a.frontArrival(routerBase + u) >= cycle) continue;  // front arrived this cycle
-        if (!creditAvailable(downBase + RouterArena::wordOutVc(rw[u]))) continue;
-        winnerIdx = u;
-        break;
-      }
-    }
+    const int winnerIdx =
+        firstLinkWinner(a, id, port, n.cachedDownBase(id, port), cycle,
+                        [this](int du) { return creditAvailable(du); });
     if (winnerIdx < 0) continue;
     if (port == localPort) {
       a.setCursor(id, port,

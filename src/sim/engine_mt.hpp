@@ -8,9 +8,9 @@
 //                    occupied, unrouted header front visible at the start of
 //                    the cycle, the pure routing function runs and the
 //                    decision is stored on a per-router "card". Link cards:
-//                    the branchless link-qualification pass (link_qual.hpp)
-//                    runs over each router's live units against the
-//                    start-of-cycle credit snapshot, storing per-port
+//                    the link-qualification pass (link_qual.hpp) reads each
+//                    live unit's front stamp and downstream buffer size in
+//                    the start-of-cycle arena, storing per-port
 //                    qualified-candidate masks plus the credit-blocked set.
 //                    No RNG, no mutation.
 //   P2 (ordered)   — the serial "baton": generation, injection, and the

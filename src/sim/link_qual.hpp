@@ -1,57 +1,109 @@
-// The link-candidate qualification pass shared by the sparse engine's
-// batched link traversal (engine.cpp, PR 5) and the sparse-mt engine's
-// parallel candidate-card precomputation (engine_mt.cpp).
+// The link-candidate qualification shared by the sparse engine's router step
+// (engine.cpp) and the sparse-mt engine's parallel link cards (engine_mt.cpp,
+// P1).
 //
-// Since the arena keeps freshness, downstream credit and port membership as
-// incrementally-maintained bitmaps (router_arena.hpp, DESIGN.md §8), the
-// pass is pure word arithmetic — no per-candidate loop, no credit callable:
+// A routed unit's front crosses its link this cycle when it arrived in an
+// earlier cycle and the downstream VC buffer it feeds has a free slot (paper
+// §5.1 assumptions (f)/(g)):
 //
-//   ok          = fresh & downOk            (fresh ⊆ occ, downOk ⊆ routed,
-//                                            so no extra live AND is needed)
-//   okp[port]   = ok & portMembers[port]    (one sweep over the contiguous
-//                                            per-port membership rows)
-//   blocked     = fresh & routed & ~downOk  (optional: candidates stalled
-//                                            only on credit)
+//   frontArrival(u) < cycle  &&  size(downBase[outPort(u)] + outVc(u)) != depth
 //
-// The mt engine consumes `blocked` at P1: its baton re-checks exactly those
-// bits against virtual credits (size_ + sizeDelta_), keeping the callable
-// form off the fast path. A card candidate's credit can only *improve*
-// before its router's baton turn (pops by earlier routers free slots; the
-// only pusher into its downstream unit is this router itself, by output-VC
+// Two scalar reads per candidate, straight from arena state. The ejection
+// port's downstream is the arena's always-empty credit sink, so an ejection
+// candidate passes the credit read without a locality branch.
+//
+// The mt engine consumes `blocked` (arrived, but the downstream is full) at
+// P1: its baton re-checks exactly those bits against virtual credits
+// (size_ + sizeDelta_). A card candidate's credit can only *improve* before
+// its router's baton turn (pops by earlier routers free slots; the only
+// pusher into its downstream unit is this router itself, by output-VC
 // ownership), so qualified-at-snapshot candidates never need re-checking —
 // see DESIGN.md §6.
-//
-// The pass *assigns* okp[0..ports) — callers need no zeroing prelude.
-// occW == 1 configurations only (the generic multi-word path ANDs the same
-// rows word-by-word in the engines).
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
 #include "src/sim/router_arena.hpp"
-#include "src/util/simd.hpp"
 
 namespace swft {
 
-/// One pass over router `id`'s qualification bitmaps: qualified candidate
-/// bits land in okp[port] (all `ports` rows assigned), and the returned mask
-/// has bit `port` set iff the port has at least one qualified candidate.
-/// When `blockedOut` is non-null it receives the fresh-but-credit-starved
-/// candidate bits. The ejection port's downstream is the arena's credit
-/// sink, whose creditOk_ bits are pinned set, so no candidate needs a
-/// locality branch.
+/// One pass over router `id`'s live candidates (occupied and routed units)
+/// for single-occupancy-word routers. `downBase[p]` is the arena index of
+/// the first downstream unit reached through port p (the credit sink for
+/// the ejection port). Qualified candidate bits land in okp[port] (all
+/// `ports` rows assigned — callers need no zeroing prelude), and the
+/// returned mask has bit `port` set iff the port has at least one qualified
+/// candidate. When `blockedOut` is non-null it receives the candidates whose
+/// front arrived but whose downstream unit is full.
 [[gnu::always_inline]] inline std::uint64_t qualifyLinkCandidates(
-    const RouterArena& a, NodeId id, std::uint64_t* okp, int ports,
+    const RouterArena& a, NodeId id, const std::int32_t* downBase,
+    std::uint64_t cycle, std::uint64_t* okp, int ports,
     std::uint64_t* blockedOut = nullptr) {
   assert(a.occWordsPerRouter() == 1);
-  const std::uint64_t fresh = a.freshWords(id)[0];
-  const std::uint64_t downOk = a.downOkWords(id)[0];
-  const std::uint64_t ok = fresh & downOk;
-  if (blockedOut != nullptr) {
-    *blockedOut = fresh & a.routedWords(id)[0] & ~downOk;
+  for (int p = 0; p < ports; ++p) okp[p] = 0;
+  const int routerBase = a.base(id);
+  const std::uint32_t* rw = a.routeRow(routerBase);
+  const int depth = a.depth();
+  std::uint64_t pm = 0;
+  std::uint64_t blocked = 0;
+  std::uint64_t live = a.occWords(id)[0] & a.routedWords(id)[0];
+  while (live != 0) {
+    const int u = std::countr_zero(live);
+    live &= live - 1;
+    const std::uint32_t r = rw[u];
+    const int port = RouterArena::wordOutPort(r);
+    const auto arrived =
+        static_cast<std::uint64_t>(a.frontArrival(routerBase + u) < cycle);
+    const auto credit = static_cast<std::uint64_t>(
+        a.size(downBase[port] + RouterArena::wordOutVc(r)) != depth);
+    const std::uint64_t q = arrived & credit;
+    okp[port] |= q << u;
+    pm |= q << port;
+    blocked |= (arrived & (credit ^ 1)) << u;
   }
-  return simd::qualifyPorts(ok, a.portMembers(id, 0), okp, ports);
+  if (blockedOut != nullptr) *blockedOut = blocked;
+  return pm;
+}
+
+/// The same predicate for one output port of a multi-word router (more than
+/// 64 input units): the first of the port's requesters in circular
+/// round-robin order from the port cursor whose front arrived before `cycle`
+/// and whose downstream unit (`downBase + outVc`) passes `hasCredit`, or -1
+/// when none does. `hasCredit` takes the downstream unit's arena index.
+template <typename HasCredit>
+[[gnu::always_inline]] inline int firstLinkWinner(const RouterArena& a, NodeId id,
+                                                  int port, std::int32_t downBase,
+                                                  std::uint64_t cycle,
+                                                  HasCredit hasCredit) {
+  const int occW = a.occWordsPerRouter();
+  const int routerBase = a.base(id);
+  const std::uint32_t* rw = a.routeRow(routerBase);
+  const std::uint64_t* req = a.portMembers(id, port);
+  const std::uint64_t* occ = a.occWords(id);
+  const int cur = a.cursor(id, port);
+  const int cw = cur >> 6;
+  const int cb = cur & 63;
+  for (int k = 0; k <= occW; ++k) {
+    int w = cw + k;
+    if (w >= occW) w -= occW;
+    std::uint64_t m = req[w] & occ[w];
+    if (k == 0) {
+      m &= ~0ULL << cb;
+    } else if (k == occW) {
+      m &= (cb == 0) ? 0 : ((1ULL << cb) - 1);  // wrapped tail of cursor word
+    }
+    while (m != 0) {
+      const int u = w * 64 + std::countr_zero(m);
+      m &= m - 1;
+      if (a.frontArrival(routerBase + u) < cycle &&
+          hasCredit(downBase + RouterArena::wordOutVc(rw[u]))) {
+        return u;
+      }
+    }
+  }
+  return -1;
 }
 
 }  // namespace swft

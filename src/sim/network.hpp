@@ -208,10 +208,12 @@ class Network {
   // always accepts), so the row exists for every port of the router.
   std::vector<std::int32_t> downBase_;
 
+  [[nodiscard]] const std::int32_t* cachedDownBaseRow(NodeId id) const noexcept {
+    return downBase_.data() +
+           static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_ + 1);
+  }
   [[nodiscard]] std::int32_t cachedDownBase(NodeId id, int port) const noexcept {
-    return downBase_[static_cast<std::size_t>(id) *
-                         static_cast<std::size_t>(networkPorts_ + 1) +
-                     static_cast<std::size_t>(port)];
+    return cachedDownBaseRow(id)[port];
   }
 
   TraceRecorder* trace_ = nullptr;

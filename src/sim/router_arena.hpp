@@ -18,29 +18,13 @@
 // push/pop keep the per-router occupancy words, the occupied-unit count and
 // the active bit consistent so the engine cannot desynchronise them.
 //
-// On top of occupancy the arena maintains three derived bitmap families so
-// link qualification is a handful of word ANDs instead of per-candidate
-// probes (see DESIGN.md §8 for the invariants and equivalence argument):
-//
-//   fresh_   bit per unit: the router's occupancy word as of the last cycle
-//            boundary. "Occupied at the boundary" is exactly "front arrived
-//            strictly before the executing cycle": every buffered front
-//            arrived in some earlier cycle at a boundary, and nothing reads a
-//            router's fresh row between its own mid-cycle pops and the next
-//            maturation. Push/pop therefore never touch fresh — they mark the
-//            router's freshDirty_ byte, and matureFreshness() (the cycle-end
-//            boundary sweep) copies fresh = occ for each dirty router.
-//   creditOk_ bit per unit (global, plus the credit-sink row pinned to 1):
-//            size < depth. Flipped only when a push/pop crosses the depth
-//            boundary.
-//   downOk_  bit per unit: routed AND creditOk_[routeDown_[u]] — the credit
-//            state of a unit's downstream target, mapped back through the
-//            link so qualification reads it as a router-local row. A depth
-//            crossing at unit d forwards the flip to d's unique feeder
-//            (feeder_[d], the upstream unit routed onto d; uniqueness is
-//            output-VC ownership).
-//   portMembers_ bit per (router, port, unit): routed with outPort == port.
-//            Written exactly where route words are written/cleared.
+// Link qualification reads this state directly (link_qual.hpp): a routed
+// unit's front may cross its link when frontArrival < the executing cycle
+// and the downstream unit it feeds is not full — two scalar reads per
+// candidate, the rule of paper assumptions (f)/(g). The only derived masks
+// kept beside the route words are routedMask_ and portMembers_ (bit per
+// (router, port, unit): routed with outPort == port), written exactly where
+// route words are written and cleared.
 #pragma once
 
 #include <atomic>
@@ -165,30 +149,13 @@ class RouterArena {
   }
 
   /// The head message of unit `localUnit` at router `node` holds output
-  /// (port, vc) from now until `releaseRoute` (tail departure). `downUnit`
-  /// is the global index of the downstream unit the allocation feeds (the
-  /// neighbour's input unit, or the credit sink for ejection); the arena
-  /// snapshots its credit state into downOk_ and registers the feedback
-  /// edge so later depth crossings at the downstream keep the bit live.
-  void allocateRoute(NodeId node, int localUnit, int port, int vc,
-                     int downUnit) noexcept {
-    const int g = base(node) + localUnit;
-    route_[g] = 1u | (static_cast<std::uint32_t>(port) << 8) |
-                (static_cast<std::uint32_t>(vc) << 16);
+  /// (port, vc) from now until `releaseRoute` (tail departure).
+  void allocateRoute(NodeId node, int localUnit, int port, int vc) noexcept {
+    route_[base(node) + localUnit] = 1u | (static_cast<std::uint32_t>(port) << 8) |
+                                     (static_cast<std::uint32_t>(vc) << 16);
     const std::uint64_t bit = 1ULL << (localUnit & 63);
     routedMask_[maskIndex(node, localUnit)] |= bit;
     portMembers_[memberIndex(node, port, localUnit)] |= bit;
-    routeDown_[g] = downUnit;
-    assert((downOk_[maskIndex(node, localUnit)] & bit) == 0);
-    if ((creditOk_[static_cast<std::size_t>(downUnit) >> 6] >>
-         (downUnit & 63)) & 1u) {
-      downOk_[maskIndex(node, localUnit)] |= bit;
-    }
-    if (downUnit < creditSinkBase()) {
-      assert(feeder_[downUnit] < 0);
-      feeder_[downUnit] =
-          (static_cast<std::int64_t>(node) << 32) | localUnit;
-    }
   }
   void releaseRoute(NodeId node, int localUnit) noexcept {
     const int g = base(node) + localUnit;
@@ -197,10 +164,6 @@ class RouterArena {
     const std::uint64_t bit = 1ULL << (localUnit & 63);
     routedMask_[maskIndex(node, localUnit)] &= ~bit;
     portMembers_[memberIndex(node, port, localUnit)] &= ~bit;
-    downOk_[maskIndex(node, localUnit)] &= ~bit;
-    const int du = routeDown_[g];
-    routeDown_[g] = -1;
-    if (du >= 0 && du < creditSinkBase()) feeder_[du] = -1;
   }
 
   /// Bit per unit: currently routed (holds an output allocation).
@@ -219,41 +182,12 @@ class RouterArena {
                static_cast<std::size_t>(occWords_);
   }
 
-  // --- incremental qualification bitmaps ------------------------------------
-  /// Bit per unit: occupied as of the last cycle boundary, which is exactly
-  /// "front arrived strictly before the cycle being executed". Stale for a
-  /// router between its own mid-cycle pops and the next matureFreshness();
-  /// engines never read it there (see the fresh_ invariant in the header
-  /// comment).
-  [[nodiscard]] const std::uint64_t* freshWords(NodeId id) const noexcept {
-    return fresh_.data() +
-           static_cast<std::size_t>(id) * static_cast<std::size_t>(occWords_);
-  }
-  /// Bit per unit: routed and the downstream target has a credit.
-  [[nodiscard]] const std::uint64_t* downOkWords(NodeId id) const noexcept {
-    return downOk_.data() +
-           static_cast<std::size_t>(id) * static_cast<std::size_t>(occWords_);
-  }
-  /// Credit state of one global unit (tests/validation; the engines read
-  /// credit through downOkWords).
-  [[nodiscard]] bool creditOkBit(int u) const noexcept {
-    return ((creditOk_[static_cast<std::size_t>(u) >> 6] >> (u & 63)) & 1u) != 0;
-  }
-
-  /// Cycle-boundary maturation: for every router touched by a push or pop
-  /// since the last sweep (freshDirty_ byte set), fresh = occ — at a
-  /// boundary every occupied front arrived in some earlier cycle. Engines
-  /// run it once per cycle, after all pushes and pops, on one thread.
-  void matureFreshness() noexcept;
-
-  /// Recompute every derived bitmap from scalar state (sizes, route words,
-  /// front stamps) and diff against the incremental masks; returns "" or a
-  /// description of the first divergence. `freshCycle` is the last executed
-  /// cycle (now() - 1 between cycles, 0 before the first cycle runs). Fresh
-  /// rows of routers with a pending dirty byte are skipped — they mature at
-  /// the next matureFreshness(); between engine cycles every row is clean,
-  /// so the oracle checks the full fresh == occ boundary invariant.
-  [[nodiscard]] std::string auditMasks(std::uint64_t freshCycle) const;
+  /// Recompute the derived per-router masks (routedMask_, portMembers_)
+  /// from the route words and check every buffered front stamp against
+  /// `lastCycle`, the last executed cycle (now() - 1 between cycles, 0 before
+  /// the first): a front that arrived later would qualify a cycle early or
+  /// never. Returns "" or a description of the first divergence.
+  [[nodiscard]] std::string auditMasks(std::uint64_t lastCycle) const;
 
   // --- output-VC ownership (network ports only) -----------------------------
   /// Owner (input-unit index local to router `id`) of an output VC, -1 free.
@@ -349,54 +283,13 @@ class RouterArena {
            static_cast<std::size_t>(localUnit >> 6);
   }
 
-  /// A push/pop at unit `u` crossed the depth boundary: flip its creditOk_
-  /// bit and, when a routed upstream unit feeds it, that feeder's downOk_
-  /// bit. Under kAtomicActive both words may be shared with units another
-  /// domain is committing (creditOk_ packs adjacent routers into one word;
-  /// the feeder is a neighbour router, possibly cross-domain), so the RMWs
-  /// are atomic (relaxed: the phase barrier publishes). feeder_[u] itself is
-  /// only written by the serial phases, so the plain read does not race.
-  template <bool kAtomicActive>
-  void creditCrossed(int u, bool nowOk) noexcept {
-    const std::uint64_t cbit = 1ULL << (u & 63);
-    std::uint64_t& cw = creditOk_[static_cast<std::size_t>(u) >> 6];
-    if constexpr (kAtomicActive) {
-      if (nowOk) {
-        std::atomic_ref<std::uint64_t>(cw).fetch_or(cbit, std::memory_order_relaxed);
-      } else {
-        std::atomic_ref<std::uint64_t>(cw).fetch_and(~cbit, std::memory_order_relaxed);
-      }
-    } else {
-      if (nowOk) cw |= cbit; else cw &= ~cbit;
-    }
-    const std::int64_t f = feeder_[u];
-    if (f < 0) return;
-    const auto fNode = static_cast<NodeId>(f >> 32);
-    const int fLocal = static_cast<int>(f & 0x7FFFFFFF);
-    std::uint64_t& dw = downOk_[maskIndex(fNode, fLocal)];
-    const std::uint64_t dbit = 1ULL << (fLocal & 63);
-    if constexpr (kAtomicActive) {
-      if (nowOk) {
-        std::atomic_ref<std::uint64_t>(dw).fetch_or(dbit, std::memory_order_relaxed);
-      } else {
-        std::atomic_ref<std::uint64_t>(dw).fetch_and(~dbit, std::memory_order_relaxed);
-      }
-    } else {
-      if (nowOk) dw |= dbit; else dw &= ~dbit;
-    }
-  }
-
   // push/pop are deliberately branch-poor. At the saturation knee buffer
   // sizes oscillate around 0..2, so the was-empty / became-empty transitions
   // are data-dependent coin flips a predictor cannot learn; every update
   // below that depends on them is a mask or a conditional move, not a
   // branch. The remaining branches are either engine constants
-  // (exactArrivals_) or rare and cheap to predict (depth crossings, whole-
-  // router active transitions). Neither touches fresh_: the row is a
-  // boundary snapshot nobody reads between a router's own pops and the next
-  // matureFreshness(), so both just mark the router's freshDirty_ byte —
-  // unconditionally, because a spurious mark only makes the sweep recopy a
-  // row that already equals its occupancy word.
+  // (exactArrivals_) or rare and cheap to predict (whole-router active
+  // transitions).
   template <bool kAtomicActive>
   void pushImpl(NodeId node, int u, Flit f, std::uint64_t arrivalCycle) noexcept {
     assert(u >= base(node) && u < base(node) + unitsPerRouter_);
@@ -411,21 +304,18 @@ class RouterArena {
     }
     m.size = static_cast<std::uint16_t>(was + 1);
     const bool wasEmpty = was == 0;
-    // Only a push into an empty unit installs a new front; it matures at the
-    // next boundary sweep.
+    // Only a push into an empty unit installs a new front.
     m.frontArrival = wasEmpty ? arrivalCycle : m.frontArrival;
     const int local = u - base(node);
     const std::uint64_t bit = 1ULL << (local & 63);
     std::uint64_t& ow = occ_[maskIndex(node, local)];
     const std::uint64_t before = ow;
     ow = before | bit;  // idempotent when already occupied
-    freshDirty_[node] = 1;
     // Active transition iff the whole row was zero. The unit's own word
     // screens out almost every push with one already-loaded compare; the
     // remaining words (none for <= 64-unit routers) hide behind the
     // well-predicted rare branch.
     if (before == 0 && rowOtherWordsZero(node, local)) activate<kAtomicActive>(node);
-    if (m.size == depth_) creditCrossed<kAtomicActive>(u, false);
   }
 
   template <bool kAtomicActive>
@@ -434,7 +324,6 @@ class RouterArena {
     UnitMeta& m = meta_[u];
     const Flit f = flit_[slot(u, m.head)];
     m.head = static_cast<std::uint16_t>((m.head + 1) & strideMask_);
-    const bool wasFull = m.size == depth_;
     const std::uint16_t left = static_cast<std::uint16_t>(m.size - 1);
     m.size = left;
     const int local = u - base(node);
@@ -449,7 +338,6 @@ class RouterArena {
       fa = left == 1 ? m.lastPush : now - 1;
     }
     m.frontArrival = fa;
-    freshDirty_[node] = 1;
     const bool emptied = left == 0;
     std::uint64_t& ow = occ_[maskIndex(node, local)];
     const std::uint64_t after =
@@ -460,7 +348,6 @@ class RouterArena {
     if (after == 0 && emptied && rowOtherWordsZero(node, local)) {
       deactivate<kAtomicActive>(node);
     }
-    if (wasFull) creditCrossed<kAtomicActive>(u, true);
     return f;
   }
 
@@ -519,14 +406,6 @@ class RouterArena {
   std::vector<std::uint32_t> route_;
   std::vector<std::uint64_t> routedMask_;   // node x occWords
   std::vector<std::uint64_t> portMembers_;  // (node x totalPorts) x occWords
-
-  // Incremental qualification state (see class comment / DESIGN.md §8).
-  std::vector<std::uint64_t> fresh_;      // node x occWords
-  std::vector<std::uint64_t> downOk_;     // node x occWords
-  std::vector<std::uint64_t> creditOk_;   // global units + sink row, bit-packed
-  std::vector<std::int32_t> routeDown_;   // per unit: downstream target, -1 free
-  std::vector<std::int64_t> feeder_;      // per unit: upstream (node<<32|local), -1
-  std::vector<std::uint8_t> freshDirty_;  // per router: freshness changed last cycle
 
   std::vector<std::int16_t> outOwner_;
   std::vector<std::uint16_t> freeVc_;  // per (node, port): bit vc = unowned

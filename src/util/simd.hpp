@@ -1,6 +1,5 @@
 // Word-row sweeps shared by the engine's hot loops: active-set and work-set
-// walks (find the next/previous nonzero word) and the switch-allocation port
-// sweep (AND one qualified mask against consecutive per-port membership rows).
+// walks (find the next/previous nonzero word).
 //
 // Plain scalar loops: the rows the engine walks are a handful of words long
 // (a 64-node network's active set is one word), so the compiler's own
@@ -47,23 +46,6 @@ inline constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     if (w[end - 1] != 0) return end - 1;
   }
   return kNone;
-}
-
-/// The switch-allocation port sweep: okp[p] = ok & members[p] for p in
-/// [0, ports), over `ports` consecutive 64-bit membership rows. Returns the
-/// port mask with bit p set iff okp[p] != 0. The pass *assigns* every row —
-/// callers need no zeroing prelude.
-[[nodiscard]] inline std::uint64_t qualifyPorts(std::uint64_t ok,
-                                               const std::uint64_t* members,
-                                               std::uint64_t* okp,
-                                               int ports) noexcept {
-  std::uint64_t pm = 0;
-  for (int p = 0; p < ports; ++p) {
-    const std::uint64_t q = ok & members[p];
-    okp[p] = q;
-    pm |= static_cast<std::uint64_t>(q != 0) << p;
-  }
-  return pm;
 }
 
 }  // namespace swft::simd

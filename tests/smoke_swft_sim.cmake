@@ -63,4 +63,18 @@ foreach(bad engine=dense msg_length=0)
   endif()
 endforeach()
 
+# A region anchor outside the torus is rejected before any fault is placed
+# (an out-of-range out-of-plane digit used to index past the fault set).
+execute_process(
+  COMMAND ${SWFT_SIM} k=4 n=3 region=U:2x2@1,1,40
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "swft_sim region=U:2x2@1,1,40 should exit 2, got ${rc}\nstderr: ${err}")
+endif()
+if(NOT err MATCHES "region")
+  message(FATAL_ERROR "swft_sim region=U:2x2@1,1,40: stderr does not name region:\n${err}")
+endif()
+
 message(STATUS "swft_sim smoke OK: ${row}")

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/sim/network.hpp"
 
 namespace swft {
@@ -152,22 +154,71 @@ TEST(ConfigParse, Errors) {
   // Integers that do not fit their field, and values the engine would wrap
   // or misread (a 0- or 70000-flit message, a negative delay, a NaN or
   // out-of-range rate), are rejected naming the key.
-  for (const char* bad : {"k=4294967304", "warmup=-1", "msg_length=0", "msg_length=70000",
-                          "delta=-5", "td=-1", "rate=nan", "rate=-0.5", "rate=1.5"}) {
+  // Likewise every shape the network cannot build: a degenerate or oversized
+  // torus, a VC count or buffer depth the router cannot hold, an escape pool
+  // Duato's protocol cannot split, a NaN or out-of-range hotspot share, more
+  // random faults than nodes, a negative livelock threshold, and a region
+  // anchored or extending outside the torus. Each case lists the offending
+  // assignment first; the error must name its key.
+  const std::vector<std::vector<std::string>> cases = {
+      {"k=4294967304"}, {"warmup=-1"}, {"msg_length=0"}, {"msg_length=70000"},
+      {"delta=-5"}, {"td=-1"}, {"rate=nan"}, {"rate=-0.5"}, {"rate=1.5"},
+      {"k=1"}, {"k=-3"}, {"n=0"}, {"n=9"}, {"k=4097", "n=2"},
+      {"vcs=1"}, {"vcs=17"}, {"buffer_depth=0"}, {"buffer_depth=17"},
+      {"escape_vcs=3", "routing=adaptive"}, {"escape_vcs=0", "routing=adaptive"},
+      {"escape_vcs=6", "routing=adaptive", "vcs=4"},
+      {"hotspot_fraction=nan"}, {"hotspot_fraction=-0.1"}, {"hotspot_fraction=1.5"},
+      {"nf=-1"}, {"nf=16", "k=4", "n=2"}, {"livelock_threshold=-1"},
+      {"region=U:2x2@1,1,40", "k=4", "n=3"}, {"region=rect:2x2@4,0", "k=4"},
+      {"region=rect:2x2@-1,0", "k=4"}, {"region=rect:0x2", "k=4"},
+      {"region=rect:5x2", "k=4"}, {"region=plus:1x3", "k=4"}};
+  for (const std::vector<std::string>& c : cases) {
+    const std::string& bad = c.front();
     try {
-      (void)parse({bad});
+      (void)parseConfig(c);
       ADD_FAILURE() << bad << " parsed";
     } catch (const std::invalid_argument& e) {
-      const std::string key(bad, std::string(bad).find('='));
-      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+      const std::string key = bad.substr(0, bad.find('='));
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+          << bad << ": " << e.what();
     }
   }
   EXPECT_EQ(parse({"seed=18446744073709551615"}).seed, ~std::uint64_t{0});
   EXPECT_EQ(parse({"msg_length=65535", "rate=1", "delta=0", "td=0"}).messageLength, 65535);
+  EXPECT_EQ(parse({"k=2", "n=8", "vcs=16", "buffer_depth=16", "nf=255",
+                   "hotspot_fraction=1", "livelock_threshold=0"})
+                .faults.randomNodes,
+            255);
+  EXPECT_EQ(parse({"routing=adaptive", "vcs=4", "escape_vcs=4"}).escapeVcs, 4);
+  EXPECT_EQ(parse({"k=4", "region=rect:4x4@3,3"}).faults.regions.size(), 1u);
   // A SimConfig built in code is validated by the Network constructor.
   SimConfig direct;
   direct.messageLength = 0;
   EXPECT_THROW(Network{direct}, std::invalid_argument);
+  direct = SimConfig{};
+  direct.hotspotFraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Network{direct}, std::invalid_argument);
+}
+
+TEST(ConfigParse, NetworkValidatesBeforeBuildingFaults) {
+  // An anchor digit outside the torus on a dimension the region does not
+  // span used to reach the fault set unchecked; the constructor must reject
+  // it, naming the key, before anything is built from the config.
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 3;
+  RegionSpec region;
+  region.shape = RegionShape::U;
+  region.extent0 = 2;
+  region.extent1 = 2;
+  region.anchor.digit = {1, 1, 40};
+  cfg.faults.regions.push_back(region);
+  try {
+    const Network net(cfg);
+    ADD_FAILURE() << "out-of-torus anchor built a network";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'region'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ConfigParse, DescribeMentionsKeyFacts) {

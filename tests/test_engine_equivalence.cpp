@@ -435,10 +435,9 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
     ASSERT_EQ(dense.inFlight(), mt.inFlight()) << "cycle " << c;
     ASSERT_NO_FATAL_FAILURE(checkConservation(ref, sparse, c));
     ASSERT_NO_FATAL_FAILURE(checkConservation(ref, mt, c));
-    // Arena-invariant oracle: every cycle, recompute the incremental
-    // qualification bitmaps (fresh/creditOk/downOk/portMembers + feeder
-    // edges) from scratch from scalar state and require exact equality
-    // with the incrementally-maintained masks.
+    // Arena-invariant oracle: every cycle, recompute the routed and
+    // per-port request masks from the route words and check that no
+    // buffered front arrived after the cycle that just executed.
     ASSERT_EQ(sparse.arena().auditMasks(sparse.now() - 1), "") << "cycle " << c;
     ASSERT_EQ(mt.arena().auditMasks(mt.now() - 1), "") << "cycle " << c;
     if (c % 25 == 0) {

@@ -163,6 +163,28 @@ TEST(RandomFaults, RejectsImpossibleCounts) {
   EXPECT_THROW(applyRandomNodeFaults(faults, 16, rng), std::invalid_argument);
 }
 
+TEST(RandomFaults, RejectsCountsThatExhaustTheHealthyNodes) {
+  // 12 of 16 nodes already failed by a region: four more random faults would
+  // leave none healthy, and the draw could never finish.
+  const TorusTopology topo(4, 2);
+  FaultSet faults(topo);
+  (void)applyRegion(faults, makeSpec(RegionShape::Rect, 4, 3, topo));
+  ASSERT_EQ(faults.faultyNodeCount(), 12);
+  Rng rng(1);
+  EXPECT_THROW(applyRandomNodeFaults(faults, 4, rng), std::runtime_error);
+  EXPECT_THROW(applyRandomNodeFaults(faults, 9, rng), std::runtime_error);
+}
+
+TEST(Regions, RejectsOutOfTorusAnchorOffThePlane) {
+  const TorusTopology topo(4, 3);
+  RegionSpec s = makeSpec(RegionShape::U, 2, 2, topo);
+  s.anchor[2] = 40;
+  EXPECT_THROW(regionNodes(topo, s), std::invalid_argument);
+  s.anchor[2] = 3;
+  s.anchor[0] = 9;  // in-plane digits wrap
+  EXPECT_NO_THROW(regionNodes(topo, s));
+}
+
 TEST(RandomFaults, StacksOnExistingFaultsWithoutOverlap) {
   const TorusTopology topo(8, 2);
   FaultSet faults(topo);

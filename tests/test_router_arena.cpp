@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/sim/link_qual.hpp"
+
 namespace swft {
 namespace {
 
@@ -82,9 +84,8 @@ TEST(RouterArena, RouteAllocationLifecycle) {
   RouterArena a = smallArena();
   const int local = 2 * 4 + 3;  // port 2, vc 3
   const int g = a.unitIndex(1, 2, 3);
-  const int du = a.unitIndex(2, 3, 1);  // downstream unit the route feeds
   EXPECT_FALSE(a.routed(g));
-  a.allocateRoute(1, local, 3, 1, du);
+  a.allocateRoute(1, local, 3, 1);
   EXPECT_TRUE(a.routed(g));
   EXPECT_EQ(a.outPort(g), 3);
   EXPECT_EQ(a.outVc(g), 1);
@@ -94,74 +95,103 @@ TEST(RouterArena, RouteAllocationLifecycle) {
   EXPECT_TRUE(a.portMembers(1, 3)[0] & (1ULL << local));
   EXPECT_FALSE(a.portMembers(1, 2)[0] & (1ULL << local));
   EXPECT_FALSE(a.portMembers(2, 3)[0] & (1ULL << local)) << "other router";
-  // The empty downstream has credit, so the unit qualifies on that axis.
-  EXPECT_TRUE(a.downOkWords(1)[0] & (1ULL << local));
+  EXPECT_EQ(a.auditMasks(0), "");
   a.releaseRoute(1, local);
   EXPECT_FALSE(a.routed(g));
   EXPECT_EQ(a.routedWords(1)[0], 0u);
   EXPECT_EQ(a.portMembers(1, 3)[0], 0u);
-  EXPECT_EQ(a.downOkWords(1)[0], 0u);
   EXPECT_EQ(a.auditMasks(0), "");
 }
 
-TEST(RouterArena, CreditMaskTracksDepthCrossings) {
-  RouterArena a = smallArena(2);  // depth 2
-  const int du = a.unitIndex(2, 3, 1);
-  EXPECT_TRUE(a.creditOkBit(du)) << "empty buffers are creditable";
-  a.push(2, du, Flit{1, FlitKind::Header}, 0);
-  EXPECT_TRUE(a.creditOkBit(du)) << "one slot of two still free";
-  a.push(2, du, Flit{1, FlitKind::Body}, 0);
-  EXPECT_FALSE(a.creditOkBit(du)) << "crossed into full";
-  a.pop(2, du, 1);
-  EXPECT_TRUE(a.creditOkBit(du)) << "crossed back out of full";
-  // The credit sink row past the real units is permanently creditable.
-  for (int vc = 0; vc < a.vcs(); ++vc) {
-    EXPECT_TRUE(a.creditOkBit(a.creditSinkBase() + vc));
-  }
-}
-
-TEST(RouterArena, DepthCrossingFlipsFeederDownOkBit) {
-  RouterArena a = smallArena(1);  // depth 1: every push/pop crosses
-  const int local = 0 * 4 + 2;    // upstream unit: port 0, vc 2
-  const int du = a.unitIndex(3, 1, 0);
-  a.allocateRoute(0, local, 1, 0, du);
-  EXPECT_TRUE(a.downOkWords(0)[0] & (1ULL << local));
-  a.push(3, du, Flit{7, FlitKind::Header}, 0);
-  EXPECT_FALSE(a.downOkWords(0)[0] & (1ULL << local))
-      << "downstream full: flip reaches the feeder's row";
-  a.pop(3, du, 1);
-  EXPECT_TRUE(a.downOkWords(0)[0] & (1ULL << local));
-  a.releaseRoute(0, local);
-  EXPECT_EQ(a.auditMasks(0), "");
-}
-
-TEST(RouterArena, FreshnessMaturesAtCycleBoundary) {
+TEST(RouterArena, AuditRejectsFrontStampFromTheFuture) {
   RouterArena a = smallArena();
-  const int u = a.unitIndex(1, 2, 0);
-  const int local = u - a.base(1);
-  // A front pushed at cycle 5 is not fresh during cycle 5...
-  a.push(1, u, Flit{1, FlitKind::Header}, 5);
-  EXPECT_FALSE(a.freshWords(1)[0] & (1ULL << local));
-  EXPECT_EQ(a.auditMasks(5), "");
-  // ...and matures at the boundary sweep.
-  a.matureFreshness();
-  EXPECT_TRUE(a.freshWords(1)[0] & (1ULL << local));
-  EXPECT_EQ(a.auditMasks(6), "");
-  // Mid-cycle pops leave the fresh row untouched — it is the cycle-start
-  // snapshot, and nothing reads a router's row between its own pops and the
-  // next sweep. The surviving front stays fresh (it arrived at 6 < 7), and
-  // even the pop to empty leaves a stale set bit behind...
-  a.push(1, u, Flit{1, FlitKind::Tail}, 6);
-  a.pop(1, u, 7);
-  EXPECT_TRUE(a.freshWords(1)[0] & (1ULL << local))
-      << "survivor arrived at 6 < 7";
-  a.pop(1, u, 7);
-  EXPECT_TRUE(a.freshWords(1)[0] & (1ULL << local))
-      << "pop must not touch the boundary snapshot";
-  // ...which the sweep reconciles against the (now empty) occupancy word.
-  a.matureFreshness();
-  EXPECT_EQ(a.auditMasks(8), "");
-  EXPECT_EQ(a.freshWords(1)[0], 0u) << "empty router has no fresh fronts";
+  a.push(2, a.unitIndex(2, 1, 0), Flit{1, FlitKind::Header}, 7);
+  EXPECT_EQ(a.auditMasks(7), "");
+  EXPECT_NE(a.auditMasks(6).find("front stamp from the future"), std::string::npos);
+}
+
+// The direct link predicate on a hand-built router 0 of the small arena:
+// a routed front qualifies iff it arrived before the executing cycle and the
+// downstream unit it feeds is not full.
+TEST(LinkQual, QualifiesFromArenaState) {
+  RouterArena a = smallArena(2);  // depth 2, V = 4, ejection port 4
+  constexpr std::uint64_t kCycle = 5;
+  // Port p of router 0 feeds input port p ^ 1 of router 1 + p % 3; the
+  // ejection port feeds the credit sink.
+  std::int32_t downBase[5];
+  for (int p = 0; p < 4; ++p) downBase[p] = a.unitIndex(1 + p % 3, p ^ 1, 0);
+  downBase[4] = a.creditSinkBase();
+  const auto occupy = [&](int local, std::uint64_t arrival) {
+    a.push(0, local, Flit{static_cast<MsgId>(local), FlitKind::Header}, arrival);
+  };
+  occupy(0, 4);               // arrived last cycle -> port 1 vc 2, empty downstream
+  a.allocateRoute(0, 0, 1, 2);
+  occupy(2, 1);               // -> port 1 vc 3, downstream half full
+  a.allocateRoute(0, 2, 1, 3);
+  a.push(2, downBase[1] + 3, Flit{90, FlitKind::Body}, 0);
+  occupy(5, kCycle);          // pushed this cycle -> port 2: not yet eligible
+  a.allocateRoute(0, 5, 2, 0);
+  occupy(9, 3);               // -> port 3 vc 1, downstream full: blocked
+  a.allocateRoute(0, 9, 3, 1);
+  a.push(1, downBase[3] + 1, Flit{91, FlitKind::Body}, 0);
+  a.push(1, downBase[3] + 1, Flit{91, FlitKind::Body}, 1);
+  occupy(17, 2);              // injection unit -> ejection through the sink
+  a.allocateRoute(0, 17, 4, 0);
+  occupy(12, 0);              // occupied but unrouted: not a candidate
+  a.allocateRoute(0, 13, 0, 1);  // routed but empty: not a candidate
+
+  std::uint64_t okp[5];
+  for (std::uint64_t& row : okp) row = ~0ULL;  // the pass assigns every row
+  std::uint64_t blocked = ~0ULL;
+  const std::uint64_t pm =
+      qualifyLinkCandidates(a, 0, downBase, kCycle, okp, 5, &blocked);
+  EXPECT_EQ(okp[0], 0u);
+  EXPECT_EQ(okp[1], (1ULL << 0) | (1ULL << 2));
+  EXPECT_EQ(okp[2], 0u) << "a front pushed this cycle does not qualify";
+  EXPECT_EQ(okp[3], 0u) << "a full downstream unit does not qualify";
+  EXPECT_EQ(okp[4], 1ULL << 17) << "the credit sink always has credit";
+  EXPECT_EQ(pm, (1ULL << 1) | (1ULL << 4));
+  EXPECT_EQ(blocked, 1ULL << 9) << "only the arrived, credit-starved unit";
+  EXPECT_EQ(qualifyLinkCandidates(a, 0, downBase, kCycle, okp, 5), pm)
+      << "blocked output is optional";
+
+  // Next cycle the fresh front is eligible too; popping the full downstream
+  // unit frees the blocked candidate.
+  a.pop(1, downBase[3] + 1);
+  EXPECT_EQ(qualifyLinkCandidates(a, 0, downBase, kCycle + 1, okp, 5, &blocked),
+            0b11110u);
+  EXPECT_EQ(okp[2], 1ULL << 5);
+  EXPECT_EQ(okp[3], 1ULL << 9);
+  EXPECT_EQ(blocked, 0u);
+}
+
+// The multi-word form walks one port's requesters circularly from the
+// cursor and returns the first that passes both reads.
+TEST(LinkQual, FirstWinnerOnMultiWordRouter) {
+  RouterArena a(2, 7, 6, 10, 2);  // 70 units per router: two words
+  ASSERT_EQ(a.occWordsPerRouter(), 2);
+  constexpr std::uint64_t kCycle = 9;
+  const std::int32_t downBase = a.unitIndex(1, 1, 0);
+  const auto request = [&](int local, std::uint64_t arrival, int vc) {
+    a.push(0, local, Flit{static_cast<MsgId>(local), FlitKind::Header}, arrival);
+    a.allocateRoute(0, local, 0, vc);
+  };
+  request(3, kCycle, 0);  // arrived this cycle
+  request(10, 1, 1);      // downstream full
+  a.push(1, downBase + 1, Flit{1, FlitKind::Body}, 0);
+  a.push(1, downBase + 1, Flit{1, FlitKind::Body}, 0);
+  request(20, 2, 2);
+  request(66, 3, 3);
+  const auto credit = [&](int du) { return a.size(du) != a.depth(); };
+  const auto winnerFrom = [&](int cursor) {
+    a.setCursor(0, 0, static_cast<std::uint16_t>(cursor));
+    return firstLinkWinner(a, 0, 0, downBase, kCycle, credit);
+  };
+  EXPECT_EQ(winnerFrom(0), 20);
+  EXPECT_EQ(winnerFrom(21), 66);
+  EXPECT_EQ(winnerFrom(67), 20) << "wraps through word 0";
+  EXPECT_EQ(firstLinkWinner(a, 0, 1, downBase, kCycle, credit), -1)
+      << "port 1 has no requesters";
 }
 
 TEST(RouterArena, OutputOwnershipLifecycle) {
