@@ -365,8 +365,8 @@ struct MtScaling {
 /// machine-load drift moves together.
 ///
 /// Each run also measures its *parallel fraction* from the engine's phase
-/// shards: 1 - serial / work, where serial is the baton thread's P2 time
-/// (gen + inj + walk) and work is every thread's phase time excluding
+/// shards: 1 - serial / work, where serial is the main thread's sparse-cycle
+/// time (gen + inj + walk) and work is every thread's phase time excluding
 /// barrier waits. This is the Amdahl input that explains the mtN_cps curve
 /// — the PhaseClock overhead (a few steady_clock reads per cycle per
 /// thread) is far below the run-to-run noise floor.
@@ -499,7 +499,7 @@ std::string resultsToJson(const std::vector<PointResult>& results) {
         "interleaved steady-state chunks per point; saturation points also "
         "sweep the sparse-mt engine at 1/2/4/8 domain threads (mtN_cps), "
         "each run's measured parallel fraction from the engine phase timers "
-        "(mtN_parallel_fraction = 1 - serial baton time / total phase work), "
+        "(mtN_parallel_fraction = 1 - serial sparse-cycle time / total phase work), "
         "and record the best self-speedup over thread counts this machine's "
         "hardware_concurrency can host\",\n";
   // Machine/toolchain metadata, so cross-machine comparisons of the numbers

@@ -34,8 +34,8 @@ void printUsage() {
          "                     workers (bit-identical results; the sweep pool is derated\n"
          "                     so pool x N stays within hardware concurrency)\n"
          "  --phase-timers     report each point's per-phase wall-clock breakdown on\n"
-         "                     stderr (cards/linkq/gen/inj/walk/commit/barrier, one line\n"
-         "                     per engine thread); cache hits skip simulation and print\n"
+         "                     stderr (cards/gen/inj/walk/barrier, one line per engine\n"
+         "                     thread); cache hits skip simulation and print\n"
          "                     nothing — combine with --no-cache to time every point\n"
          "  --format csv|json  artifact format (default csv)\n"
          "  --out DIR          artifact directory (default: $SWFT_RESULTS_DIR or results/)\n"

@@ -1,9 +1,11 @@
 #include "src/harness/sweep.hpp"
 
 #include <atomic>
+#include <exception>
 #include <mutex>
 #include <thread>
 
+#include "src/sim/config_parse.hpp"
 #include "src/sim/engine_mt.hpp"
 
 namespace swft {
@@ -23,6 +25,10 @@ std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
   std::vector<SweepRow> rows(points.size());
   if (points.empty()) return rows;
 
+  // Reject a bad point before any simulation starts (this also keeps the
+  // node-count product below from overflowing on an unchecked radix).
+  for (const SweepPoint& p : points) validateConfig(p.cfg);
+
   // Oversubscription guard: a sparse-mt point spins up its own domain
   // workers, so the pool budget shrinks by the widest point in the grid.
   int maxSim = 1;
@@ -38,19 +44,28 @@ std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
 
   std::atomic<std::size_t> nextIndex{0};
   std::mutex doneMutex;
+  // The first exception any point throws (guarded by doneMutex). Once it is
+  // set, workers stop taking points; the caller rethrows it after the join.
+  std::exception_ptr failure;
 
   auto worker = [&] {
     for (;;) {
       const std::size_t i = nextIndex.fetch_add(1, std::memory_order_relaxed);
       if (i >= points.size()) return;
-      SweepRow row;
-      row.point = points[i];
-      row.result = runSimulation(points[i].cfg);
-      if (onDone) {
+      try {
+        SweepRow row;
+        row.point = points[i];
+        row.result = runSimulation(points[i].cfg);
+        if (onDone) {
+          const std::lock_guard<std::mutex> lock(doneMutex);
+          onDone(row);
+        }
+        rows[i] = std::move(row);
+      } catch (...) {
         const std::lock_guard<std::mutex> lock(doneMutex);
-        onDone(row);
+        if (!failure) failure = std::current_exception();
+        nextIndex.store(points.size(), std::memory_order_relaxed);
       }
-      rows[i] = std::move(row);
     }
   };
 
@@ -62,6 +77,7 @@ std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
     for (unsigned t = 0; t < nThreads; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
+  if (failure) std::rethrow_exception(failure);
   return rows;
 }
 

@@ -36,6 +36,9 @@ struct SweepRow {
 /// run in submission order per thread but complete out of order; the
 /// returned rows are in the original order. `onDone` (optional) is invoked
 /// after each point completes (serialised), e.g. for progress output.
+/// Every point is validated (validateConfig) before the pool starts; the
+/// first exception a point throws stops the pool from taking further points
+/// and is rethrown to the caller once the workers have joined.
 std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads = 0,
                                const std::function<void(const SweepRow&)>& onDone = {});
 

@@ -14,12 +14,12 @@ namespace swft {
 
 /// Cycle-engine selector. `Sparse` (default) is the event-sparse engine: a
 /// calendar queue for generation, active-set bitsets for injection and
-/// router sweeps, contiguous arena storage. `SparseMt` is its
-/// domain-decomposed multithreaded variant: the torus is partitioned into
-/// contiguous node-id domains (`simThreads` workers) with a barrier-phased
-/// cycle (DESIGN.md §6). Both produce bit-identical SimResults — at every
-/// thread count — and match the test-only dense reference (engine_dense.hpp)
-/// bit for bit; anything else is a bug.
+/// router sweeps, contiguous arena storage. `SparseMt` runs the same cycle
+/// after a parallel step in which `simThreads` workers, each owning a
+/// contiguous node-id domain, precompute the cycle's route decisions
+/// (DESIGN.md §6). Both produce bit-identical SimResults — at every thread
+/// count — and match the test-only dense reference (engine_dense.hpp) bit
+/// for bit; anything else is a bug.
 enum class EngineKind : std::uint8_t { Sparse = 0, SparseMt = 1 };
 
 /// Declarative fault pattern: applied to a fresh FaultSet at network build.

@@ -211,17 +211,11 @@ bool Network::stepInjection(NodeId id) {
                                : FlitKind::Body;
   arena_.push(id, unitIdx, f, cycle_);
   lastMovementCycle_ = cycle_;
-  // Headers stream only into empty units (the VC chooser above requires
-  // emptiness), so idx == 0 is exactly "a new head appeared" — what the
-  // sparse-mt walk needs to fold into its precomputed candidate cards.
-  if (injFoldSink_ != nullptr && idx == 0) {
-    injFoldSink_->emplace_back(id, static_cast<std::int32_t>(unitIdx));
-  }
   if (trace_ != nullptr && idx == 0) {
     const Message& m = pool_.get(node.streaming);
-    emitTrace({m.absorptions > 0 ? TraceEvent::Kind::Reinject
-                                 : TraceEvent::Kind::Inject,
-               cycle_, id, 0, m.seq});
+    trace_->record({m.absorptions > 0 ? TraceEvent::Kind::Reinject
+                                      : TraceEvent::Kind::Inject,
+                    cycle_, id, 0, m.seq});
   }
   ++node.nextFlit;
   if (f.isTail()) {
@@ -233,7 +227,16 @@ bool Network::stepInjection(NodeId id) {
 }
 
 void Network::routeHeader(NodeId id, int unitIdx) {
-  const MsgId msgId = arena_.front(arena_.base(id) + unitIdx).msg;
+  const int g = arena_.base(id) + unitIdx;
+  const MsgId msgId = arena_.front(g).msg;
+  // Under sparse-mt the parallel step may already hold this decision.
+  if (mt_ != nullptr) {
+    if (const MtEngine::RouteCard* card = mt_->takeCard(id, g, cycle_)) {
+      assert(card->msg == msgId && "route card for a different front message");
+      applyRouteDecision(id, unitIdx, msgId, card->dec);
+      return;
+    }
+  }
   applyRouteDecision(id, unitIdx, msgId, computeRoute(pool_.get(msgId), id));
 }
 
@@ -334,13 +337,13 @@ void Network::stepRouter(NodeId id) {
   // engine's position in the stream.
   if (occW == 1) {
     // Every router configuration with <= 64 input units. Qualification
-    // (link_qual.hpp, shared with the sparse-mt engine's P1 link cards) reads
-    // each live candidate's front stamp and downstream size and buckets the
-    // qualified ones per output port. Reading all qualifications from
-    // pre-commit state is legal by the non-interference argument above: no
-    // commit on port p changes port q's candidates, their arrival stamps, or
-    // their downstream credit line. occW == 1 bounds the unit count by 64
-    // and hence the port count by 64 / vcs.
+    // (link_qual.hpp) reads each live candidate's front stamp and
+    // downstream size and buckets the qualified ones per output port.
+    // Reading all qualifications from pre-commit state is legal by the
+    // non-interference argument above: no commit on port p changes port q's
+    // candidates, their arrival stamps, or their downstream credit line.
+    // occW == 1 bounds the unit count by 64 and hence the port count by
+    // 64 / vcs.
     std::uint64_t okp[64];
     std::uint64_t pm = qualifyLinkCandidates(arena_, id, cachedDownBaseRow(id),
                                              cycle_, okp, localPort + 1);
@@ -372,11 +375,9 @@ void Network::stepRouter(NodeId id) {
   // 3-cube with V = 10): same per-link batching and the same two reads per
   // candidate, walked circularly from the cursor (firstLinkWinner).
   const int unitCount = arena_.unitsPerRouter();
-  const int depth = arena_.depth();
   for (int port = 0; port <= localPort; ++port) {
-    const int winnerIdx = firstLinkWinner(
-        arena_, id, port, cachedDownBase(id, port), cycle_,
-        [&](int du) { return arena_.size(du) != depth; });
+    const int winnerIdx =
+        firstLinkWinner(arena_, id, port, cachedDownBase(id, port), cycle_);
     if (winnerIdx < 0) continue;
     if (port == localPort) {
       arena_.setCursor(id, port,
@@ -409,8 +410,8 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
     ++msg.hops;
     if (cachedWrap(id, port)) msg.setWrapped(dimOfPort(port));
     if (trace_ != nullptr) {
-      emitTrace({TraceEvent::Kind::Hop, cycle_, id,
-                 static_cast<std::uint8_t>(port), msg.seq});
+      trace_->record({TraceEvent::Kind::Hop, cycle_, id,
+                      static_cast<std::uint8_t>(port), msg.seq});
     }
   }
   arena_.push(cachedNeighbor(id, port), cachedDownBase(id, port) + outVc, flit,
@@ -447,8 +448,8 @@ void Network::finalizeEjected(NodeId id, MsgId msgId) {
 
   const bool software = msg.blockedValid || (msg.absorbAtTarget && msg.curTarget == id);
   if (trace_ != nullptr) {
-    emitTrace({software ? TraceEvent::Kind::Absorb : TraceEvent::Kind::Deliver,
-               cycle_, id, 0, msg.seq});
+    trace_->record({software ? TraceEvent::Kind::Absorb : TraceEvent::Kind::Deliver,
+                    cycle_, id, 0, msg.seq});
   }
   if (!software) {
     // Final delivery: the last data flit reached the destination PE.

@@ -1,6 +1,5 @@
-// The link-candidate qualification shared by the sparse engine's router step
-// (engine.cpp) and the sparse-mt engine's parallel link cards (engine_mt.cpp,
-// P1).
+// The link-candidate qualification of the sparse engine's router step
+// (engine.cpp).
 //
 // A routed unit's front crosses its link this cycle when it arrived in an
 // earlier cycle and the downstream VC buffer it feeds has a free slot (paper
@@ -11,14 +10,6 @@
 // Two scalar reads per candidate, straight from arena state. The ejection
 // port's downstream is the arena's always-empty credit sink, so an ejection
 // candidate passes the credit read without a locality branch.
-//
-// The mt engine consumes `blocked` (arrived, but the downstream is full) at
-// P1: its baton re-checks exactly those bits against virtual credits
-// (size_ + sizeDelta_). A card candidate's credit can only *improve* before
-// its router's baton turn (pops by earlier routers free slots; the only
-// pusher into its downstream unit is this router itself, by output-VC
-// ownership), so qualified-at-snapshot candidates never need re-checking —
-// see DESIGN.md §6.
 #pragma once
 
 #include <bit>
@@ -35,19 +26,16 @@ namespace swft {
 /// the ejection port). Qualified candidate bits land in okp[port] (all
 /// `ports` rows assigned — callers need no zeroing prelude), and the
 /// returned mask has bit `port` set iff the port has at least one qualified
-/// candidate. When `blockedOut` is non-null it receives the candidates whose
-/// front arrived but whose downstream unit is full.
+/// candidate.
 [[gnu::always_inline]] inline std::uint64_t qualifyLinkCandidates(
     const RouterArena& a, NodeId id, const std::int32_t* downBase,
-    std::uint64_t cycle, std::uint64_t* okp, int ports,
-    std::uint64_t* blockedOut = nullptr) {
+    std::uint64_t cycle, std::uint64_t* okp, int ports) {
   assert(a.occWordsPerRouter() == 1);
   for (int p = 0; p < ports; ++p) okp[p] = 0;
   const int routerBase = a.base(id);
   const std::uint32_t* rw = a.routeRow(routerBase);
   const int depth = a.depth();
   std::uint64_t pm = 0;
-  std::uint64_t blocked = 0;
   std::uint64_t live = a.occWords(id)[0] & a.routedWords(id)[0];
   while (live != 0) {
     const int u = std::countr_zero(live);
@@ -61,23 +49,20 @@ namespace swft {
     const std::uint64_t q = arrived & credit;
     okp[port] |= q << u;
     pm |= q << port;
-    blocked |= (arrived & (credit ^ 1)) << u;
   }
-  if (blockedOut != nullptr) *blockedOut = blocked;
   return pm;
 }
 
 /// The same predicate for one output port of a multi-word router (more than
 /// 64 input units): the first of the port's requesters in circular
 /// round-robin order from the port cursor whose front arrived before `cycle`
-/// and whose downstream unit (`downBase + outVc`) passes `hasCredit`, or -1
-/// when none does. `hasCredit` takes the downstream unit's arena index.
-template <typename HasCredit>
+/// and whose downstream unit (`downBase + outVc`) is not full, or -1 when
+/// none does.
 [[gnu::always_inline]] inline int firstLinkWinner(const RouterArena& a, NodeId id,
                                                   int port, std::int32_t downBase,
-                                                  std::uint64_t cycle,
-                                                  HasCredit hasCredit) {
+                                                  std::uint64_t cycle) {
   const int occW = a.occWordsPerRouter();
+  const int depth = a.depth();
   const int routerBase = a.base(id);
   const std::uint32_t* rw = a.routeRow(routerBase);
   const std::uint64_t* req = a.portMembers(id, port);
@@ -98,7 +83,7 @@ template <typename HasCredit>
       const int u = w * 64 + std::countr_zero(m);
       m &= m - 1;
       if (a.frontArrival(routerBase + u) < cycle &&
-          hasCredit(downBase + RouterArena::wordOutVc(rw[u]))) {
+          a.size(downBase + RouterArena::wordOutVc(rw[u])) != depth) {
         return u;
       }
     }

@@ -95,7 +95,7 @@ Network::Network(const SimConfig& cfg)
     windowOpen_ = true;
     windowStartCycle_ = 0;
   }
-  // Slot 0 (the main/baton thread); the mt engine widens this to one slot
+  // Slot 0 (the main thread); the mt engine widens this to one slot
   // per domain before its workers spawn.
   if (cfg.phaseTimers) phaseShards_.resize(1);
   if (cfg.engine == EngineKind::SparseMt) {

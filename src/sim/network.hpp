@@ -2,10 +2,10 @@
 // engine implementing flit-level wormhole switching with Software-Based
 // fault-tolerant routing (paper §4, §5).
 //
-// One production engine over the contiguous RouterArena, run either
-// single-threaded (Sparse, engine.cpp) or domain-decomposed across
-// `cfg.simThreads` workers with a barrier-phased cycle (SparseMt,
-// engine_mt.cpp, DESIGN.md §6).
+// One production engine over the contiguous RouterArena (engine.cpp). The
+// SparseMt mode runs the same cycle after a parallel step that precomputes
+// route decisions across `cfg.simThreads` workers (engine_mt.cpp,
+// DESIGN.md §6).
 //
 // The seed engine survives only as a test oracle, DenseReference
 // (engine_dense.hpp, the swft_dense_ref library that only the tests and
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/fault/connectivity.hpp"
@@ -78,7 +77,7 @@ class Network {
   void attachTrace(TraceRecorder* trace) noexcept { trace_ = trace; }
 
   /// Per-engine-thread phase timers, collected when `cfg.phaseTimers` is
-  /// set (empty otherwise). Slot 0 is the main/baton thread; the sparse-mt
+  /// set (empty otherwise). Slot 0 is the main thread; the sparse-mt
   /// engine adds one slot per worker domain. Read only after run()/step()
   /// returns — the barrier handoff makes worker slots visible then.
   [[nodiscard]] const std::vector<PhaseBreakdown>& phaseShards() const noexcept {
@@ -153,10 +152,11 @@ class Network {
   }
 
   void routeHeader(NodeId id, int unitIdx);
-  // routeHeader split for the sparse-mt engine: the pure route computation
-  // (safe to precompute in a parallel phase) and the mutating part (route
-  // allocation + the VC-allocation RNG draw, which must run at the router's
-  // dense-sweep position). routeHeader == applyRouteDecision(computeRoute).
+  // routeHeader's two halves: the pure route computation (which the
+  // sparse-mt engine precomputes in parallel as route cards) and the
+  // mutating part (route allocation + the VC-allocation RNG draw, which must
+  // run at the router's sweep position). routeHeader applies the unit's
+  // route card when one exists, else applyRouteDecision(computeRoute).
   [[nodiscard]] RouteDecision computeRoute(const Message& msg, NodeId id) const;
   void applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
                           const RouteDecision& decision);
@@ -218,22 +218,6 @@ class Network {
 
   TraceRecorder* trace_ = nullptr;
 
-  // When non-null (installed by the sparse-mt engine), trace events stage
-  // into this buffer instead of hitting the recorder's hash map; the mt
-  // engine flushes it FIFO while its parallel commit phase runs. Every
-  // emission site must route through emitTrace so the two paths stay in
-  // sync. All emission happens on the baton (main) thread.
-  TraceBuffer* traceSink_ = nullptr;
-
-  // Callers guard on trace_ != nullptr before building the event.
-  void emitTrace(const TraceEvent& event) {
-    if (traceSink_ != nullptr) {
-      traceSink_->stage(event);
-    } else {
-      trace_->record(event);
-    }
-  }
-
   // Per-engine-thread phase timers; sized by the engine at construction
   // when cfg_.phaseTimers is set, never resized mid-run.
   std::vector<PhaseBreakdown> phaseShards_;
@@ -241,11 +225,6 @@ class Network {
   [[nodiscard]] PhaseBreakdown* phaseShard(std::size_t slot) noexcept {
     return slot < phaseShards_.size() ? &phaseShards_[slot] : nullptr;
   }
-
-  // When non-null (sparse-mt's ordered phase), stepInjection reports every
-  // header pushed into an empty injection unit here so the mt router walk
-  // can fold the new head into its precomputed route-candidate cards.
-  std::vector<std::pair<NodeId, std::int32_t>>* injFoldSink_ = nullptr;
 
   // --- engine counters ------------------------------------------------------
   std::uint64_t cycle_ = 0;

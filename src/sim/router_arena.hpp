@@ -27,7 +27,6 @@
 // route words are written and cleared.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -100,8 +99,41 @@ class RouterArena {
 
   /// Push/pop take the owning router id so the occupancy transition needs
   /// no division; callers always know it (asserted in debug builds).
+  ///
+  /// push/pop are deliberately branch-poor. At the saturation knee buffer
+  /// sizes oscillate around 0..2, so the was-empty / became-empty
+  /// transitions are data-dependent coin flips a predictor cannot learn;
+  /// every update that depends on them is a mask or a conditional move, not
+  /// a branch. The remaining branches are either engine constants
+  /// (exactArrivals_) or rare and cheap to predict (whole-router active
+  /// transitions).
   void push(NodeId node, int u, Flit f, std::uint64_t arrivalCycle) noexcept {
-    pushImpl<false>(node, u, f, arrivalCycle);
+    assert(u >= base(node) && u < base(node) + unitsPerRouter_);
+    UnitMeta& m = meta_[u];
+    const std::uint16_t was = m.size;
+    const int s = slot(u, (m.head + was) & strideMask_);
+    flit_[s] = f;
+    if (exactArrivals_) {
+      arrival_[s] = arrivalCycle;
+    } else {
+      m.lastPush = arrivalCycle;
+    }
+    m.size = static_cast<std::uint16_t>(was + 1);
+    const bool wasEmpty = was == 0;
+    // Only a push into an empty unit installs a new front.
+    m.frontArrival = wasEmpty ? arrivalCycle : m.frontArrival;
+    const int local = u - base(node);
+    const std::uint64_t bit = 1ULL << (local & 63);
+    std::uint64_t& ow = occ_[maskIndex(node, local)];
+    const std::uint64_t before = ow;
+    ow = before | bit;  // idempotent when already occupied
+    // Active transition iff the whole row was zero. The unit's own word
+    // screens out almost every push with one already-loaded compare; the
+    // remaining words (none for <= 64-unit routers) hide behind the
+    // well-predicted rare branch.
+    if (before == 0 && rowOtherWordsZero(node, local)) {
+      active_[static_cast<std::size_t>(node) >> 6] |= (1ULL << (node & 63));
+    }
   }
 
   /// `now` is the popping cycle; in the inexact-arrival mode it feeds the
@@ -109,21 +141,35 @@ class RouterArena {
   /// Engine callers must pass the current cycle; tests running in the exact
   /// mode may omit it.
   Flit pop(NodeId node, int u, std::uint64_t now = 0) noexcept {
-    return popImpl<false>(node, u, now);
-  }
-
-  /// Variants safe for the sparse-mt engine's parallel commit phase. A
-  /// domain owns its routers' units outright — flit rings, sizes, occupancy
-  /// words and counts are all router-local — but the network-level active_
-  /// bitmap packs 64 routers per word, so two domains meeting inside one
-  /// word may RMW it concurrently. These make exactly that one transition
-  /// atomic (relaxed: the barrier after the commit phase publishes); all
-  /// other state is written plainly, as in push/pop.
-  void pushMt(NodeId node, int u, Flit f, std::uint64_t arrivalCycle) noexcept {
-    pushImpl<true>(node, u, f, arrivalCycle);
-  }
-  Flit popMt(NodeId node, int u, std::uint64_t now = 0) noexcept {
-    return popImpl<true>(node, u, now);
+    assert(u >= base(node) && u < base(node) + unitsPerRouter_);
+    UnitMeta& m = meta_[u];
+    const Flit f = flit_[slot(u, m.head)];
+    m.head = static_cast<std::uint16_t>((m.head + 1) & strideMask_);
+    const std::uint16_t left = static_cast<std::uint16_t>(m.size - 1);
+    m.size = left;
+    const int local = u - base(node);
+    const std::uint64_t fbit = 1ULL << (local & 63);
+    std::uint64_t fa;
+    if (exactArrivals_) {
+      fa = arrival_[slot(u, m.head)];  // stale-but-unread when emptied
+    } else {
+      // Freshness lemma: a lone survivor is the latest push; >= 2 survivors
+      // all arrived strictly before the popping cycle (see ctor comment).
+      assert(left <= 1 || now > 0);
+      fa = left == 1 ? m.lastPush : now - 1;
+    }
+    m.frontArrival = fa;
+    const bool emptied = left == 0;
+    std::uint64_t& ow = occ_[maskIndex(node, local)];
+    const std::uint64_t after =
+        ow & ~(fbit & (0 - static_cast<std::uint64_t>(emptied)));
+    ow = after;
+    // Active transition iff the whole row just became zero (the clear above
+    // is a no-op unless `emptied`); same screening as push.
+    if (after == 0 && emptied && rowOtherWordsZero(node, local)) {
+      active_[static_cast<std::size_t>(node) >> 6] &= ~(1ULL << (node & 63));
+    }
+    return f;
   }
 
   // --- per-unit routing state -----------------------------------------------
@@ -281,96 +327,6 @@ class RouterArena {
             static_cast<std::size_t>(port)) *
                static_cast<std::size_t>(occWords_) +
            static_cast<std::size_t>(localUnit >> 6);
-  }
-
-  // push/pop are deliberately branch-poor. At the saturation knee buffer
-  // sizes oscillate around 0..2, so the was-empty / became-empty transitions
-  // are data-dependent coin flips a predictor cannot learn; every update
-  // below that depends on them is a mask or a conditional move, not a
-  // branch. The remaining branches are either engine constants
-  // (exactArrivals_) or rare and cheap to predict (whole-router active
-  // transitions).
-  template <bool kAtomicActive>
-  void pushImpl(NodeId node, int u, Flit f, std::uint64_t arrivalCycle) noexcept {
-    assert(u >= base(node) && u < base(node) + unitsPerRouter_);
-    UnitMeta& m = meta_[u];
-    const std::uint16_t was = m.size;
-    const int s = slot(u, (m.head + was) & strideMask_);
-    flit_[s] = f;
-    if (exactArrivals_) {
-      arrival_[s] = arrivalCycle;
-    } else {
-      m.lastPush = arrivalCycle;
-    }
-    m.size = static_cast<std::uint16_t>(was + 1);
-    const bool wasEmpty = was == 0;
-    // Only a push into an empty unit installs a new front.
-    m.frontArrival = wasEmpty ? arrivalCycle : m.frontArrival;
-    const int local = u - base(node);
-    const std::uint64_t bit = 1ULL << (local & 63);
-    std::uint64_t& ow = occ_[maskIndex(node, local)];
-    const std::uint64_t before = ow;
-    ow = before | bit;  // idempotent when already occupied
-    // Active transition iff the whole row was zero. The unit's own word
-    // screens out almost every push with one already-loaded compare; the
-    // remaining words (none for <= 64-unit routers) hide behind the
-    // well-predicted rare branch.
-    if (before == 0 && rowOtherWordsZero(node, local)) activate<kAtomicActive>(node);
-  }
-
-  template <bool kAtomicActive>
-  Flit popImpl(NodeId node, int u, std::uint64_t now) noexcept {
-    assert(u >= base(node) && u < base(node) + unitsPerRouter_);
-    UnitMeta& m = meta_[u];
-    const Flit f = flit_[slot(u, m.head)];
-    m.head = static_cast<std::uint16_t>((m.head + 1) & strideMask_);
-    const std::uint16_t left = static_cast<std::uint16_t>(m.size - 1);
-    m.size = left;
-    const int local = u - base(node);
-    const std::uint64_t fbit = 1ULL << (local & 63);
-    std::uint64_t fa;
-    if (exactArrivals_) {
-      fa = arrival_[slot(u, m.head)];  // stale-but-unread when emptied
-    } else {
-      // Freshness lemma: a lone survivor is the latest push; >= 2 survivors
-      // all arrived strictly before the popping cycle (see ctor comment).
-      assert(left <= 1 || now > 0);
-      fa = left == 1 ? m.lastPush : now - 1;
-    }
-    m.frontArrival = fa;
-    const bool emptied = left == 0;
-    std::uint64_t& ow = occ_[maskIndex(node, local)];
-    const std::uint64_t after =
-        ow & ~(fbit & (0 - static_cast<std::uint64_t>(emptied)));
-    ow = after;
-    // Active transition iff the whole row just became zero (the clear above
-    // is a no-op unless `emptied`); same screening as pushImpl.
-    if (after == 0 && emptied && rowOtherWordsZero(node, local)) {
-      deactivate<kAtomicActive>(node);
-    }
-    return f;
-  }
-
-  // Whole-router active-set transitions (occCount 0 <-> 1). Rare relative to
-  // push/pop traffic, so they stay behind a branch; the active_ word is the
-  // one mask shared across MT domains, hence the atomic flavor.
-  template <bool kAtomicActive>
-  void activate(NodeId node) noexcept {
-    if constexpr (kAtomicActive) {
-      std::atomic_ref<std::uint64_t>(active_[static_cast<std::size_t>(node) >> 6])
-          .fetch_or(1ULL << (node & 63), std::memory_order_relaxed);
-    } else {
-      active_[static_cast<std::size_t>(node) >> 6] |= (1ULL << (node & 63));
-    }
-  }
-  template <bool kAtomicActive>
-  void deactivate(NodeId node) noexcept {
-    if constexpr (kAtomicActive) {
-      std::atomic_ref<std::uint64_t>(active_[static_cast<std::size_t>(node) >> 6])
-          .fetch_and(~(1ULL << (node & 63)), std::memory_order_relaxed);
-    } else {
-      active_[static_cast<std::size_t>(node) >> 6] &= ~(1ULL << (node & 63));
-    }
   }
 
   int nodes_;

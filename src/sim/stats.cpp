@@ -11,11 +11,9 @@ namespace swft {
 const char* PhaseBreakdown::phaseName(int p) noexcept {
   switch (p) {
     case kCards: return "cards";
-    case kLinkQual: return "linkq";
     case kGen: return "gen";
     case kInj: return "inj";
     case kWalk: return "walk";
-    case kCommit: return "commit";
     case kBarrier: return "barrier";
     default: return "?";
   }

@@ -107,20 +107,18 @@ class LatencyTracker {
 /// so the totals are identical no matter which thread finished first.
 ///
 /// Phase meanings by engine:
-///   sparse    — kGen/kInj/kWalk only (single shard; everything is "serial")
-///   sparse-mt — slot 0 (baton thread): kCards/kLinkQual are its own P1 work,
-///               kGen/kInj/kWalk the serial P2 baton, kCommit its P3 share,
-///               kBarrier the launch/await bookkeeping; worker slots carry
-///               their P1 (cards + link qualification) and P3 (commit) time.
+///   sparse    — kGen/kInj/kWalk only (single shard)
+///   sparse-mt — every slot: kCards is its share of the parallel route-card
+///               step (P1), kBarrier the launch/await time around it; slot 0
+///               (the main thread) also runs the sparse cycle, charged to
+///               kGen/kInj/kWalk.
 struct PhaseBreakdown {
   enum Phase : int {
-    kCards = 0,    // P1: route precomputation (candidate cards)
-    kLinkQual,     // P1: link-candidate qualification pass
-    kGen,          // P2: generation calendar
-    kInj,          // P2: injection
-    kWalk,         // P2: router walk (validate + commit decisions)
-    kCommit,       // P3: deferred arena commits + stat/trace flush
-    kBarrier,      // launch/await overhead around the parallel phases
+    kCards = 0,  // P1: route precomputation (route cards)
+    kGen,        // sparse cycle: generation calendar
+    kInj,        // sparse cycle: injection
+    kWalk,       // sparse cycle: router walk
+    kBarrier,    // launch/await overhead around P1
     kPhaseCount,
   };
 
@@ -135,13 +133,13 @@ struct PhaseBreakdown {
     for (double s : sec) t += s;
     return t;
   }
-  /// Seconds the serial baton holds exclusively (P2 = gen + inj + walk).
+  /// Seconds of the serial sparse cycle (gen + inj + walk).
   [[nodiscard]] double serial() const noexcept {
     return sec[kGen] + sec[kInj] + sec[kWalk];
   }
 
   static const char* phaseName(int p) noexcept;
-  /// "cards 0.993s linkq 0.210s gen 0.061s ..." — one line, for stderr.
+  /// "cards 0.993s gen 0.061s inj 0.210s ..." — one line, for stderr.
   [[nodiscard]] std::string toString() const;
 };
 

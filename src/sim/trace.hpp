@@ -68,27 +68,4 @@ class TraceRecorder {
   std::size_t count_ = 0;
 };
 
-/// Flat staging buffer for deferred trace emission (the sparse-mt engine's
-/// serial baton). `record` on a TraceRecorder is a hash-map operation per
-/// event; the mt engine instead appends events to this buffer during its
-/// serial phase — in exactly the order the dense sweep would record them —
-/// and flushes FIFO into the real recorder while the parallel commit phase
-/// runs. FIFO flush preserves the per-message event order byte-for-byte, so
-/// recorded goldens and pinned hop vectors are unchanged.
-class TraceBuffer {
- public:
-  void stage(TraceEvent event) { events_.push_back(event); }
-
-  /// Drain every staged event into `rec`, oldest first.
-  void flushTo(TraceRecorder& rec) {
-    for (const TraceEvent& e : events_) rec.record(e);
-    events_.clear();
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
 }  // namespace swft

@@ -127,6 +127,38 @@ INSTANTIATE_TEST_SUITE_P(Matrix, EngineEquivalence, ::testing::ValuesIn(kCases),
                            return std::string(info.param.name);
                          });
 
+// Routers with more than 64 input units keep their occupancy in two words
+// and take the generic multi-word link pass (firstLinkWinner) instead of the
+// one-word batched pass that every matrix case above runs. A 4-ary 3-cube
+// at V = 10 has 7 ports x 10 VCs = 70 units per router; adaptive routing,
+// faults with a software-layer delay and Td = 1 put route cards, absorption
+// and the exact-arrival mode on that path too.
+TEST(EngineEquivalence, MultiWordRoutersMatchDenseAtEveryThreadCount) {
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 3;
+  cfg.vcs = 10;
+  cfg.routing = RoutingMode::Adaptive;
+  cfg.faults.randomNodes = 3;
+  cfg.reinjectDelay = 10;
+  cfg.routerDecisionTime = 1;
+  cfg.messageLength = 8;
+  cfg.injectionRate = 0.07;  // well into contention: latency ~2x zero-load
+  cfg.warmupMessages = 300;
+  cfg.measuredMessages = 3000;
+  cfg.maxCycles = 200'000;
+  cfg.seed = 23;
+  ASSERT_GT(Network(cfg).arena().occWordsPerRouter(), 1);
+  const SimResult dense = DenseReference(cfg).run();
+  EXPECT_TRUE(dense.completed);
+  EXPECT_GT(dense.messagesQueued, 0u) << "the faults must absorb traffic";
+  expectIdentical(dense, runWith(cfg, EngineKind::Sparse));
+  for (const int threads : kThreadAxis) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    expectIdentical(dense, runWith(cfg, EngineKind::SparseMt, threads));
+  }
+}
+
 // Recorded reference values for every equivalence-matrix case, captured from
 // the dense reference engine (seed semantics plus the two ISSUE-2 injection
 // fixes: peek-don't-pop requeue and the single unsigned VC-rotation draw).
@@ -246,8 +278,8 @@ TEST(EngineEquivalence, PinnedHopVectorsUnderContention) {
 
 // The same pinned commit schedule from the mt engine with the 16-node mesh
 // split into 5 domains: the contended link (1,0)->(2,0) and the ejection
-// contention at (2,2) both cross domain boundaries, so the deferred
-// cross-domain push/pop exchange must reproduce the exact dense schedule.
+// contention at (2,2) both cross domain boundaries, so route cards built by
+// different domains must reproduce the exact dense schedule.
 TEST(EngineEquivalence, PinnedHopVectorsUnderContentionSparseMt) {
   runPinnedContention(EngineKind::SparseMt, 5);
 }
@@ -415,7 +447,7 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
 
   // The mt engine joins the lockstep at three domains: 16 nodes split 6/5/5,
   // so cross-domain links and mid-word domain boundaries are exercised on
-  // every cycle, and the invariant validator sees the post-commit arena.
+  // every cycle.
   SimConfig mtCfg = cfg;
   mtCfg.engine = EngineKind::SparseMt;
   mtCfg.simThreads = 3;

@@ -69,11 +69,14 @@ std::string reproString(const SimConfig& cfg) {
 
 /// Draw one random-but-bounded configuration. Node counts stay <= ~256 and
 /// maxCycles is capped so a full 200-config sweep finishes in minutes, while
-/// still crossing every engine code path: wormhole streaming, VC allocation
-/// under contention, credit backpressure (depth 1), multi-word occupancy
-/// (vcs * ports > 64), faults with software-layer absorption/reinjection,
-/// non-zero router decision time (exact-arrival mode), and saturated points
-/// that stop on max_cycles instead of the delivery target.
+/// still crossing the engine code paths: wormhole streaming, VC allocation
+/// under contention, credit backpressure (depth 1), faults with
+/// software-layer absorption/reinjection, non-zero router decision time
+/// (exact-arrival mode), and saturated points that stop on max_cycles
+/// instead of the delivery target. The draws stay on one-word routers
+/// (V <= 6 and at most 9 ports give at most 54 input units); the multi-word
+/// path (more than 64 units) is covered by
+/// EngineEquivalence.MultiWordRoutersMatchDenseAtEveryThreadCount.
 SimConfig drawConfig(Rng& rng) {
   SimConfig cfg;
   cfg.dims = 1 + static_cast<int>(rng.uniform(4));  // n in [1, 4]
@@ -191,7 +194,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
     // axis so every point also runs a genuinely multi-domain split — the
     // {2, 5, 8} axis has no single-domain slot and its prime 5-way partition
     // never divides the common even tori, forcing uneven domains with
-    // candidate cards on both sides of every boundary.
+    // route cards on both sides of every boundary.
     constexpr int kThreadAxis2[] = {2, 5, 8};
     const int simThreads2 =
         kThreadAxis2[i % (sizeof(kThreadAxis2) / sizeof(kThreadAxis2[0]))];

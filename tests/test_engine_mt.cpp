@@ -142,21 +142,22 @@ TEST(MtEdgeCases, ThreadCountExceedingNodesClampsToOnePerNode) {
 }
 
 // ---------------------------------------------------------------------------
-// Candidate-card staleness. P1 qualifies link candidates against a
-// start-of-cycle credit snapshot; the baton must catch every way that
-// snapshot can go stale before the carded router's turn. Each test below
-// drives one invalidation trigger hard and checks bit-identity against the
-// serial sparse engine.
+// Route-card validity. P1 stores a route decision for every eligible header
+// front against the start-of-cycle arena; the sparse cycle that follows
+// takes a unit's card only if the unit had one, and computes the route for
+// fronts that appeared mid-sweep. Each test below drives one way the fronts
+// can churn within a cycle and checks bit-identity against the serial
+// sparse engine.
 
-TEST(MtEdgeCases, DepthOneBuffersCreditFreedByEarlierRouterMidBaton) {
-  // bufferDepth=1 makes every occupied buffer snapshot-full: a candidate that
-  // P1 marked credit-blocked becomes eligible the moment an earlier-id router
-  // pops the single slot downstream, so almost every movement rides the wake
-  // stamp. A wake that is dropped (stale card used) or double-applied shows
-  // up immediately as a latency/hop divergence.
+TEST(MtEdgeCases, DepthOneBuffersCreditFreedByEarlierRouterMidSweep) {
+  // bufferDepth=1 makes every occupied buffer full: a unit's front changes
+  // at every pop, and an upstream router can refill it only after that pop,
+  // so a router's units alternate between carded fronts (present at the
+  // cycle start) and uncarded ones pushed earlier in the same sweep. A card
+  // taken for the wrong front shows up as a latency/hop divergence.
   SimConfig cfg = smallTorus();
   cfg.bufferDepth = 1;
-  cfg.injectionRate = 0.08;  // saturate: keep the wake path hot all run
+  cfg.injectionRate = 0.08;  // saturate: keep every buffer churning all run
   const SimResult sparse = runMt(cfg, 0);
   EXPECT_TRUE(sparse.completed);
   for (int t : {2, 3, 9}) {
@@ -165,13 +166,14 @@ TEST(MtEdgeCases, DepthOneBuffersCreditFreedByEarlierRouterMidBaton) {
   }
 }
 
-TEST(MtEdgeCases, FoldInLandingOnCardedRouterAtHighRate) {
+TEST(MtEdgeCases, FreshHeadersLandingOnCardedRouterAtHighRate) {
   // Short messages at high rate: headers dominate the flit mix, so routers
-  // constantly fold freshly-arrived headers into neighbours that already
-  // carry a P1 card for this cycle. The baton must re-qualify exactly the
-  // fold-touched routers and leave every other card intact.
+  // that already hold P1 cards for this cycle constantly receive fresh
+  // headers (injected, or pushed by an earlier router in the sweep) that
+  // have none. The router must route the uncarded fronts itself, in unit
+  // order among its carded ones.
   SimConfig cfg = smallTorus();
-  cfg.messageLength = 2;     // header-heavy traffic maximises fold-ins
+  cfg.messageLength = 2;     // header-heavy traffic maximises fresh fronts
   cfg.injectionRate = 0.1;
   cfg.measuredMessages = 500;
   const SimResult sparse = runMt(cfg, 0);
@@ -184,9 +186,9 @@ TEST(MtEdgeCases, FoldInLandingOnCardedRouterAtHighRate) {
 
 TEST(MtEdgeCases, OneWideDomainsAtSaturation) {
   // The partition corner and the load corner together: every domain is one
-  // router wide (every push crosses a boundary and defers to P3) while the
-  // network runs saturated, so staged commit spans, cross-domain re-queues
-  // and wake stamps all fire on every single baton pass.
+  // router wide (every card span is built by a different thread from its
+  // neighbours') while the network runs saturated, so most routers hold
+  // cards every cycle and every hop lands on another domain's router.
   SimConfig cfg = smallTorus();
   cfg.injectionRate = 0.12;
   const SimResult sparse = runMt(cfg, 0);

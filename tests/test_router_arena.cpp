@@ -142,27 +142,20 @@ TEST(LinkQual, QualifiesFromArenaState) {
 
   std::uint64_t okp[5];
   for (std::uint64_t& row : okp) row = ~0ULL;  // the pass assigns every row
-  std::uint64_t blocked = ~0ULL;
-  const std::uint64_t pm =
-      qualifyLinkCandidates(a, 0, downBase, kCycle, okp, 5, &blocked);
+  const std::uint64_t pm = qualifyLinkCandidates(a, 0, downBase, kCycle, okp, 5);
   EXPECT_EQ(okp[0], 0u);
   EXPECT_EQ(okp[1], (1ULL << 0) | (1ULL << 2));
   EXPECT_EQ(okp[2], 0u) << "a front pushed this cycle does not qualify";
   EXPECT_EQ(okp[3], 0u) << "a full downstream unit does not qualify";
   EXPECT_EQ(okp[4], 1ULL << 17) << "the credit sink always has credit";
   EXPECT_EQ(pm, (1ULL << 1) | (1ULL << 4));
-  EXPECT_EQ(blocked, 1ULL << 9) << "only the arrived, credit-starved unit";
-  EXPECT_EQ(qualifyLinkCandidates(a, 0, downBase, kCycle, okp, 5), pm)
-      << "blocked output is optional";
 
   // Next cycle the fresh front is eligible too; popping the full downstream
   // unit frees the blocked candidate.
   a.pop(1, downBase[3] + 1);
-  EXPECT_EQ(qualifyLinkCandidates(a, 0, downBase, kCycle + 1, okp, 5, &blocked),
-            0b11110u);
+  EXPECT_EQ(qualifyLinkCandidates(a, 0, downBase, kCycle + 1, okp, 5), 0b11110u);
   EXPECT_EQ(okp[2], 1ULL << 5);
   EXPECT_EQ(okp[3], 1ULL << 9);
-  EXPECT_EQ(blocked, 0u);
 }
 
 // The multi-word form walks one port's requesters circularly from the
@@ -182,15 +175,14 @@ TEST(LinkQual, FirstWinnerOnMultiWordRouter) {
   a.push(1, downBase + 1, Flit{1, FlitKind::Body}, 0);
   request(20, 2, 2);
   request(66, 3, 3);
-  const auto credit = [&](int du) { return a.size(du) != a.depth(); };
   const auto winnerFrom = [&](int cursor) {
     a.setCursor(0, 0, static_cast<std::uint16_t>(cursor));
-    return firstLinkWinner(a, 0, 0, downBase, kCycle, credit);
+    return firstLinkWinner(a, 0, 0, downBase, kCycle);
   };
   EXPECT_EQ(winnerFrom(0), 20);
   EXPECT_EQ(winnerFrom(21), 66);
   EXPECT_EQ(winnerFrom(67), 20) << "wraps through word 0";
-  EXPECT_EQ(firstLinkWinner(a, 0, 1, downBase, kCycle, credit), -1)
+  EXPECT_EQ(firstLinkWinner(a, 0, 1, downBase, kCycle), -1)
       << "port 1 has no requesters";
 }
 

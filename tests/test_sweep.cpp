@@ -98,6 +98,34 @@ TEST(Sweep, SparseMtPointsMatchDefaultEngineThroughThePool) {
   }
 }
 
+// A point that throws must reach the caller from a multi-threaded pool too
+// (an escaping exception in a pool thread would call std::terminate).
+std::vector<SweepPoint> gridWithBadMiddle(const SweepPoint& bad) {
+  return {tinyPoint(pointLabel(0), 0.002, 50), bad,
+          tinyPoint(pointLabel(2), 0.002, 52)};
+}
+
+TEST(Sweep, InvalidPointThrowsToCallerFromThreadedPool) {
+  SweepPoint bad = tinyPoint(pointLabel(1), 0.002, 51);
+  bad.cfg.radix = 1;  // rejected by validateConfig before the pool starts
+  EXPECT_THROW((void)runSweep(gridWithBadMiddle(bad), 3), std::invalid_argument);
+  EXPECT_THROW((void)runSweep(gridWithBadMiddle(bad), 1), std::invalid_argument);
+}
+
+TEST(Sweep, FaultPlacementErrorThrowsToCallerFromThreadedPool) {
+  // Valid config, but after the 14 explicit faults only 2 of the 16 nodes
+  // are healthy, too few for 2 random faults: the fault placement inside
+  // the point's simulation throws.
+  SweepPoint bad = tinyPoint(pointLabel(1), 0.002, 51);
+  for (NodeId id = 0; id < 14; ++id) bad.cfg.faults.explicitNodes.push_back(id);
+  bad.cfg.faults.randomNodes = 2;
+  int done = 0;
+  EXPECT_THROW((void)runSweep(gridWithBadMiddle(bad), 3,
+                              [&](const SweepRow&) { ++done; }),
+               std::runtime_error);
+  EXPECT_LE(done, 2);
+}
+
 TEST(Sweep, RateGridSpansToMaximum) {
   const auto grid = rateGrid(0.014, 7);
   ASSERT_EQ(grid.size(), 7u);
