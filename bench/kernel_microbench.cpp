@@ -12,7 +12,7 @@
 //                   faulty adaptive) and writes machine-readable JSON
 //                   (schema swft-bench-engine-v1, see README.md). The two
 //                   saturation points additionally run a sparse-mt
-//                   thread-scaling sweep (sim_threads 1/2/4/8) recording
+//                   thread-scaling sweep (simThreads 1/2/4/8) recording
 //                   mtN_cps, the best self-speedup over thread counts the
 //                   machine can actually host, and hardware_concurrency.
 //   --check=REF     additionally compares the sparse-engine cycles/sec of
@@ -29,8 +29,6 @@
 #ifdef SWFT_HAVE_GBENCH
 #include <benchmark/benchmark.h>
 #endif
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -233,7 +231,7 @@ struct OperatingPoint {
   SimConfig cfg;
   std::uint64_t warmCycles;
   std::uint64_t chunkCycles;  // cycles per timed repetition
-  bool threadScaling = false; // also sweep sparse-mt sim_threads 1/2/4/8
+  bool threadScaling = false; // also sweep sparse-mt simThreads 1/2/4/8
 };
 
 std::vector<OperatingPoint> operatingPoints() {
@@ -410,57 +408,7 @@ struct PointResult {
   double sparseCps = 0.0;
   std::vector<double> mtCps;      // per kMtThreadAxis entry; empty = no sweep
   std::vector<double> mtParFrac;  // measured parallel fraction per entry
-  // The result-cache point (name "result_cache") carries per-operation
-  // nanoseconds instead of engine cycles/sec.
-  double cacheKeyNs = 0.0;    // canonical key derivation + FNV hash
-  double cacheStoreNs = 0.0;  // serialize + temp write + atomic rename
-  double cacheHitNs = 0.0;    // lookup: read + key verify + deserialize
 };
-
-/// Per-point cost of the content-addressed result cache, measured on a
-/// store in the temp filesystem. This is the bookkeeping a cold sweep pays
-/// per grid point (one key + one miss-lookup + one store) and a warm sweep
-/// pays per hit (one key + one hit-lookup) — tracked here so cache overhead
-/// regressions surface in perf-smoke artifacts like any other hot path.
-/// Against even the cheapest real point (~10ms of simulation) the measured
-/// few-microsecond totals are << the 2% cold-run overhead budget.
-PointResult measureCachePoint(int reps = 2000) {
-  PointResult r;
-  r.name = "result_cache";
-
-  SimConfig cfg;  // the default 8-ary 2-cube latency-curve point
-  r.config = "canonical key + store round trip, " + describeConfig(cfg);
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "swft_cache_bench").string() + "." +
-      std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  ResultCache cache(dir);
-  const SimResult result{};
-
-  const auto perOpNs = [reps](auto&& op) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < reps; ++i) op(static_cast<std::uint64_t>(i));
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() / reps;
-  };
-  // Distinct seeds per iteration: every op touches a fresh content address,
-  // as in a real sweep, instead of hammering one hot inode.
-  r.cacheKeyNs = perOpNs([&](std::uint64_t i) {
-    cfg.seed = i;
-    volatile std::uint64_t h = canonicalConfigHash(cfg);
-    (void)h;
-  });
-  r.cacheStoreNs = perOpNs([&](std::uint64_t i) {
-    cfg.seed = i;
-    cache.store(cfg, result);
-  });
-  r.cacheHitNs = perOpNs([&](std::uint64_t i) {
-    cfg.seed = i;
-    (void)cache.lookup(cfg);
-  });
-  std::filesystem::remove_all(dir);
-  return r;
-}
 
 /// Best sparse-mt self-speedup over the thread counts this machine can host
 /// concurrently (1.0 when only the single-domain run fits).
@@ -514,14 +462,6 @@ std::string resultsToJson(const std::vector<PointResult>& results) {
     os << "    {\n";
     os << "      \"name\": \"" << r.name << "\",\n";
     os << "      \"config\": \"" << r.config << "\",\n";
-    if (r.cacheKeyNs > 0.0) {
-      // The result-cache point: per-operation nanoseconds, no engine pair.
-      os << "      \"cache_key_ns\": " << r.cacheKeyNs << ",\n";
-      os << "      \"cache_store_ns\": " << r.cacheStoreNs << ",\n";
-      os << "      \"cache_hit_ns\": " << r.cacheHitNs << "\n";
-      os << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
-      continue;
-    }
     os << "      \"dense_cps\": " << r.denseCps << ",\n";
     os << "      \"sparse_cps\": " << r.sparseCps << ",\n";
     if (r.mtCps.size() == kMtAxisLen) {
@@ -642,16 +582,6 @@ int runHarness(const std::string& exe, const std::string& emitPath,
     results.push_back(r);
   }
 
-  // The result-cache bookkeeping point rides along with every harness run.
-  // It is cheap and filesystem-bound, so it is measured in-process even in
-  // subprocess mode; `--point=result_cache` restricts the run to it.
-  if (only.empty() || only == "result_cache") {
-    PointResult r = measureCachePoint();
-    std::printf("%-16s key %7.0f ns   store %7.0f ns   hit %7.0f ns\n",
-                r.name.c_str(), r.cacheKeyNs, r.cacheStoreNs, r.cacheHitNs);
-    results.push_back(std::move(r));
-  }
-
   if (!emitPath.empty()) {
     std::ofstream out(emitPath);
     if (!out) {
@@ -674,7 +604,6 @@ int runHarness(const std::string& exe, const std::string& emitPath,
     int failures = 0;
     int matched = 0;
     for (const PointResult& r : results) {
-      if (r.cacheKeyNs > 0.0) continue;  // bookkeeping point: no cps gates
       const double refCps = extractPointValue(ref, r.name, "sparse_cps");
       if (refCps <= 0.0) {
         std::fprintf(stderr, "reference has no sparse_cps for %s — skipping\n",

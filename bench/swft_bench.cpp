@@ -10,9 +10,11 @@
 // running `--shard i/N` produce disjoint artifacts whose union is exactly
 // the unsharded run (concatenate, or stable-sort by label to compare).
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/harness/experiment_registry.hpp"
@@ -29,14 +31,12 @@ void printUsage() {
          "options:\n"
          "  --shard i/N        run only the points whose stable label hash lands in\n"
          "                     residue class i (0-based); outputs are merge-safe\n"
-         "  --threads T        sweep thread-pool size (default: hardware concurrency)\n"
-         "  --sim-threads N    run every point on the sparse-mt engine with N domain\n"
-         "                     workers (bit-identical results; the sweep pool is derated\n"
-         "                     so pool x N stays within hardware concurrency)\n"
-         "  --phase-timers     report each point's per-phase wall-clock breakdown on\n"
-         "                     stderr (cards/gen/inj/walk/barrier, one line per engine\n"
-         "                     thread); cache hits skip simulation and print\n"
-         "                     nothing — combine with --no-cache to time every point\n"
+         "  --threads T        sweep thread-pool size: one simulation per thread\n"
+         "                     (default, or T <= 0: hardware concurrency)\n"
+         "  --phase-timers     report each point's per-phase wall-clock breakdown\n"
+         "                     (gen/inj/walk) on stderr; cache hits skip simulation\n"
+         "                     and print nothing — combine with --no-cache to time\n"
+         "                     every point\n"
          "  --format csv|json  artifact format (default csv)\n"
          "  --out DIR          artifact directory (default: $SWFT_RESULTS_DIR or results/)\n"
          "  --cache            consult the content-addressed result cache (default on):\n"
@@ -107,11 +107,11 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(arg, "--shard") == 0) {
         opt.shard = swft::parseShard(needValue(i));
       } else if (std::strcmp(arg, "--threads") == 0) {
-        opt.threads = std::stoi(needValue(i));
-      } else if (std::strcmp(arg, "--sim-threads") == 0) {
-        opt.simThreads = std::stoi(needValue(i));
-        if (opt.simThreads < 1) {
-          std::cerr << "error: --sim-threads needs a positive integer\n";
+        const std::string_view value = needValue(i);
+        const auto [ptr, ec] =
+            std::from_chars(value.data(), value.data() + value.size(), opt.threads);
+        if (ec != std::errc{} || ptr != value.data() + value.size()) {
+          std::cerr << "error: --threads expects an integer, got '" << value << "'\n";
           return 2;
         }
       } else if (std::strcmp(arg, "--phase-timers") == 0) {

@@ -127,12 +127,6 @@ ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
   std::vector<SweepPoint> points = spec.build();
   run.totalPoints = points.size();
   points = shardPoints(std::move(points), opt.shard);
-  if (opt.simThreads > 0) {
-    for (SweepPoint& p : points) {
-      p.cfg.engine = EngineKind::SparseMt;
-      p.cfg.simThreads = opt.simThreads;
-    }
-  }
   if (opt.phaseTimers) {
     for (SweepPoint& p : points) p.cfg.phaseTimers = true;
   }

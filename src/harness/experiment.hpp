@@ -58,11 +58,6 @@ enum class OutputFormat : std::uint8_t { Csv, Json };
 struct RunOptions {
   ShardSpec shard;
   int threads = 0;  // <= 0: hardware concurrency (runSweep convention)
-  // > 0: run every point on the sparse-mt engine with this many domain
-  // workers (engine=sparse-mt, sim_threads=N). Results are bit-identical to
-  // the default engine; runSweep's oversubscription guard derates the pool
-  // so pool_threads x sim_threads stays within hardware concurrency.
-  int simThreads = 0;
   // Enable SimConfig::phaseTimers on every point: each simulation reports its
   // per-phase wall-clock breakdown on stderr as it finishes. Points served
   // from the result cache never simulate, so they print no timers (the flag

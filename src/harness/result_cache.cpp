@@ -12,7 +12,7 @@
 #include <stdexcept>
 
 #include "src/harness/table.hpp"
-#include "src/util/fnv.hpp"
+#include "src/util/hex.hpp"
 
 namespace swft {
 
@@ -22,11 +22,7 @@ constexpr std::string_view kEntryMagic = "swft-cache-entry-v1";
 constexpr std::string_view kResultMagic = "swft-result-v1";
 
 void putDouble(std::ostringstream& os, std::string_view name, double v) {
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  static constexpr char kHex[] = "0123456789abcdef";
-  char buf[16];
-  for (int i = 0; i < 16; ++i) buf[i] = kHex[(bits >> (60 - 4 * i)) & 0xF];
-  os << name << ' ' << std::string_view(buf, 16) << '\n';
+  os << name << ' ' << hex16(std::bit_cast<std::uint64_t>(v)) << '\n';
 }
 
 void putU64(std::ostringstream& os, std::string_view name, std::uint64_t v) {
@@ -183,13 +179,7 @@ ResultCache::ResultCache(std::string dir, std::uint32_t semanticsVersion)
 }
 
 std::string ResultCache::keyFor(const SimConfig& cfg) const {
-  const std::uint64_t h = canonicalConfigHash(cfg, version_);
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[static_cast<std::size_t>(i)] = kHex[(h >> (60 - 4 * i)) & 0xF];
-  }
-  return out;
+  return hex16(canonicalConfigHash(cfg, version_));
 }
 
 std::string ResultCache::entryPath(const SimConfig& cfg) const {

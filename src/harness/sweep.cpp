@@ -1,52 +1,60 @@
 #include "src/harness/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "src/sim/config_parse.hpp"
-#include "src/sim/engine_mt.hpp"
 
 namespace swft {
 
-unsigned sweepPoolThreads(int requested, unsigned hardwareConcurrency,
-                          int maxSimThreads) noexcept {
-  const unsigned hc = std::max(1u, hardwareConcurrency);
-  const unsigned sim = static_cast<unsigned>(std::max(1, maxSimThreads));
-  const unsigned budget = std::max(1u, hc / sim);
-  if (requested <= 0) return budget;
-  const unsigned want = static_cast<unsigned>(requested);
-  return sim <= 1 ? want : std::min(want, budget);
+namespace {
+
+/// Rethrow `failure` with the failing point's label in its message, keeping
+/// the two exception types callers tell apart (bad config vs a fault
+/// pattern that cannot be placed). Other types pass through unchanged.
+[[noreturn]] void rethrowLabelled(const std::exception_ptr& failure, const std::string& label) {
+  const std::string where = "sweep point '" + label + "': ";
+  try {
+    std::rethrow_exception(failure);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(where + e.what());
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(where + e.what());
+  }
 }
+
+}  // namespace
 
 std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
                                const std::function<void(const SweepRow&)>& onDone) {
   std::vector<SweepRow> rows(points.size());
   if (points.empty()) return rows;
 
-  // Reject a bad point before any simulation starts (this also keeps the
-  // node-count product below from overflowing on an unchecked radix).
-  for (const SweepPoint& p : points) validateConfig(p.cfg);
-
-  // Oversubscription guard: a sparse-mt point spins up its own domain
-  // workers, so the pool budget shrinks by the widest point in the grid.
-  int maxSim = 1;
+  // Reject a bad point before any simulation starts.
   for (const SweepPoint& p : points) {
-    if (p.cfg.engine != EngineKind::SparseMt) continue;
-    int nodes = 1;
-    for (int d = 0; d < p.cfg.dims; ++d) nodes *= p.cfg.radix;
-    maxSim = std::max(maxSim, mtEffectiveDomains(nodes, p.cfg.simThreads));
+    try {
+      validateConfig(p.cfg);
+    } catch (...) {
+      rethrowLabelled(std::current_exception(), p.label);
+    }
   }
-  unsigned nThreads =
-      sweepPoolThreads(threads, std::thread::hardware_concurrency(), maxSim);
-  nThreads = std::min<unsigned>(nThreads, static_cast<unsigned>(points.size()));
+
+  const unsigned nThreads = std::min<unsigned>(
+      threads > 0 ? static_cast<unsigned>(threads)
+                  : std::max(1u, std::thread::hardware_concurrency()),
+      static_cast<unsigned>(points.size()));
 
   std::atomic<std::size_t> nextIndex{0};
   std::mutex doneMutex;
-  // The first exception any point throws (guarded by doneMutex). Once it is
-  // set, workers stop taking points; the caller rethrows it after the join.
+  // The first exception any point throws and that point's index (guarded by
+  // doneMutex). Once it is set, workers stop taking points; the caller
+  // rethrows it after the join.
   std::exception_ptr failure;
+  std::size_t failedIndex = 0;
 
   auto worker = [&] {
     for (;;) {
@@ -63,7 +71,10 @@ std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
         rows[i] = std::move(row);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(doneMutex);
-        if (!failure) failure = std::current_exception();
+        if (!failure) {
+          failure = std::current_exception();
+          failedIndex = i;
+        }
         nextIndex.store(points.size(), std::memory_order_relaxed);
       }
     }
@@ -77,7 +88,7 @@ std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
     for (unsigned t = 0; t < nThreads; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
-  if (failure) std::rethrow_exception(failure);
+  if (failure) rethrowLabelled(failure, points[failedIndex].label);
   return rows;
 }
 

@@ -21,24 +21,16 @@ struct SweepRow {
   SimResult result;
 };
 
-/// Sweep pool size under the oversubscription guard: with sparse-mt points
-/// in the grid, each simulation brings its own `sim_threads` workers, so the
-/// pool is budgeted to keep pool_threads x max_sim_threads <=
-/// hardware_concurrency (floored at one). `requested` <= 0 means "auto"
-/// (the full budget); an explicit request is honoured as-is when every
-/// point is single-threaded (`maxSimThreads` <= 1, the historical
-/// behaviour) and clamped to the budget otherwise.
-[[nodiscard]] unsigned sweepPoolThreads(int requested, unsigned hardwareConcurrency,
-                                        int maxSimThreads) noexcept;
-
-/// Run all points; `threads` <= 0 means hardware concurrency, derated by the
-/// sweepPoolThreads guard when the grid contains sparse-mt points. Points
-/// run in submission order per thread but complete out of order; the
-/// returned rows are in the original order. `onDone` (optional) is invoked
-/// after each point completes (serialised), e.g. for progress output.
-/// Every point is validated (validateConfig) before the pool starts; the
-/// first exception a point throws stops the pool from taking further points
-/// and is rethrown to the caller once the workers have joined.
+/// Run all points; `threads` <= 0 means hardware concurrency (at least one),
+/// and the pool is never wider than the grid. Points run in submission order
+/// per thread but complete out of order; the returned rows are in the
+/// original order. `onDone` (optional) is invoked after each point completes
+/// (serialised), e.g. for progress output. Every point is validated
+/// (validateConfig) before the pool starts; the first exception a point
+/// throws stops the pool from taking further points and is rethrown to the
+/// caller once the workers have joined. A std::invalid_argument or
+/// std::runtime_error is rethrown as the same type with the point's label
+/// prefixed to its message.
 std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads = 0,
                                const std::function<void(const SweepRow&)>& onDone = {});
 

@@ -20,6 +20,12 @@ namespace swft {
 /// (DESIGN.md §6). Both produce bit-identical SimResults — at every thread
 /// count — and match the test-only dense reference (engine_dense.hpp) bit
 /// for bit; anything else is a bug.
+///
+/// No user-facing entry point selects `SparseMt`: no config key, no
+/// `swft_bench` flag. It is slower than `Sparse` on every benchmark workload
+/// and is kept only for the end-to-end benchmark's `sim.mt.*` probe,
+/// `kernel_microbench`'s scaling sweep and the test suites, which set it in
+/// code; it goes once the benchmark stops measuring it.
 enum class EngineKind : std::uint8_t { Sparse = 0, SparseMt = 1 };
 
 /// Declarative fault pattern: applied to a fresh FaultSet at network build.
@@ -62,6 +68,8 @@ struct SimConfig {
   std::uint64_t deadlockWindow = 20'000;  // watchdog: cycles without any flit movement
   std::uint64_t seed = 1;
   // --- engine ----------------------------------------------------------
+  // `engine` and `simThreads` are set only in code (see EngineKind): no
+  // config key reaches them.
   EngineKind engine = EngineKind::Sparse;
   // Worker threads for EngineKind::SparseMt (ignored by the other engines).
   // Clamped to the node count at network build; results are bit-identical

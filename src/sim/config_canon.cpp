@@ -6,6 +6,7 @@
 #include "src/fault/regions.hpp"
 #include "src/traffic/patterns.hpp"
 #include "src/util/fnv.hpp"
+#include "src/util/hex.hpp"
 
 namespace swft {
 
@@ -13,14 +14,7 @@ std::string exactDoubleToken(double v) {
   // Canonicalize the zero sign: -0.0 and +0.0 compare equal and behave
   // identically in every config field, but their bit patterns differ.
   if (v == 0.0) v = 0.0;
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        kHex[(bits >> (60 - 4 * i)) & 0xF];
-  }
-  return out;
+  return hex16(std::bit_cast<std::uint64_t>(v));
 }
 
 std::string canonicalConfigKey(const SimConfig& cfg, std::uint32_t semanticsVersion) {

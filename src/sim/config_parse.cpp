@@ -155,19 +155,6 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
     cfg.pattern = *p;
   } else if (key == "hotspot_fraction") {
     cfg.hotspotFraction = parseDouble(key, value);
-  } else if (key == "engine") {
-    if (value == "sparse") {
-      cfg.engine = EngineKind::Sparse;
-    } else if (value == "sparse-mt") {
-      cfg.engine = EngineKind::SparseMt;
-    } else {
-      fail("config: engine must be sparse|sparse-mt, got '" + value + "'");
-    }
-  } else if (key == "sim_threads") {
-    cfg.simThreads = parseInt<int>(key, value);
-    if (cfg.simThreads < 1) {
-      fail("config: sim_threads must be >= 1, got '" + value + "'");
-    }
   } else if (key == "phase_timers") {
     cfg.phaseTimers = parseInt<int>(key, value) != 0;
   } else if (key == "region") {

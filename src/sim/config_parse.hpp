@@ -6,7 +6,7 @@
 //   tornado|hotspot; `pattern` is a legacy alias), hotspot_fraction,
 //   delta, td, nf (random node faults), region (shape:e0xe1[@x,y] —
 //   repeatable), warmup, measured, max_cycles, seed, livelock_threshold,
-//   engine (sparse|sparse-mt), sim_threads, phase_timers
+//   phase_timers
 #pragma once
 
 #include <span>

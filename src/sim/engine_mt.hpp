@@ -43,7 +43,7 @@ class Network;
   return static_cast<NodeId>(static_cast<std::int64_t>(nodes) * d / domains);
 }
 
-/// Effective domain count for a requested `sim_threads` on `nodes` routers:
+/// Effective domain count for a requested `simThreads` on `nodes` routers:
 /// at least one, at most one per router (every domain must be non-empty).
 [[nodiscard]] constexpr int mtEffectiveDomains(int nodes, int simThreads) noexcept {
   return simThreads < 1 ? 1 : (simThreads > nodes ? nodes : simThreads);

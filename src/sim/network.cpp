@@ -12,17 +12,34 @@ namespace swft {
 
 namespace {
 
-FaultSet buildFaults(const TorusTopology& topo, const FaultSpec& spec, Rng rng) {
+FaultSet buildFaults(const TorusTopology& topo, const SimConfig& cfg) {
+  const FaultSpec& spec = cfg.faults;
   FaultSet faults(topo);
   for (NodeId id : spec.explicitNodes) faults.failNode(id);
   for (const auto& link : spec.explicitLinks) {
     faults.failLink(link[0], static_cast<int>(link[1]),
                     link[2] == 0 ? Dir::Pos : Dir::Neg);
   }
+  const int beforeRegions = faults.faultyNodeCount();
   for (const RegionSpec& region : spec.regions) applyRegion(faults, region);
-  if (spec.randomNodes > 0) applyRandomNodeFaults(faults, spec.randomNodes, rng);
+  const int regionFaults = faults.faultyNodeCount() - beforeRegions;
+  // A placement failure depends on the drawn positions, so name every input
+  // that fixes them.
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error(what + " (nf=" + std::to_string(spec.randomNodes) + ", " +
+                             std::to_string(regionFaults) + " region faults, seed=" +
+                             std::to_string(cfg.seed) + ")");
+  };
+  if (spec.randomNodes > 0) {
+    Rng rng = Rng(cfg.seed).split(0xFA17);
+    try {
+      applyRandomNodeFaults(faults, spec.randomNodes, rng);
+    } catch (const std::runtime_error& e) {
+      fail(e.what());
+    }
+  }
   if (!spec.empty() && !healthyNetworkConnected(faults)) {
-    throw std::runtime_error("Network: fault pattern disconnects the network");
+    fail("Network: fault pattern disconnects the network");
   }
   return faults;
 }
@@ -39,7 +56,7 @@ const SimConfig& validated(const SimConfig& cfg) {
 Network::Network(const SimConfig& cfg)
     : cfg_(validated(cfg)),
       topo_(cfg.radix, cfg.dims),
-      faults_(buildFaults(topo_, cfg.faults, Rng(cfg.seed).split(0xFA17))),
+      faults_(buildFaults(topo_, cfg)),
       part_(cfg.routing, cfg.vcs, cfg.escapeVcs),
       ecube_(topo_),
       duato_(topo_),
@@ -172,8 +189,12 @@ double Network::sourceQueueMean() const {
 
 SimResult runSimulation(const SimConfig& cfg) {
   Network net(cfg);
+  return runSimulation(net);
+}
+
+SimResult runSimulation(Network& net) {
   SimResult result = net.run();
-  if (cfg.phaseTimers) {
+  if (net.config().phaseTimers) {
     const std::vector<PhaseBreakdown>& shards = net.phaseShards();
     PhaseBreakdown merged;
     for (std::size_t i = 0; i < shards.size(); ++i) {

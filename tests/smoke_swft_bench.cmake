@@ -71,4 +71,21 @@ if(NOT out4 MATCHES "cache stats: hits=0 misses=0 inserts=0 entries=0")
   message(FATAL_ERROR "unexpected --cache-stats output:\n${out4}")
 endif()
 
+# Malformed --threads values and the removed --sim-threads flag exit 2 while
+# the arguments are parsed, naming the flag (--list would otherwise exit 0).
+foreach(args "--threads;2x" "--threads;abc" "--sim-threads;2")
+  list(GET args 0 flag)
+  execute_process(
+    COMMAND ${SWFT_BENCH} ${args} --list
+    RESULT_VARIABLE rc5
+    OUTPUT_QUIET
+    ERROR_VARIABLE err5)
+  if(NOT rc5 EQUAL 2)
+    message(FATAL_ERROR "swft_bench ${args} should exit 2, got ${rc5}\nstderr: ${err5}")
+  endif()
+  if(NOT err5 MATCHES "${flag}")
+    message(FATAL_ERROR "swft_bench ${args}: stderr does not name ${flag}:\n${err5}")
+  endif()
+endforeach()
+
 message(STATUS "swft_bench smoke OK (${count} experiments)")

@@ -47,8 +47,9 @@ if(NOT row MATCHES ",0$")
 endif()
 
 # Rejected configurations exit 2 before simulating, naming the bad key on
-# stderr. The trailing keys bound the run should one be accepted.
-foreach(bad engine=dense msg_length=0)
+# stderr. No key selects an engine or its thread count. The trailing keys
+# bound the run should one be accepted.
+foreach(bad engine=dense engine=sparse-mt engine=sparse sim_threads=2 msg_length=0)
   string(REGEX REPLACE "=.*" "" key "${bad}")
   execute_process(
     COMMAND ${SWFT_SIM} ${bad} k=4 warmup=10 measured=50 max_cycles=20000
@@ -76,5 +77,23 @@ endif()
 if(NOT err MATCHES "region")
   message(FATAL_ERROR "swft_sim region=U:2x2@1,1,40: stderr does not name region:\n${err}")
 endif()
+
+# A fault pattern that cannot be placed is bad input too: 15 random faults
+# cannot fit the 12 nodes a 2x2 region leaves healthy on a 4-ary 2-cube. The
+# network is never built, so this exits 2, naming the inputs that fixed the
+# placement.
+execute_process(
+  COMMAND ${SWFT_SIM} k=4 n=2 nf=15 region=rect:2x2@0,0
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "swft_sim nf=15 region=rect:2x2@0,0 should exit 2, got ${rc}\nstderr: ${err}")
+endif()
+foreach(input "nf=15" "4 region faults" "seed=1")
+  if(NOT err MATCHES "${input}")
+    message(FATAL_ERROR "swft_sim nf=15 region=rect:2x2@0,0: stderr does not name ${input}:\n${err}")
+  endif()
+endforeach()
 
 message(STATUS "swft_sim smoke OK: ${row}")

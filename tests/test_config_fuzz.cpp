@@ -7,7 +7,7 @@
 //             fault pattern cannot be placed (it disconnects the network, or
 //             leaves too few healthy nodes for the random faults) — a
 //             property of the drawn fault positions, not of the config's
-//             ranges;
+//             ranges; the message names `nf` and `seed`;
 //   ran       the Network builds, steps a few hundred cycles and still
 //             passes validateInvariants().
 //
@@ -64,8 +64,6 @@ const std::vector<KeyValues> kKeys = {
                  "hotspot", "worst", ""}},
     {"pattern", {"hotspot", "tornado", "bit-complement", "x"}},
     {"hotspot_fraction", {"0", "0.5", "1", "nan", "-nan", "inf", "-1", "2", "lots"}},
-    {"engine", {"sparse", "sparse-mt", "dense", ""}},
-    {"sim_threads", {"1", "2", "3"}},
     {"phase_timers", {"0", "1", "yes"}},
     {"region", {}},  // drawn by regionValue
 };
@@ -73,7 +71,7 @@ const std::vector<KeyValues> kKeys = {
 // Integer keys take kIntJunk besides their own values.
 bool isIntKey(const std::string& key) {
   return key != "rate" && key != "hotspot_fraction" && key != "routing" &&
-         key != "traffic" && key != "pattern" && key != "engine" && key != "region";
+         key != "traffic" && key != "pattern" && key != "region";
 }
 
 std::string pick(const std::vector<std::string>& v, Rng& rng) {
@@ -163,7 +161,11 @@ TEST(ConfigFuzz, EveryListIsRejectedOrRuns) {
       ++ran;
     } catch (const std::invalid_argument& e) {
       FAIL() << "invalid_argument escaped validateConfig: " << e.what() << "\n" << repro;
-    } catch (const std::runtime_error&) {
+    } catch (const std::runtime_error& e) {
+      // A placement failure names the inputs that fixed the positions.
+      const std::string what = e.what();
+      EXPECT_NE(what.find("nf="), std::string::npos) << what << "\n" << repro;
+      EXPECT_NE(what.find("seed="), std::string::npos) << what << "\n" << repro;
       ++unplaced;
     }
   }

@@ -76,18 +76,34 @@ TEST(ConfigParse, HotspotFractionRoundTrip) {
   EXPECT_THROW(parse({"hotspot_fraction=lots"}), std::invalid_argument);
 }
 
+/// The message parseConfig throws for the single assignment `a`, or "" when
+/// it does not throw.
+std::string parseError(const std::string& a) {
+  try {
+    (void)parseConfig(std::span<const std::string>(&a, 1));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ConfigParse, EngineThreadsAndPhaseTimers) {
-  EXPECT_EQ(SimConfig{}.engine, parse({}).engine);
-  EXPECT_EQ(parse({"engine=sparse"}).engine, EngineKind::Sparse);
-  EXPECT_EQ(parse({"engine=sparse-mt"}).engine, EngineKind::SparseMt);
-  EXPECT_EQ(parse({"sim_threads=5"}).simThreads, 5);
+  EXPECT_EQ(parse({}).engine, EngineKind::Sparse);
   EXPECT_FALSE(parse({}).phaseTimers);
   EXPECT_TRUE(parse({"phase_timers=1"}).phaseTimers);
   EXPECT_FALSE(parse({"phase_timers=0"}).phaseTimers);
-  EXPECT_THROW(parse({"engine=turbo"}), std::invalid_argument);
-  EXPECT_THROW(parse({"engine=dense"}), std::invalid_argument);
-  EXPECT_THROW(parse({"sim_threads=0"}), std::invalid_argument);
   EXPECT_THROW(parse({"phase_timers=yes"}), std::invalid_argument);
+  // No config string selects an engine or its thread count: the dense
+  // reference is a test oracle and sparse-mt is set only in code.
+  for (const char* value : {"sparse", "sparse-mt", "dense", "turbo"}) {
+    EXPECT_EQ(parseError(std::string("engine=") + value), "config: unknown key 'engine'")
+        << value;
+  }
+  for (const char* value : {"1", "2", "0", "-2"}) {
+    EXPECT_EQ(parseError(std::string("sim_threads=") + value),
+              "config: unknown key 'sim_threads'")
+        << value;
+  }
 }
 
 TEST(ConfigParse, RegionWithAnchor) {

@@ -11,7 +11,6 @@
 
 #include "src/harness/sweep.hpp"
 #include "src/sim/config_canon.hpp"
-#include "src/sim/config_parse.hpp"
 #include "src/sim/engine_dense.hpp"
 #include "src/util/fnv.hpp"
 #include "tests/naming.hpp"
@@ -506,22 +505,6 @@ TEST(EngineEquivalence, SweepDeterministicAcrossThreadCounts) {
     EXPECT_EQ(serial[i].point.label, parallel[i].point.label);
     expectIdentical(serial[i].result, parallel[i].result);
   }
-}
-
-// The engine selector must be reachable from config strings (CLI sweeps).
-TEST(EngineEquivalence, EngineKeyParses) {
-  SimConfig cfg;
-  applyConfigAssignment(cfg, "engine=sparse");
-  EXPECT_EQ(cfg.engine, EngineKind::Sparse);
-  applyConfigAssignment(cfg, "engine=sparse-mt");
-  EXPECT_EQ(cfg.engine, EngineKind::SparseMt);
-  applyConfigAssignment(cfg, "sim_threads=8");
-  EXPECT_EQ(cfg.simThreads, 8);
-  EXPECT_THROW(applyConfigAssignment(cfg, "engine=warp"), std::invalid_argument);
-  // The dense reference is a test oracle, not a user-selectable engine.
-  EXPECT_THROW(applyConfigAssignment(cfg, "engine=dense"), std::invalid_argument);
-  EXPECT_THROW(applyConfigAssignment(cfg, "sim_threads=0"), std::invalid_argument);
-  EXPECT_THROW(applyConfigAssignment(cfg, "sim_threads=-2"), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,13 +7,19 @@
 // buffer depths, routing mode, every traffic pattern, fault counts, router
 // decision time, message lengths, injection rates) and runs each to
 // completion on the dense reference, sparse, and sparse-mt twice, with
-// sim_threads axes cycling {1, 2, 3, 8} and {2, 5, 8} — requiring
+// simThreads axes cycling {1, 2, 3, 8} and {2, 5, 8} — requiring
 // bit-identical SimResults: exact double equality, no tolerance.
 //
 // On a mismatch the failing point is printed as a ready-to-paste
 // `swft_sim`-style key=value string (the config_parse.hpp grammar) so a
 // failure in CI can be reproduced in one command without re-running the
-// fuzzer.
+// fuzzer. A sparse-mt mismatch names its domain thread count beside that
+// string; no config key selects sparse-mt, so it is not pasteable.
+//
+// At the default knobs the suite also pins a digest of every sparse result
+// beside kEngineSemanticsVersion: a change to routing, the software layer or
+// traffic generation moves every engine together, so only a recorded digest
+// notices it when the eight goldens miss it.
 //
 // Knobs (environment):
 //   SWFT_FUZZ_CONFIGS  number of random configs (default 200)
@@ -28,10 +34,13 @@
 #include <sstream>
 #include <string>
 
+#include "src/harness/result_cache.hpp"
 #include "src/sim/config.hpp"
+#include "src/sim/config_canon.hpp"
 #include "src/sim/engine_dense.hpp"
 #include "src/sim/stats.hpp"
 #include "src/traffic/patterns.hpp"
+#include "src/util/fnv.hpp"
 #include "src/util/rng.hpp"
 
 namespace swft {
@@ -149,10 +158,16 @@ void expectIdentical(const SimResult& sparse, const SimResult& dense,
   EXPECT_EQ(sparse.throughput, dense.throughput) << repro;
 }
 
-TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
-  const std::uint64_t configs = envU64("SWFT_FUZZ_CONFIGS", 200);
-  const std::uint64_t baseSeed = envU64("SWFT_FUZZ_SEED", 20060425);
+constexpr std::uint64_t kDefaultConfigs = 200;
+constexpr std::uint64_t kDefaultSeed = 20060425;
 
+TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
+  const std::uint64_t configs = envU64("SWFT_FUZZ_CONFIGS", kDefaultConfigs);
+  const std::uint64_t baseSeed = envU64("SWFT_FUZZ_SEED", kDefaultSeed);
+
+  // FNV-1a 64 chained over every sparse serializeResult (or a marker for a
+  // disconnected draw), in fuzz-index order.
+  std::uint64_t digest = kFnv1a64OffsetBasis;
   std::uint64_t ran = 0, skippedDisconnected = 0;
   std::uint64_t totalDelivered = 0, completedRuns = 0;
   for (std::uint64_t i = 0; i < configs; ++i) {
@@ -163,7 +178,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
         "repro: " + reproString(cfg) + "  (fuzz index " + std::to_string(i) +
         ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) + ")";
 
-    // sim_threads axis for the sparse-mt run: rotate through single-domain,
+    // simThreads axis for the sparse-mt run: rotate through single-domain,
     // small odd/even splits, and a count that often exceeds small tori (the
     // engine clamps to one domain per node).
     constexpr int kThreadAxis[] = {1, 2, 3, 8};
@@ -179,17 +194,18 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
       cfg.engine = EngineKind::SparseMt;
       cfg.simThreads = simThreads;
       EXPECT_THROW((void)runSimulation(cfg), std::runtime_error) << repro;
+      digest = fnv1a64("disconnected\n", digest);
       ++skippedDisconnected;
       continue;
     }
     const SimResult sparse = runSimulation(cfg);
     expectIdentical(sparse, dense, repro);
+    digest = fnv1a64(serializeResult(sparse), digest);
     cfg.engine = EngineKind::SparseMt;
     cfg.simThreads = simThreads;
     const SimResult mt = runSimulation(cfg);
-    expectIdentical(mt, dense,
-                    repro + " engine=sparse-mt sim_threads=" +
-                        std::to_string(simThreads));
+    expectIdentical(mt, dense, repro + "  [sparse-mt, " + std::to_string(simThreads) +
+                                   " domain threads]");
     // Fourth engine-config rotation: a second sparse-mt run on an offset
     // axis so every point also runs a genuinely multi-domain split — the
     // {2, 5, 8} axis has no single-domain slot and its prime 5-way partition
@@ -200,9 +216,8 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
         kThreadAxis2[i % (sizeof(kThreadAxis2) / sizeof(kThreadAxis2[0]))];
     cfg.simThreads = simThreads2;
     const SimResult mt2 = runSimulation(cfg);
-    expectIdentical(mt2, dense,
-                    repro + " engine=sparse-mt sim_threads=" +
-                        std::to_string(simThreads2));
+    expectIdentical(mt2, dense, repro + "  [sparse-mt, " + std::to_string(simThreads2) +
+                                    " domain threads]");
     ++ran;
     totalDelivered += dense.deliveredMeasured;
     if (dense.completed) ++completedRuns;
@@ -219,6 +234,16 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   EXPECT_GE(ran * 2, configs);
   EXPECT_GT(totalDelivered, 0u);
   EXPECT_GE(completedRuns * 4, ran);
+
+  // The semantics pin: other knob values draw other configs, so only the
+  // default sweep has a recorded digest.
+  if (configs == kDefaultConfigs && baseSeed == kDefaultSeed) {
+    ASSERT_EQ(kEngineSemanticsVersion, 1u);
+    EXPECT_EQ(digest, 0x106d6f343a727667ULL)
+        << "the fuzz configs' sparse results changed (digest 0x" << std::hex << digest
+        << "): re-record this digest AND bump kEngineSemanticsVersion "
+           "(src/sim/config_canon.hpp)";
+  }
 }
 
 }  // namespace

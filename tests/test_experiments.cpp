@@ -269,6 +269,40 @@ TEST(RunExperiment, UnwritableOutDirFailsBeforeSimulating) {
   EXPECT_EQ(log.str().find("tiny_badout/"), std::string::npos);
 }
 
+// A point whose faults cannot be placed fails the run with that point's
+// label and the placement inputs in the message, so a figure run names
+// which of its points to look at.
+TEST(RunExperiment, FaultPlacementFailureNamesThePoint) {
+  ExperimentSpec spec = tinySpec("tiny_unplaced");
+  spec.build = [inner = spec.build] {
+    std::vector<SweepPoint> points = inner();
+    points[3].cfg.faults.randomNodes = 15;  // 15 of 16 nodes, after a 2x2 region
+    RegionSpec rect;
+    rect.shape = RegionShape::Rect;
+    rect.extent0 = 2;
+    rect.extent1 = 2;
+    rect.anchor.digit.push_back(0);
+    rect.anchor.digit.push_back(0);
+    points[3].cfg.faults.regions.push_back(rect);
+    return points;
+  };
+  RunOptions opt;
+  opt.writeArtifact = false;
+  opt.threads = 2;
+  opt.progress = false;
+  std::ostringstream log;
+  try {
+    (void)runExperiment(spec, opt, log);
+    FAIL() << "runExperiment should throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sweep point 'pt3'"), std::string::npos) << what;
+    EXPECT_NE(what.find("nf=15"), std::string::npos) << what;
+    EXPECT_NE(what.find("4 region faults"), std::string::npos) << what;
+    EXPECT_NE(what.find("seed=80"), std::string::npos) << what;
+  }
+}
+
 // ---- the content-addressed result cache ----------------------------------
 
 TEST(RunExperiment, WarmCacheRerunIsAllHitsWithByteIdenticalArtifact) {
@@ -299,15 +333,6 @@ TEST(RunExperiment, WarmCacheRerunIsAllHitsWithByteIdenticalArtifact) {
   EXPECT_EQ(warm.cache.misses, 0u);
   EXPECT_EQ(warm.cache.inserts, 0u);
   EXPECT_EQ(slurp(warm.artifactPath), coldBytes);
-
-  // Cache hits must interchange across bit-identical engines: a sparse-mt
-  // re-run of the same grid is still all hits.
-  RunOptions mt = opt;
-  mt.simThreads = 2;
-  const ExperimentRun warmMt = runExperiment(spec, mt, log);
-  EXPECT_EQ(warmMt.cache.hits, 6u);
-  EXPECT_EQ(warmMt.cache.misses, 0u);
-  EXPECT_EQ(slurp(warmMt.artifactPath), coldBytes);
 
   // Corrupting one entry downgrades exactly that point to a miss; the run
   // re-simulates it, re-stores it, and the artifact is unchanged.

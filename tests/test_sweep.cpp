@@ -62,23 +62,6 @@ TEST(Sweep, EmptyInputYieldsEmptyOutput) {
   EXPECT_TRUE(runSweep({}, 4).empty());
 }
 
-TEST(Sweep, PoolThreadsOversubscriptionGuard) {
-  // Single-threaded grids keep the historical behaviour: auto -> hardware
-  // concurrency, explicit requests honoured verbatim.
-  EXPECT_EQ(sweepPoolThreads(0, 8, 1), 8u);
-  EXPECT_EQ(sweepPoolThreads(3, 8, 1), 3u);
-  EXPECT_EQ(sweepPoolThreads(16, 8, 1), 16u);  // explicit oversubscribe allowed
-
-  // sparse-mt grids budget the pool so pool x sim_threads <= concurrency.
-  EXPECT_EQ(sweepPoolThreads(0, 8, 4), 2u);
-  EXPECT_EQ(sweepPoolThreads(0, 8, 2), 4u);
-  EXPECT_EQ(sweepPoolThreads(0, 8, 3), 2u);   // floor(8/3)
-  EXPECT_EQ(sweepPoolThreads(8, 8, 4), 2u);   // explicit request clamped
-  EXPECT_EQ(sweepPoolThreads(1, 8, 4), 1u);   // under budget -> honoured
-  EXPECT_EQ(sweepPoolThreads(0, 8, 16), 1u);  // wider than the machine
-  EXPECT_EQ(sweepPoolThreads(0, 0, 4), 1u);   // unknown concurrency
-}
-
 TEST(Sweep, SparseMtPointsMatchDefaultEngineThroughThePool) {
   std::vector<SweepPoint> points, mtPoints;
   for (int i = 0; i < 4; ++i) {

@@ -4,9 +4,12 @@
 //   swft_sim k=8 n=2 vcs=10 region=U:4x3@2,2 routing=det rate=0.004
 //
 // Prints a human-readable report; `--csv` emits a one-row CSV instead
-// (machine-readable, for scripted sweeps).
+// (machine-readable, for scripted sweeps). Exit codes: 0 clean run, 1 the
+// deadlock watchdog fired or the run failed, 2 bad arguments or a network
+// that cannot be built.
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,7 +24,7 @@ void printUsage() {
       "usage: swft_sim [--csv] key=value...\n"
       "keys: k n vcs escape_vcs buffer_depth msg_length rate routing traffic\n"
       "      hotspot_fraction delta td nf region warmup measured max_cycles\n"
-      "      seed livelock_threshold engine sim_threads phase_timers\n"
+      "      seed livelock_threshold phase_timers\n"
       "examples:\n"
       "  swft_sim k=8 n=3 vcs=10 rate=0.007 routing=adaptive nf=12\n"
       "  swft_sim k=8 n=2 region=U:4x3@2,2 routing=det rate=0.004\n"
@@ -53,10 +56,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // A network that cannot be built (a fault pattern that cannot be placed)
+  // is bad input like a rejected key: exit 2, not 1.
+  std::unique_ptr<swft::Network> net;
+  try {
+    net = std::make_unique<swft::Network>(cfg);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+
   try {
     // runSimulation (not a bare Network::run) so phase_timers=1 reports its
     // per-slot breakdown on stderr.
-    const swft::SimResult r = swft::runSimulation(cfg);
+    const swft::SimResult r = swft::runSimulation(*net);
 
     if (csv) {
       swft::SweepRow row;
