@@ -12,6 +12,12 @@ namespace swft {
 using MsgId = std::uint32_t;
 inline constexpr MsgId kInvalidMsg = ~MsgId{0};
 
+/// Width of a flit's message-id field. The message pool never hands out an
+/// id of kFlitNoMsg or above, so every live id fits; kFlitNoMsg (all ones in
+/// the field) is the id of a default-constructed flit.
+inline constexpr int kFlitMsgBits = 30;
+inline constexpr MsgId kFlitNoMsg = (MsgId{1} << kFlitMsgBits) - 1;
+
 enum class FlitKind : std::uint8_t {
   Header = 1,      // first flit: carries the routing information
   Body = 0,        // middle flit
@@ -19,9 +25,11 @@ enum class FlitKind : std::uint8_t {
   HeaderTail = 3,  // single-flit message
 };
 
+/// One 32-bit word: the router arena's flit rings are the bulk of the
+/// per-flit working set the cycle walks.
 struct Flit {
-  MsgId msg = kInvalidMsg;
-  FlitKind kind = FlitKind::Body;
+  MsgId msg : kFlitMsgBits = kFlitNoMsg;
+  FlitKind kind : 2 = FlitKind::Body;
 
   [[nodiscard]] bool isHeader() const noexcept {
     return kind == FlitKind::Header || kind == FlitKind::HeaderTail;
@@ -30,6 +38,7 @@ struct Flit {
     return kind == FlitKind::Tail || kind == FlitKind::HeaderTail;
   }
 };
+static_assert(sizeof(Flit) == 4);
 
 /// Fixed-capacity ring buffer of flits with per-flit arrival stamps.
 /// The stamp enforces the 1 cycle/hop timing: a flit that arrived in cycle t

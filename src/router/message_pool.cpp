@@ -1,8 +1,17 @@
 #include "src/router/message_pool.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace swft {
 
 MsgId MessagePool::allocate() {
+  if (live_ >= maxLive_) {
+    throw std::runtime_error("MessagePool: more than " + std::to_string(maxLive_) +
+                             " messages alive at once (flit message ids are " +
+                             std::to_string(kFlitMsgBits) +
+                             " bits wide; the limit is 2^30-1)");
+  }
   ++live_;
   if (!freeList_.empty()) {
     const MsgId id = freeList_.back();

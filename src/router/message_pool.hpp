@@ -14,7 +14,17 @@ namespace swft {
 
 class MessagePool {
  public:
+  /// The most messages alive at once: a flit carries its message id in
+  /// kFlitMsgBits bits, and the all-ones id is the default flit's.
+  static constexpr std::size_t kMaxLive = kFlitNoMsg;  // 2^30 - 1
+
+  /// `maxLive` lowers the limit (tests); it is clamped to kMaxLive.
+  explicit MessagePool(std::size_t maxLive = kMaxLive)
+      : maxLive_(maxLive < kMaxLive ? maxLive : kMaxLive) {}
+
   /// Allocate a slot; returns its id. The slot content is value-initialised.
+  /// Throws std::runtime_error instead of handing out an id a flit cannot
+  /// carry.
   MsgId allocate();
   /// Return a slot to the free list. The id must be live.
   void release(MsgId id);
@@ -29,6 +39,7 @@ class MessagePool {
   std::vector<Message> slots_;
   std::vector<MsgId> freeList_;
   std::size_t live_ = 0;
+  std::size_t maxLive_;
 };
 
 }  // namespace swft

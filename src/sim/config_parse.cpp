@@ -8,6 +8,7 @@
 #include "src/router/flit.hpp"
 #include "src/router/message.hpp"
 #include "src/routing/vc_partition.hpp"
+#include "src/sim/router_arena.hpp"
 
 namespace swft {
 
@@ -243,8 +244,8 @@ void validateConfig(const SimConfig& cfg) {
               cfg.escapeVcs);
   }
   // Each range below is one the engine would otherwise wrap or misread
-  // silently: Message::length is a uint16_t, Delta and Td are cast to
-  // uint64_t cycle offsets, Rng::geometric reads a NaN or negative rate as
+  // silently: Message::length is a uint16_t, Delta is cast to a uint64_t
+  // cycle offset, Rng::geometric reads a NaN or negative rate as
   // "never" and a rate above 1 as 1, and a NaN hotspot fraction never
   // compares true.
   constexpr int kMaxLength = std::numeric_limits<decltype(Message::length)>::max();
@@ -253,7 +254,12 @@ void validateConfig(const SimConfig& cfg) {
               cfg.messageLength);
   }
   if (cfg.reinjectDelay < 0) failRange("delta", ">= 0", cfg.reinjectDelay);
-  if (cfg.routerDecisionTime < 0) failRange("td", ">= 0", cfg.routerDecisionTime);
+  // Td is compared against 32-bit arrival-stamp ages, which the router
+  // arena keeps exact only below RouterArena::kMaxStampAge.
+  if (cfg.routerDecisionTime < 0 ||
+      static_cast<std::uint64_t>(cfg.routerDecisionTime) >= RouterArena::kMaxStampAge) {
+    failRange("td", "in [0, 2^30)", cfg.routerDecisionTime);
+  }
   if (!(cfg.injectionRate >= 0.0 && cfg.injectionRate <= 1.0)) {
     failRange("rate", "in [0, 1]", cfg.injectionRate);
   }

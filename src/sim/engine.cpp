@@ -39,6 +39,10 @@ void Network::advanceCycle() {
 
 void Network::endCycle() noexcept {
   ++cycle_;
+  // Keep every 32-bit arrival-stamp age exact (router_arena.hpp).
+  if ((cycle_ & (RouterArena::kStampRenormPeriod - 1)) == 0) {
+    arena_.renormaliseStamps(cycle_);
+  }
 
   // Deadlock watchdog (invariant: must never fire; see tests).
   if (pool_.liveCount() > 0 && cycle_ - lastMovementCycle_ > cfg_.deadlockWindow) {
@@ -285,7 +289,13 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
     }
     if (free.size() == free.capacity()) break;
   }
-  if (free.empty()) return;  // all admissible VCs busy: retry next cycle
+  // All admissible VCs busy: park the header. Its retry would compute the
+  // same route (computeRoute is pure) and fail again, drawing no RNG, until
+  // one of this router's output VCs is released — which wakes it.
+  if (free.empty()) {
+    arena_.park(id, unitIdx);
+    return;
+  }
   const std::uint16_t pick =
       free[engineRng_.uniform(static_cast<std::uint32_t>(free.size()))];
   const int outPort = pick / 16;
@@ -296,23 +306,25 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
 
 void Network::stepRouter(NodeId id) {
   const int localPort = networkPorts_;
-  const auto td = static_cast<std::uint64_t>(cfg_.routerDecisionTime);
+  const auto td = static_cast<std::uint32_t>(cfg_.routerDecisionTime);
   const int routerBase = arena_.base(id);
   const int occW = arena_.occWordsPerRouter();
   const std::uint64_t* occ = arena_.occWords(id);
 
   // Phase A: route computation + VC allocation for occupied unrouted heads,
   // in ascending unit order. This is the only RNG-drawing part of a router
-  // step, so the order must match the dense reference scan exactly.
+  // step, so the order must match the dense reference scan exactly. Parked
+  // headers are skipped: their retry is dead work (applyRouteDecision).
   const std::uint64_t* routedW = arena_.routedWords(id);
+  const std::uint64_t* parkedW = arena_.parkedWords(id);
   for (int w = 0; w < occW; ++w) {
-    std::uint64_t bits = occ[w] & ~routedW[w];
+    std::uint64_t bits = occ[w] & ~routedW[w] & ~parkedW[w];
     while (bits) {
       const int unitIdx = w * 64 + std::countr_zero(bits);
       bits &= bits - 1;
       const int g = routerBase + unitIdx;
       if (!arena_.front(g).isHeader()) continue;
-      if (td != 0 && arena_.frontArrival(g) + td > cycle_) continue;  // Td model
+      if (td != 0 && arena_.frontAge(g, cycle_) < td) continue;  // Td model
       routeHeader(id, unitIdx);
     }
   }

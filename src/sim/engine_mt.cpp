@@ -87,14 +87,14 @@ void MtEngine::buildCards(int d) {
   std::vector<RouteCard>& cards = cards_[d];
   cards.clear();
   const std::uint64_t cycle = n.cycle_;
-  const auto td = static_cast<std::uint64_t>(n.cfg_.routerDecisionTime);
+  const auto td = static_cast<std::uint32_t>(n.cfg_.routerDecisionTime);
   const NodeId lo = domStart_[d];
   const NodeId hi = domStart_[d + 1];
   const std::vector<std::uint64_t>& active = a.activeWords();
   const int occW = a.occWordsPerRouter();
 
-  // The same occupied-unrouted-header scan as Network::stepRouter's route
-  // phase, over this domain's slice of the active set.
+  // The same occupied-unrouted-unparked-header scan as Network::stepRouter's
+  // route phase, over this domain's slice of the active set.
   const std::size_t wLo = static_cast<std::size_t>(lo) >> 6;
   const std::size_t wHi = (static_cast<std::size_t>(hi) + 63) >> 6;
   for (std::size_t w = wLo; w < wHi; ++w) {
@@ -108,15 +108,16 @@ void MtEngine::buildCards(int d) {
       const int routerBase = a.base(id);
       const std::uint64_t* occ = a.occWords(id);
       const std::uint64_t* routedW = a.routedWords(id);
+      const std::uint64_t* parkedW = a.parkedWords(id);
       const std::size_t begin = cards.size();
       for (int ow = 0; ow < occW; ++ow) {
-        std::uint64_t units = occ[ow] & ~routedW[ow];
+        std::uint64_t units = occ[ow] & ~routedW[ow] & ~parkedW[ow];
         while (units != 0) {
           const int g = routerBase + ow * 64 + std::countr_zero(units);
           units &= units - 1;
           const Flit& front = a.front(g);
           if (!front.isHeader()) continue;
-          if (td != 0 && a.frontArrival(g) + td > cycle) continue;
+          if (td != 0 && a.frontAge(g, cycle) < td) continue;
           cards.push_back({static_cast<std::int32_t>(g), front.msg,
                            n.computeRoute(n.pool_.get(front.msg), id)});
         }

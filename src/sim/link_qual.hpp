@@ -5,11 +5,13 @@
 // earlier cycle and the downstream VC buffer it feeds has a free slot (paper
 // §5.1 assumptions (f)/(g)):
 //
-//   frontArrival(u) < cycle  &&  size(downBase[outPort(u)] + outVc(u)) != depth
+//   frontAge(u, cycle) != 0  &&  size(downBase[outPort(u)] + outVc(u)) != depth
 //
-// Two scalar reads per candidate, straight from arena state. The ejection
-// port's downstream is the arena's always-empty credit sink, so an ejection
-// candidate passes the credit read without a locality branch.
+// Two scalar reads per candidate, straight from arena state. (A nonzero
+// 32-bit stamp age means "arrived before cycle"; router_arena.hpp keeps
+// ages exact.) The ejection port's downstream is the arena's always-empty
+// credit sink, so an ejection candidate passes the credit read without a
+// locality branch.
 #pragma once
 
 #include <bit>
@@ -43,7 +45,7 @@ namespace swft {
     const std::uint32_t r = rw[u];
     const int port = RouterArena::wordOutPort(r);
     const auto arrived =
-        static_cast<std::uint64_t>(a.frontArrival(routerBase + u) < cycle);
+        static_cast<std::uint64_t>(a.frontAge(routerBase + u, cycle) != 0);
     const auto credit = static_cast<std::uint64_t>(
         a.size(downBase[port] + RouterArena::wordOutVc(r)) != depth);
     const std::uint64_t q = arrived & credit;
@@ -82,7 +84,7 @@ namespace swft {
     while (m != 0) {
       const int u = w * 64 + std::countr_zero(m);
       m &= m - 1;
-      if (a.frontArrival(routerBase + u) < cycle &&
+      if (a.frontAge(routerBase + u, cycle) != 0 &&
           a.size(downBase + RouterArena::wordOutVc(rw[u])) != depth) {
         return u;
       }

@@ -240,8 +240,9 @@ std::string Network::validateNodeState() const {
 std::string Network::validateInvariants() const {
   const int vcs = cfg_.vcs;
   const int unitCount = arena_.unitsPerRouter();
-  // 0. The routed and per-port request masks mirror the route words, and
-  //    no buffered front arrived after the cycle that just executed.
+  // 0. The routed and per-port request masks mirror the route words, every
+  //    parked unit is an occupied unrouted header, and no buffered front
+  //    arrived after the cycle that just executed.
   if (std::string err =
           arena_.auditMasks(cycle_ == 0 ? 0 : cycle_ - 1);
       !err.empty()) {

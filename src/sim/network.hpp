@@ -85,9 +85,10 @@ class Network {
   }
 
   /// Validate microarchitectural invariants (occupancy bits/counts/active
-  /// set vs buffers, output-VC ownership consistency, wormhole per-VC
-  /// message contiguity, injection-side work-set coverage). Returns an empty
-  /// string when consistent, else a description of the first violation.
+  /// set vs buffers, parked headers, output-VC ownership consistency,
+  /// wormhole per-VC message contiguity, injection-side work-set coverage).
+  /// Returns an empty string when consistent, else a description of the
+  /// first violation.
   /// O(network size); test/debug use.
   [[nodiscard]] std::string validateInvariants() const;
 

@@ -39,6 +39,7 @@ RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
   routedMask_.resize(static_cast<std::size_t>(nodes) *
                          static_cast<std::size_t>(occWords_),
                      0);
+  parked_.resize(routedMask_.size(), 0);
   portMembers_.resize(static_cast<std::size_t>(nodes) *
                           static_cast<std::size_t>(totalPorts) *
                           static_cast<std::size_t>(occWords_),
@@ -61,7 +62,11 @@ std::string RouterArena::auditMasks(std::uint64_t lastCycle) const {
       const int g = base(id) + local;
       const std::size_t w = maskIndex(id, local);
       const std::uint64_t bit = 1ULL << (local & 63);
-      if ((occ_[w] & bit) != 0 && meta_[g].frontArrival > lastCycle) {
+      const bool occupied = (occ_[w] & bit) != 0;
+      // Ages below 2^31 are the only legal ones (class comment); a stamp
+      // ahead of lastCycle wraps to an age at or above that.
+      if (occupied && static_cast<std::uint32_t>(lastCycle) - meta_[g].frontArrival >=
+                          (std::uint32_t{1} << 31)) {
         os << "front stamp from the future at node " << id << " local "
            << local << ": frontArrival=" << meta_[g].frontArrival
            << " last executed cycle " << lastCycle;
@@ -71,6 +76,12 @@ std::string RouterArena::auditMasks(std::uint64_t lastCycle) const {
       if (((routedMask_[w] & bit) != 0) != routed) {
         os << "routed-mask mismatch at node " << id << " local " << local
            << ": routeWord=" << route_[g];
+        return os.str();
+      }
+      if ((parked_[w] & bit) != 0 && (!occupied || routed || !front(g).isHeader())) {
+        os << "parked unit at node " << id << " local " << local
+           << " is not an occupied unrouted header: size=" << meta_[g].size
+           << " routeWord=" << route_[g];
         return os.str();
       }
       for (int p = 0; p < totalPorts_; ++p) {
@@ -85,6 +96,18 @@ std::string RouterArena::auditMasks(std::uint64_t lastCycle) const {
     }
   }
   return {};
+}
+
+void RouterArena::renormaliseStamps(std::uint64_t now) noexcept {
+  const auto floor = static_cast<std::uint32_t>(now) - kMaxStampAge;
+  const auto clamp = [&](std::uint32_t& stamp) {
+    if (static_cast<std::uint32_t>(now) - stamp > kMaxStampAge) stamp = floor;
+  };
+  for (UnitMeta& m : meta_) {
+    clamp(m.frontArrival);
+    clamp(m.lastPush);
+  }
+  for (std::uint32_t& stamp : arrival_) clamp(stamp);
 }
 
 }  // namespace swft

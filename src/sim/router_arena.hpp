@@ -12,7 +12,7 @@
 //   globalUnit = node * unitsPerRouter + port * vcs + vc
 //
 // so the credit-check fields (`full()` == one byte compare against the shared
-// depth, `frontArrival()`) are dense and prefetch-friendly. The arena also
+// depth, `frontAge()`) are dense and prefetch-friendly. The arena also
 // maintains the network-level active set (one bit per router with any
 // occupied input unit) that the event-sparse engine walks with countr_zero;
 // push/pop keep the per-router occupancy words, the occupied-unit count and
@@ -25,6 +25,15 @@
 // kept beside the route words are routedMask_ and portMembers_ (bit per
 // (router, port, unit): routed with outPort == port), written exactly where
 // route words are written and cleared.
+//
+// Arrival stamps hold the low 32 bits of the cycle, and every reader compares
+// ages, `uint32_t(now) - stamp`, never raw stamps. An age is exact while it
+// is below 2^32; renormaliseStamps, run every kStampRenormPeriod cycles,
+// clamps each stamp older than 2^30 to exactly age 2^30, so no age ever
+// reaches 2^31. The clamp keeps every comparison the engine makes — "age
+// != 0" (arrived before this cycle) and "age < td" with td < 2^30 — by the
+// freshness lemma below: any stamp < now is as good as the true one once the
+// age exceeds td.
 #pragma once
 
 #include <bit>
@@ -51,10 +60,16 @@ class RouterArena {
   /// single remaining flit is the most recent push (stamp kept exactly in
   /// `lastPush_`) while >= 2 remaining flits all arrived strictly before the
   /// popping cycle (any stamp < now preserves every comparison). Dropping
-  /// the ring removes 8 bytes x depth-rounded slots per unit from the hot
+  /// the ring removes 4 bytes x depth-rounded slots per unit from the hot
   /// working set.
   RouterArena(int nodes, int totalPorts, int networkPorts, int vcs, int bufferDepth,
               bool exactArrivals = true);
+
+  /// Stamp ages are clamped to this bound by renormaliseStamps; a
+  /// router decision time must stay below it (validateConfig).
+  static constexpr std::uint32_t kMaxStampAge = std::uint32_t{1} << 30;
+  /// Cycles between renormalisation passes (Network::endCycle).
+  static constexpr std::uint64_t kStampRenormPeriod = kMaxStampAge;
 
   // --- geometry -------------------------------------------------------------
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
@@ -77,11 +92,13 @@ class RouterArena {
   [[nodiscard]] const Flit& front(int u) const noexcept {
     return flit_[slot(u, meta_[u].head)];
   }
-  /// Arrival stamp of the front flit, kept beside the ring head/size: the
-  /// per-cycle eligibility checks (`departed-this-cycle`, Td) and the push/
-  /// pop updates hit the same packed record.
-  [[nodiscard]] std::uint64_t frontArrival(int u) const noexcept {
-    return meta_[u].frontArrival;
+  /// Cycles since the front flit arrived, as of cycle `now`: 0 iff it
+  /// arrived in `now`. Exact below kMaxStampAge, at least that above. The
+  /// stamp sits beside the ring head/size: the per-cycle eligibility checks
+  /// (`departed-this-cycle`, Td) and the push/pop updates hit the same
+  /// packed record.
+  [[nodiscard]] std::uint32_t frontAge(int u, std::uint64_t now) const noexcept {
+    return static_cast<std::uint32_t>(now) - meta_[u].frontArrival;
   }
   /// i-th buffered flit from the front (introspection/validation).
   [[nodiscard]] const Flit& flitAt(int u, int i) const noexcept {
@@ -112,16 +129,17 @@ class RouterArena {
     UnitMeta& m = meta_[u];
     const std::uint16_t was = m.size;
     const int s = slot(u, (m.head + was) & strideMask_);
+    const auto stamp = static_cast<std::uint32_t>(arrivalCycle);
     flit_[s] = f;
     if (exactArrivals_) {
-      arrival_[s] = arrivalCycle;
+      arrival_[s] = stamp;
     } else {
-      m.lastPush = arrivalCycle;
+      m.lastPush = stamp;
     }
     m.size = static_cast<std::uint16_t>(was + 1);
     const bool wasEmpty = was == 0;
     // Only a push into an empty unit installs a new front.
-    m.frontArrival = wasEmpty ? arrivalCycle : m.frontArrival;
+    m.frontArrival = wasEmpty ? stamp : m.frontArrival;
     const int local = u - base(node);
     const std::uint64_t bit = 1ULL << (local & 63);
     std::uint64_t& ow = occ_[maskIndex(node, local)];
@@ -149,14 +167,14 @@ class RouterArena {
     m.size = left;
     const int local = u - base(node);
     const std::uint64_t fbit = 1ULL << (local & 63);
-    std::uint64_t fa;
+    std::uint32_t fa;
     if (exactArrivals_) {
       fa = arrival_[slot(u, m.head)];  // stale-but-unread when emptied
     } else {
       // Freshness lemma: a lone survivor is the latest push; >= 2 survivors
       // all arrived strictly before the popping cycle (see ctor comment).
       assert(left <= 1 || now > 0);
-      fa = left == 1 ? m.lastPush : now - 1;
+      fa = left == 1 ? m.lastPush : static_cast<std::uint32_t>(now - 1);
     }
     m.frontArrival = fa;
     const bool emptied = left == 0;
@@ -229,17 +247,38 @@ class RouterArena {
   }
 
   /// Recompute the derived per-router masks (routedMask_, portMembers_)
-  /// from the route words and check every buffered front stamp against
-  /// `lastCycle`, the last executed cycle (now() - 1 between cycles, 0 before
-  /// the first): a front that arrived later would qualify a cycle early or
-  /// never. Returns "" or a description of the first divergence.
+  /// from the route words, check that every parked unit is occupied,
+  /// unrouted and fronted by a header, and check every buffered front stamp
+  /// against `lastCycle`, the last executed cycle (now() - 1 between cycles,
+  /// 0 before the first): a front that arrived later would qualify a cycle
+  /// early or never. Returns "" or a description of the first divergence.
   [[nodiscard]] std::string auditMasks(std::uint64_t lastCycle) const;
+
+  /// Clamp every stored arrival stamp older than kMaxStampAge, as of cycle
+  /// `now`, to exactly that age (see the class comment). Engines call it
+  /// every kStampRenormPeriod cycles; it changes no comparison result.
+  void renormaliseStamps(std::uint64_t now) noexcept;
+
+  // --- parked headers -------------------------------------------------------
+  /// Bit per unit: an unrouted header whose last VC allocation found no free
+  /// output VC. Its retry would fail again until one of the router's output
+  /// VCs is released (route computation is pure and a failed allocation
+  /// draws no RNG), so the route phase skips it; setOutOwner(..., -1) wakes
+  /// the whole router.
+  [[nodiscard]] const std::uint64_t* parkedWords(NodeId id) const noexcept {
+    return parked_.data() +
+           static_cast<std::size_t>(id) * static_cast<std::size_t>(occWords_);
+  }
+  void park(NodeId node, int localUnit) noexcept {
+    parked_[maskIndex(node, localUnit)] |= 1ULL << (localUnit & 63);
+  }
 
   // --- output-VC ownership (network ports only) -----------------------------
   /// Owner (input-unit index local to router `id`) of an output VC, -1 free.
   [[nodiscard]] std::int16_t outOwner(NodeId id, int port, int vc) const noexcept {
     return outOwner_[ownerIndex(id, port, vc)];
   }
+  /// Releasing a VC (owner -1) wakes every parked header of the router.
   void setOutOwner(NodeId id, int port, int vc, std::int16_t owner) noexcept {
     outOwner_[ownerIndex(id, port, vc)] = owner;
     const std::size_t i = static_cast<std::size_t>(id) *
@@ -248,6 +287,9 @@ class RouterArena {
     const auto bit = static_cast<std::uint16_t>(1u << vc);
     if (owner < 0) {
       freeVc_[i] |= bit;
+      std::uint64_t* row = parked_.data() + static_cast<std::size_t>(id) *
+                                                static_cast<std::size_t>(occWords_);
+      for (int w = 0; w < occWords_; ++w) row[w] = 0;
     } else {
       freeVc_[i] = static_cast<std::uint16_t>(freeVc_[i] & ~bit);
     }
@@ -342,25 +384,25 @@ class RouterArena {
 
   // Flit rings: slot = (unit << strideLog2) + ringPos.
   std::vector<Flit> flit_;
-  std::vector<std::uint64_t> arrival_;  // per-slot stamps (exact mode only)
+  std::vector<std::uint32_t> arrival_;  // per-slot stamps (exact mode only)
   // Hot per-unit ring metadata, packed so one cache access serves a whole
   // push or pop (a flit move reads and writes every field; keeping them in
-  // parallel arrays cost a separate line touch each). 24-byte stride; the
-  // u16s sit after the u64s so the record needs no internal padding. The
-  // credit sink (vcs entries past the real units, see ctor) rides along with
-  // permanently-zero sizes.
+  // parallel arrays cost a separate line touch each). 12-byte stride:
+  // 32-bit stamps (see the class comment on ages). The credit sink (vcs
+  // entries past the real units, see ctor) rides along with permanently-zero
+  // sizes.
   struct UnitMeta {
-    std::uint64_t frontArrival = 0;  // stamp of the front flit
-    std::uint64_t lastPush = 0;      // latest stamp (inexact mode only)
+    std::uint32_t frontArrival = 0;  // stamp of the front flit
+    std::uint32_t lastPush = 0;      // latest stamp (inexact mode only)
     std::uint16_t head = 0;
     std::uint16_t size = 0;
-    std::uint32_t pad_ = 0;
   };
-  static_assert(sizeof(UnitMeta) == 24);
+  static_assert(sizeof(UnitMeta) == 12);
   std::vector<UnitMeta> meta_;
 
   std::vector<std::uint32_t> route_;
   std::vector<std::uint64_t> routedMask_;   // node x occWords
+  std::vector<std::uint64_t> parked_;       // node x occWords
   std::vector<std::uint64_t> portMembers_;  // (node x totalPorts) x occWords
 
   std::vector<std::int16_t> outOwner_;

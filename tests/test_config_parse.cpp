@@ -168,7 +168,8 @@ TEST(ConfigParse, Errors) {
   EXPECT_THROW(parse({"region=rect"}), std::invalid_argument);
   EXPECT_THROW(parse({"region=rect:3"}), std::invalid_argument);
   // Integers that do not fit their field, and values the engine would wrap
-  // or misread (a 0- or 70000-flit message, a negative delay, a NaN or
+  // or misread (a 0- or 70000-flit message, a negative delay, a decision
+  // time of 2^30 or more that 32-bit stamp ages cannot compare, a NaN or
   // out-of-range rate), are rejected naming the key.
   // Likewise every shape the network cannot build: a degenerate or oversized
   // torus, a VC count or buffer depth the router cannot hold, an escape pool
@@ -178,7 +179,8 @@ TEST(ConfigParse, Errors) {
   // assignment first; the error must name its key.
   const std::vector<std::vector<std::string>> cases = {
       {"k=4294967304"}, {"warmup=-1"}, {"msg_length=0"}, {"msg_length=70000"},
-      {"delta=-5"}, {"td=-1"}, {"rate=nan"}, {"rate=-0.5"}, {"rate=1.5"},
+      {"delta=-5"}, {"td=-1"}, {"td=1073741824"}, {"rate=nan"}, {"rate=-0.5"},
+      {"rate=1.5"},
       {"k=1"}, {"k=-3"}, {"n=0"}, {"n=9"}, {"k=4097", "n=2"},
       {"vcs=1"}, {"vcs=17"}, {"buffer_depth=0"}, {"buffer_depth=17"},
       {"escape_vcs=3", "routing=adaptive"}, {"escape_vcs=0", "routing=adaptive"},
@@ -201,6 +203,7 @@ TEST(ConfigParse, Errors) {
   }
   EXPECT_EQ(parse({"seed=18446744073709551615"}).seed, ~std::uint64_t{0});
   EXPECT_EQ(parse({"msg_length=65535", "rate=1", "delta=0", "td=0"}).messageLength, 65535);
+  EXPECT_EQ(parse({"td=1073741823"}).routerDecisionTime, (1 << 30) - 1);
   EXPECT_EQ(parse({"k=2", "n=8", "vcs=16", "buffer_depth=16", "nf=255",
                    "hotspot_fraction=1", "livelock_threshold=0"})
                 .faults.randomNodes,

@@ -6,8 +6,10 @@
 // may never reorder or change live work.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "src/harness/sweep.hpp"
 #include "src/sim/config_canon.hpp"
@@ -16,6 +18,14 @@
 #include "tests/naming.hpp"
 
 namespace swft {
+
+struct NetworkTestAccess {
+  static void setCycle(Network& net, std::uint64_t c) {
+    net.cycle_ = c;
+    net.lastMovementCycle_ = c;
+  }
+};
+
 namespace {
 
 struct EngineCase {
@@ -234,7 +244,9 @@ const std::vector<std::vector<PinnedEvent>> kPinnedHops = {
 };
 // clang-format on
 
-void runPinnedContention(EngineKind engine, int simThreads) {
+// `startCycle` shifts the whole scenario in time; every event must shift
+// with it.
+void runPinnedContention(EngineKind engine, int simThreads, std::uint64_t startCycle = 0) {
   SimConfig cfg;
   cfg.radix = 4;
   cfg.dims = 2;
@@ -242,10 +254,12 @@ void runPinnedContention(EngineKind engine, int simThreads) {
   cfg.injectionRate = 0.0;  // only the four hand-injected messages
   cfg.warmupMessages = 0;
   cfg.measuredMessages = 4;
+  cfg.maxCycles = ~std::uint64_t{0};
   cfg.engine = engine;
   cfg.simThreads = simThreads;
   TraceRecorder trace;
   Network net(cfg);
+  NetworkTestAccess::setCycle(net, startCycle);
   net.attachTrace(&trace);
   const auto at = [&](int x, int y) {
     Coordinates c;
@@ -264,7 +278,8 @@ void runPinnedContention(EngineKind engine, int simThreads) {
     ASSERT_EQ(events.size(), kPinnedHops[seq].size()) << "seq " << seq;
     for (std::size_t i = 0; i < events.size(); ++i) {
       EXPECT_EQ(events[i].kind, kPinnedHops[seq][i].kind) << "seq " << seq << " event " << i;
-      EXPECT_EQ(events[i].cycle, kPinnedHops[seq][i].cycle) << "seq " << seq << " event " << i;
+      EXPECT_EQ(events[i].cycle, startCycle + kPinnedHops[seq][i].cycle)
+          << "seq " << seq << " event " << i;
       EXPECT_EQ(events[i].node, kPinnedHops[seq][i].node) << "seq " << seq << " event " << i;
       EXPECT_EQ(events[i].port, kPinnedHops[seq][i].port) << "seq " << seq << " event " << i;
     }
@@ -281,6 +296,13 @@ TEST(EngineEquivalence, PinnedHopVectorsUnderContention) {
 // different domains must reproduce the exact dense schedule.
 TEST(EngineEquivalence, PinnedHopVectorsUnderContentionSparseMt) {
   runPinnedContention(EngineKind::SparseMt, 5);
+}
+
+// The same schedule started 4 cycles before cycle 2^32: the arena's 32-bit
+// arrival stamps wrap mid-scenario, and the stamp renormalisation pass runs
+// at the end of cycle 2^32 - 1 (2^32 is a multiple of its period).
+TEST(EngineEquivalence, PinnedHopVectorsAcrossStampWrap) {
+  runPinnedContention(EngineKind::Sparse, 1, (std::uint64_t{1} << 32) - 4);
 }
 
 // The goldens and pinned hop vectors are the recorded results of one engine
@@ -475,6 +497,88 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
       ASSERT_EQ(ref.validateInvariants(), "") << "cycle " << c;
       ASSERT_EQ(sparse.validateInvariants(), "") << "cycle " << c;
       ASSERT_EQ(mt.validateInvariants(), "") << "cycle " << c;
+    }
+  }
+}
+
+// Header parking in lockstep with the dense reference, which retries a
+// blocked header every cycle. On an 8-node ring with V = 2 and depth-1
+// buffers each e-cube hop has one admissible VC, so messages 0 -> 3 and
+// 1 -> 4 both need node 1's +x VC 0: one header wins it, the other fails its
+// allocation and parks. The winner's tail leaving node 1 releases the VC,
+// which must wake the parked header so that it routes on the very next
+// cycle — the cycle the dense engine's retry first succeeds.
+TEST(EngineEquivalence, ParkedHeaderWakesOnTailReleaseInLockstep) {
+  SimConfig cfg;
+  cfg.radix = 8;
+  cfg.dims = 1;
+  cfg.vcs = 2;
+  cfg.bufferDepth = 1;
+  cfg.messageLength = 6;
+  cfg.injectionRate = 0.0;
+  cfg.warmupMessages = 0;
+  cfg.measuredMessages = 2;
+  DenseReference ref(cfg);
+  Network sparse(cfg);
+  TraceRecorder denseTrace, sparseTrace;
+  ref.attachTrace(&denseTrace);
+  sparse.attachTrace(&sparseTrace);
+  for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{0, 3}, {1, 4}}) {
+    ref.injectTestMessage(src, dst, cfg.messageLength, RoutingMode::Deterministic);
+    sparse.injectTestMessage(src, dst, cfg.messageLength, RoutingMode::Deterministic);
+  }
+  const RouterArena& a = sparse.arena();
+  int parkedCycles = 0;
+  int parkedUnit = -1;
+  std::uint64_t wokeAt = 0;
+  for (int c = 0; c < 60 && sparse.delivered() < 2; ++c) {
+    ref.step(1);
+    sparse.step(1);
+    ASSERT_EQ(sparse.arena().auditMasks(sparse.now() - 1), "") << "cycle " << c;
+    ASSERT_EQ(sparse.validateInvariants(), "") << "cycle " << c;
+    for (NodeId id = 0; id < sparse.topology().nodeCount(); ++id) {
+      for (int u = 0; u < a.unitsPerRouter(); ++u) {
+        ASSERT_EQ(a.routed(a.base(id) + u), ref.routers()[id].unit(u).routed)
+            << "node " << id << " unit " << u << " cycle " << c;
+      }
+    }
+    const std::uint64_t parked = a.parkedWords(1)[0];
+    for (NodeId id = 0; id < sparse.topology().nodeCount(); ++id) {
+      if (id != 1) {
+        ASSERT_EQ(a.parkedWords(id)[0], 0u) << "node " << id;
+      }
+    }
+    if (parked != 0) {
+      ASSERT_EQ(std::popcount(parked), 1);
+      parkedUnit = std::countr_zero(parked);
+      ++parkedCycles;
+      EXPECT_FALSE(a.routed(a.base(1) + parkedUnit));
+    } else if (parkedUnit >= 0 && wokeAt == 0) {
+      // Woken by this cycle's tail release, after the route phase: still
+      // unrouted now, routed one cycle later in both engines.
+      wokeAt = sparse.now();
+      EXPECT_FALSE(a.routed(a.base(1) + parkedUnit)) << "cycle " << c;
+      ref.step(1);
+      sparse.step(1);
+      EXPECT_TRUE(a.routed(a.base(1) + parkedUnit)) << "cycle " << c + 1;
+      EXPECT_TRUE(ref.routers()[1].unit(parkedUnit).routed) << "cycle " << c + 1;
+      ++c;
+    }
+  }
+  EXPECT_GE(parkedCycles, 3) << "the loser must wait out the winner's body";
+  EXPECT_NE(wokeAt, 0u) << "the parked header was never woken";
+  ref.step(60);
+  sparse.step(60);
+  ASSERT_EQ(sparse.delivered(), 2u);
+  ASSERT_EQ(ref.network().delivered(), 2u);
+  for (std::uint32_t seq = 0; seq < 2; ++seq) {
+    const auto& d = denseTrace.eventsFor(seq);
+    const auto& s = sparseTrace.eventsFor(seq);
+    ASSERT_EQ(d.size(), s.size()) << "seq " << seq;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      EXPECT_TRUE(d[i].kind == s[i].kind && d[i].cycle == s[i].cycle &&
+                  d[i].node == s[i].node && d[i].port == s[i].port)
+          << "seq " << seq << " event " << i;
     }
   }
 }

@@ -12,7 +12,10 @@
 #include <sstream>
 
 #include "src/harness/experiment_registry.hpp"
+#include "src/harness/result_cache.hpp"
 #include "src/harness/table.hpp"
+#include "src/sim/config_canon.hpp"
+#include "src/util/fnv.hpp"
 #include "tests/naming.hpp"
 
 namespace swft {
@@ -65,6 +68,37 @@ TEST(ExperimentRegistry, DuplicateRegistrationThrows) {
   unnamed.build = [] { return std::vector<SweepPoint>{}; };
   EXPECT_THROW(ExperimentRegistry::instance().add(std::move(unnamed)),
                std::invalid_argument);
+}
+
+// Every registered experiment's rows at smoke scale (the e2e benchmark's
+// smoke caps: 20 warm-up and 60 measured messages, at most 1500 cycles) are
+// recorded results of one engine semantics, like the equivalence goldens
+// and the fuzz digest: a change to routing, the software layer or traffic
+// generation that misses those still moves some figure grid here. Re-record
+// with the printed value AND bump kEngineSemanticsVersion, or the result
+// cache keeps serving the old rows.
+TEST(ExperimentRegistry, SmokeScaleRowsPinnedToSemanticsVersion) {
+  std::uint64_t digest = kFnv1a64OffsetBasis;
+  std::size_t points = 0;
+  for (const ExperimentSpec* spec : ExperimentRegistry::instance().all()) {
+    std::vector<SweepPoint> grid = spec->build();
+    for (SweepPoint& p : grid) {
+      p.cfg.warmupMessages = 20;
+      p.cfg.measuredMessages = 60;
+      p.cfg.maxCycles = 1'500;
+    }
+    points += grid.size();
+    digest = fnv1a64(spec->name + "\n", digest);
+    for (const SweepRow& row : runSweep(std::move(grid), 4)) {
+      digest = fnv1a64(row.point.label + ' ' + serializeResult(row.result), digest);
+    }
+  }
+  RecordProperty("points", static_cast<int>(points));
+  ASSERT_EQ(kEngineSemanticsVersion, 1u);
+  EXPECT_EQ(digest, 0xa7fecb94150b29b9ULL)
+      << "the smoke-scale experiment rows changed (digest 0x" << std::hex << digest
+      << "): re-record this digest AND bump kEngineSemanticsVersion "
+         "(src/sim/config_canon.hpp)";
 }
 
 // ---- sharding -------------------------------------------------------------

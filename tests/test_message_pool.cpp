@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace swft {
 namespace {
 
@@ -38,6 +41,36 @@ TEST(MessagePool, CapacityTracksPeakNotLive) {
   pool.allocate();
   EXPECT_EQ(pool.capacity(), 3u);
   EXPECT_EQ(pool.liveCount(), 3u);
+}
+
+// A flit carries its message id in 30 bits, so the pool refuses to hand
+// out an id past the 2^30 - 1 live-message limit rather than let it be
+// truncated; a lowered limit exercises the same path.
+TEST(MessagePool, RefusesIdsAFlitCannotCarry) {
+  EXPECT_EQ(MessagePool::kMaxLive, (std::size_t{1} << 30) - 1);
+  EXPECT_LT(MessagePool::kMaxLive - 1, std::size_t{kFlitNoMsg}) << "largest id";
+  MessagePool pool(2);
+  const MsgId a = pool.allocate();
+  pool.allocate();
+  try {
+    pool.allocate();
+    ADD_FAILURE() << "third live message allocated";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("2^30-1"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(pool.liveCount(), 2u);
+  pool.release(a);
+  EXPECT_EQ(pool.allocate(), a) << "a released slot is usable again";
+}
+
+TEST(Flit, PacksIdAndKindIntoOneWord) {
+  const Flit def;
+  EXPECT_EQ(def.msg, kFlitNoMsg);
+  EXPECT_EQ(def.kind, FlitKind::Body);
+  const Flit f{kFlitNoMsg - 1, FlitKind::HeaderTail};
+  EXPECT_EQ(f.msg, kFlitNoMsg - 1);
+  EXPECT_TRUE(f.isHeader());
+  EXPECT_TRUE(f.isTail());
 }
 
 TEST(Message, FlitKindLayout) {

@@ -30,10 +30,10 @@ TEST(RouterArena, FifoOrderAndArrivalStamps) {
   a.push(2, u, Flit{10, FlitKind::Tail}, 102);
   EXPECT_TRUE(a.full(u)) << "depth 3 reached";
   EXPECT_EQ(a.size(u), 3);
-  EXPECT_EQ(a.frontArrival(u), 100u);
+  EXPECT_EQ(a.frontAge(u, 104), 4u) << "the header arrived in cycle 100";
   EXPECT_EQ(a.flitAt(u, 2).kind, FlitKind::Tail);
   EXPECT_EQ(a.pop(2, u).kind, FlitKind::Header);
-  EXPECT_EQ(a.frontArrival(u), 101u);
+  EXPECT_EQ(a.frontAge(u, 104), 3u) << "the body arrived in cycle 101";
   // Ring wrap: the freed slot is reusable immediately.
   a.push(2, u, Flit{11, FlitKind::Header}, 103);
   EXPECT_TRUE(a.full(u));
@@ -109,6 +109,116 @@ TEST(RouterArena, AuditRejectsFrontStampFromTheFuture) {
   EXPECT_EQ(a.auditMasks(7), "");
   EXPECT_NE(a.auditMasks(6).find("front stamp from the future"), std::string::npos);
 }
+
+// Parking is a per-router row: a failed VC allocation parks one unit, and
+// releasing any output VC of that router (setOutOwner(..., -1)) wakes them
+// all. The audit accepts only parked units that are occupied, unrouted and
+// fronted by a header.
+TEST(RouterArena, ParkedRowLifecycleAndAudit) {
+  RouterArena a = smallArena();
+  a.push(1, a.unitIndex(1, 0, 1), Flit{4, FlitKind::Header}, 0);
+  a.push(1, a.unitIndex(1, 4, 0), Flit{5, FlitKind::Header}, 0);
+  a.park(1, 0 * 4 + 1);
+  a.park(1, 4 * 4 + 0);
+  EXPECT_EQ(a.parkedWords(1)[0], (1ULL << 1) | (1ULL << 16));
+  EXPECT_EQ(a.parkedWords(0)[0], 0u) << "other routers unaffected";
+  EXPECT_EQ(a.auditMasks(0), "");
+  a.setOutOwner(1, 2, 1, 7);
+  EXPECT_NE(a.parkedWords(1)[0], 0u) << "taking a VC wakes nobody";
+  a.setOutOwner(2, 2, 1, -1);
+  EXPECT_NE(a.parkedWords(1)[0], 0u) << "another router's release wakes nobody";
+  a.setOutOwner(1, 2, 1, -1);
+  EXPECT_EQ(a.parkedWords(1)[0], 0u) << "a release wakes the whole router";
+
+  a.park(1, 2);  // empty unit
+  EXPECT_NE(a.auditMasks(0).find("parked unit"), std::string::npos);
+  a.setOutOwner(1, 0, 0, -1);
+  a.park(1, 0 * 4 + 1);
+  a.allocateRoute(1, 0 * 4 + 1, 2, 0);  // routed
+  EXPECT_NE(a.auditMasks(0).find("parked unit"), std::string::npos);
+  a.releaseRoute(1, 0 * 4 + 1);
+  a.setOutOwner(1, 0, 0, -1);
+  const int body = a.unitIndex(1, 3, 3);
+  a.push(1, body, Flit{6, FlitKind::Body}, 0);
+  a.park(1, 3 * 4 + 3);  // fronted by a body flit
+  EXPECT_NE(a.auditMasks(0).find("parked unit"), std::string::npos);
+}
+
+// Arrival stamps are 32 bits wide and every reader compares ages, so a
+// unit's flits keep their 1 cycle/hop timing straight across cycle 2^32,
+// in both stamp representations. renormaliseStamps clamps a stamp older
+// than 2^30 to age exactly 2^30 and leaves younger ones alone, which keeps
+// every age comparison (age != 0, age < td for td < 2^30) unchanged.
+class RouterArenaStamps : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RouterArenaStamps, PushPopAndQualifyAcrossCycle2To32) {
+  RouterArena a(4, 5, 4, 4, 4, /*exactArrivals=*/GetParam());
+  constexpr std::uint64_t kWrap = std::uint64_t{1} << 32;
+  std::int32_t downBase[5];
+  for (int p = 0; p < 4; ++p) downBase[p] = a.unitIndex(1, p ^ 1, 0);
+  downBase[4] = a.creditSinkBase();
+  std::uint64_t okp[5];
+  const auto qualifies = [&](std::uint64_t cycle) {
+    return qualifyLinkCandidates(a, 0, downBase, cycle, okp, 5) != 0;
+  };
+  // One message through one unit, one event per cycle in engine order
+  // (a cycle's pushes never carry a later stamp than the cycle).
+  const int u = a.unitIndex(0, 4, 2);
+  a.push(0, u, Flit{1, FlitKind::Header}, kWrap - 2);
+  a.allocateRoute(0, 4 * 4 + 2, 1, 0);
+  EXPECT_FALSE(qualifies(kWrap - 2)) << "arrived this cycle";
+  EXPECT_EQ(a.frontAge(u, kWrap + 5), 7u);
+  EXPECT_TRUE(qualifies(kWrap - 1));
+  EXPECT_EQ(a.pop(0, u, kWrap - 1).kind, FlitKind::Header);
+  a.push(0, u, Flit{1, FlitKind::Body}, kWrap - 1);
+  EXPECT_EQ(a.frontAge(u, kWrap - 1), 0u);
+  EXPECT_FALSE(qualifies(kWrap - 1));
+  a.push(0, u, Flit{1, FlitKind::Body}, kWrap);
+  EXPECT_TRUE(qualifies(kWrap)) << "age 1 across the wrap";
+  a.push(0, u, Flit{1, FlitKind::Tail}, kWrap + 1);
+  EXPECT_EQ(a.pop(0, u, kWrap + 1).kind, FlitKind::Body);
+  EXPECT_EQ(a.frontAge(u, kWrap + 1), 1u) << "two survivors, the front from kWrap";
+  EXPECT_TRUE(qualifies(kWrap + 1));
+  EXPECT_EQ(a.auditMasks(kWrap + 1), "");
+  EXPECT_NE(a.auditMasks(kWrap - 1).find("from the future"), std::string::npos);
+  EXPECT_EQ(a.pop(0, u, kWrap + 2).kind, FlitKind::Body);
+  EXPECT_EQ(a.frontAge(u, kWrap + 2), 1u) << "the lone tail arrived in kWrap + 1";
+  EXPECT_TRUE(qualifies(kWrap + 2));
+  EXPECT_FALSE(qualifies(kWrap + 1));
+  EXPECT_EQ(a.pop(0, u, kWrap + 3).kind, FlitKind::Tail);
+  EXPECT_TRUE(a.empty(u));
+}
+
+TEST_P(RouterArenaStamps, RenormaliseClampsOnlyStampsOlderThan2To30) {
+  RouterArena a(4, 5, 4, 4, 4, /*exactArrivals=*/GetParam());
+  constexpr std::uint64_t kOld = (std::uint64_t{1} << 32) - 3;  // wraps below
+  constexpr std::uint64_t kNow = kOld + RouterArena::kMaxStampAge + 10;
+  const int stale = a.unitIndex(0, 1, 0);
+  const int fresh = a.unitIndex(2, 3, 1);
+  a.push(0, stale, Flit{1, FlitKind::Header}, kOld);
+  a.push(0, stale, Flit{1, FlitKind::Tail}, kOld + 1);
+  a.push(2, fresh, Flit{2, FlitKind::HeaderTail}, kNow - 3);
+  EXPECT_EQ(a.frontAge(stale, kNow), RouterArena::kMaxStampAge + 10);
+  a.renormaliseStamps(kNow);
+  EXPECT_EQ(a.frontAge(stale, kNow), RouterArena::kMaxStampAge) << "clamped";
+  EXPECT_EQ(a.frontAge(fresh, kNow), 3u) << "younger stamps untouched";
+  EXPECT_EQ(a.auditMasks(kNow - 1), "");
+  // The second flit's stamp (ring slot or lastPush) was clamped too.
+  a.pop(0, stale, kNow);
+  EXPECT_EQ(a.frontAge(stale, kNow), RouterArena::kMaxStampAge);
+  // Ages keep counting from the clamp, so the next pass finds it at 2^31
+  // and clamps it again; it never wraps to look fresh.
+  constexpr std::uint64_t kNext = kNow + RouterArena::kStampRenormPeriod;
+  EXPECT_EQ(a.frontAge(stale, kNext), std::uint32_t{1} << 31);
+  a.renormaliseStamps(kNext);
+  EXPECT_EQ(a.frontAge(stale, kNext), RouterArena::kMaxStampAge);
+  EXPECT_EQ(a.frontAge(fresh, kNext), RouterArena::kMaxStampAge);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RouterArenaStamps, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Exact" : "Inexact");
+                         });
 
 // The direct link predicate on a hand-built router 0 of the small arena:
 // a routed front qualifies iff it arrived before the executing cycle and the
