@@ -6,8 +6,8 @@
 namespace swft {
 
 MsgId MessagePool::allocate() {
-  if (live_ >= maxLive_) {
-    throw std::runtime_error("MessagePool: more than " + std::to_string(maxLive_) +
+  if (live_ >= kMaxLive) {
+    throw std::runtime_error("MessagePool: more than " + std::to_string(kMaxLive) +
                              " messages alive at once (flit message ids are " +
                              std::to_string(kFlitMsgBits) +
                              " bits wide; the limit is 2^30-1)");

@@ -18,10 +18,6 @@ class MessagePool {
   /// kFlitMsgBits bits, and the all-ones id is the default flit's.
   static constexpr std::size_t kMaxLive = kFlitNoMsg;  // 2^30 - 1
 
-  /// `maxLive` lowers the limit (tests); it is clamped to kMaxLive.
-  explicit MessagePool(std::size_t maxLive = kMaxLive)
-      : maxLive_(maxLive < kMaxLive ? maxLive : kMaxLive) {}
-
   /// Allocate a slot; returns its id. The slot content is value-initialised.
   /// Throws std::runtime_error instead of handing out an id a flit cannot
   /// carry.
@@ -39,7 +35,8 @@ class MessagePool {
   std::vector<Message> slots_;
   std::vector<MsgId> freeList_;
   std::size_t live_ = 0;
-  std::size_t maxLive_;
+
+  friend struct MessagePoolTestAccess;  // white-box unit tests
 };
 
 }  // namespace swft

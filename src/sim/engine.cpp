@@ -40,7 +40,7 @@ void Network::advanceCycle() {
 void Network::endCycle() noexcept {
   ++cycle_;
   // Keep every 32-bit arrival-stamp age exact (router_arena.hpp).
-  if ((cycle_ & (RouterArena::kStampRenormPeriod - 1)) == 0) {
+  if ((cycle_ & (RouterArena::kMaxStampAge - 1)) == 0) {
     arena_.renormaliseStamps(cycle_);
   }
 

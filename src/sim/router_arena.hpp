@@ -28,7 +28,7 @@
 //
 // Arrival stamps hold the low 32 bits of the cycle, and every reader compares
 // ages, `uint32_t(now) - stamp`, never raw stamps. An age is exact while it
-// is below 2^32; renormaliseStamps, run every kStampRenormPeriod cycles,
+// is below 2^32; renormaliseStamps, run every kMaxStampAge cycles,
 // clamps each stamp older than 2^30 to exactly age 2^30, so no age ever
 // reaches 2^31. The clamp keeps every comparison the engine makes — "age
 // != 0" (arrived before this cycle) and "age < td" with td < 2^30 — by the
@@ -65,11 +65,10 @@ class RouterArena {
   RouterArena(int nodes, int totalPorts, int networkPorts, int vcs, int bufferDepth,
               bool exactArrivals = true);
 
-  /// Stamp ages are clamped to this bound by renormaliseStamps; a
-  /// router decision time must stay below it (validateConfig).
+  /// Stamp ages are clamped to this bound by renormaliseStamps, which
+  /// Network::endCycle runs every kMaxStampAge cycles; a router decision
+  /// time must stay below it (validateConfig).
   static constexpr std::uint32_t kMaxStampAge = std::uint32_t{1} << 30;
-  /// Cycles between renormalisation passes (Network::endCycle).
-  static constexpr std::uint64_t kStampRenormPeriod = kMaxStampAge;
 
   // --- geometry -------------------------------------------------------------
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
@@ -256,7 +255,7 @@ class RouterArena {
 
   /// Clamp every stored arrival stamp older than kMaxStampAge, as of cycle
   /// `now`, to exactly that age (see the class comment). Engines call it
-  /// every kStampRenormPeriod cycles; it changes no comparison result.
+  /// every kMaxStampAge cycles; it changes no comparison result.
   void renormaliseStamps(std::uint64_t now) noexcept;
 
   // --- parked headers -------------------------------------------------------

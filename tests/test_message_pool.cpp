@@ -6,6 +6,11 @@
 #include <string>
 
 namespace swft {
+
+struct MessagePoolTestAccess {
+  static void setLive(MessagePool& pool, std::size_t live) { pool.live_ = live; }
+};
+
 namespace {
 
 TEST(MessagePool, AllocateInitialisesSlot) {
@@ -45,22 +50,24 @@ TEST(MessagePool, CapacityTracksPeakNotLive) {
 
 // A flit carries its message id in 30 bits, so the pool refuses to hand
 // out an id past the 2^30 - 1 live-message limit rather than let it be
-// truncated; a lowered limit exercises the same path.
+// truncated. The live count is set to the limit directly, not reached by
+// a billion allocations.
 TEST(MessagePool, RefusesIdsAFlitCannotCarry) {
   EXPECT_EQ(MessagePool::kMaxLive, (std::size_t{1} << 30) - 1);
   EXPECT_LT(MessagePool::kMaxLive - 1, std::size_t{kFlitNoMsg}) << "largest id";
-  MessagePool pool(2);
+  MessagePool pool;
   const MsgId a = pool.allocate();
-  pool.allocate();
+  MessagePoolTestAccess::setLive(pool, MessagePool::kMaxLive);
   try {
     pool.allocate();
-    ADD_FAILURE() << "third live message allocated";
+    ADD_FAILURE() << "message past the limit allocated";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("2^30-1"), std::string::npos) << e.what();
   }
-  EXPECT_EQ(pool.liveCount(), 2u);
+  EXPECT_EQ(pool.liveCount(), MessagePool::kMaxLive);
   pool.release(a);
   EXPECT_EQ(pool.allocate(), a) << "a released slot is usable again";
+  EXPECT_EQ(pool.liveCount(), MessagePool::kMaxLive);
 }
 
 TEST(Flit, PacksIdAndKindIntoOneWord) {

@@ -208,7 +208,7 @@ TEST_P(RouterArenaStamps, RenormaliseClampsOnlyStampsOlderThan2To30) {
   EXPECT_EQ(a.frontAge(stale, kNow), RouterArena::kMaxStampAge);
   // Ages keep counting from the clamp, so the next pass finds it at 2^31
   // and clamps it again; it never wraps to look fresh.
-  constexpr std::uint64_t kNext = kNow + RouterArena::kStampRenormPeriod;
+  constexpr std::uint64_t kNext = kNow + RouterArena::kMaxStampAge;
   EXPECT_EQ(a.frontAge(stale, kNext), std::uint32_t{1} << 31);
   a.renormaliseStamps(kNext);
   EXPECT_EQ(a.frontAge(stale, kNext), RouterArena::kMaxStampAge);
