@@ -7,11 +7,12 @@
 //
 //   --emit-json=F   the repeatable before/after harness: times the dense
 //                   reference engine (DenseReference, the test oracle)
-//                   against the event-sparse engine on
-//                   four pinned operating points (low load, saturation,
+//                   against the event-sparse engine on five pinned
+//                   operating points (low load, three saturation knees,
 //                   faulty adaptive) and writes machine-readable JSON
-//                   (schema swft-bench-engine-v1, see README.md). The two
-//                   saturation points additionally run a sparse-mt
+//                   (schema swft-bench-engine-v1, see README.md). The
+//                   saturation and saturation_16ary3 points additionally
+//                   run a sparse-mt
 //                   thread-scaling sweep (simThreads 1/2/4/8) recording
 //                   mtN_cps, the best self-speedup over thread counts the
 //                   machine can actually host, and hardware_concurrency.
@@ -151,38 +152,40 @@ BENCHMARK(BM_LinkBatch)->Unit(benchmark::kMicrosecond);
 
 void BM_Qualify(benchmark::State& state) {
   // The link-qualification pass (link_qual.hpp) in isolation on a synthetic
-  // saturated 5-port V=10 router (the `saturation` operating-point router
-  // shape, 50 units): route-word gather + arrival compare + downstream size
-  // probe per live unit.
-  constexpr int kPorts = 5, kVcs = 10, kDepth = 4;
-  RouterArena a(2, kPorts, kPorts - 1, kVcs, kDepth);
+  // saturated router at V=10: route-word gather + arrival compare +
+  // downstream size probe per live unit. 5 ports is the `saturation`
+  // operating-point router (50 units, one occupancy word); 7 ports is the
+  // `saturation_8ary3_v10` one (70 units, two words).
+  const int ports = static_cast<int>(state.range(0));
+  constexpr int kVcs = 10, kDepth = 4;
+  RouterArena a(2, ports, ports - 1, kVcs, kDepth);
   const int units = a.unitsPerRouter();
   // Node 0 is the router under test; spread its routed units across all
-  // ports (ejection = port 4 targets the credit sink), downstream rows on
+  // ports (the ejection port targets the credit sink), downstream rows on
   // node 1, with every third downstream full so the credit axis is live.
-  std::int32_t downBase[kPorts];
-  for (int p = 0; p < kPorts - 1; ++p) downBase[p] = a.unitIndex(1, p, 0);
-  downBase[kPorts - 1] = a.creditSinkBase();
+  std::int32_t downBase[kMaxLinkPorts];
+  for (int p = 0; p < ports - 1; ++p) downBase[p] = a.unitIndex(1, p, 0);
+  downBase[ports - 1] = a.creditSinkBase();
   for (int u = 0; u < units; ++u) {
     a.push(0, u, Flit{static_cast<MsgId>(u), FlitKind::Body}, 0);
-    const int port = u % kPorts;
-    const int vc = u / kPorts % kVcs;
+    const int port = u % ports;
+    const int vc = u / ports % kVcs;
     a.allocateRoute(0, u, port, vc);
-    if (port != kPorts - 1 && u % 3 == 0) {
+    if (port != ports - 1 && u % 3 == 0) {
       for (int d = 0; d < kDepth; ++d) {
         a.push(1, downBase[port] + vc, Flit{static_cast<MsgId>(u), FlitKind::Body}, 0);
       }
     }
   }
   const std::uint64_t cycle = 1;  // every front arrived at cycle 0
-  std::uint64_t okp[kPorts];
+  std::uint64_t okp[kOkpCapacity];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(qualifyLinkCandidates(a, 0, downBase, cycle, okp, kPorts));
+    benchmark::DoNotOptimize(qualifyLinkCandidates(a, 0, downBase, cycle, okp, ports));
     benchmark::DoNotOptimize(okp[0]);
   }
   state.SetItemsProcessed(state.iterations() * units);
 }
-BENCHMARK(BM_Qualify);
+BENCHMARK(BM_Qualify)->Arg(5)->Arg(7);
 
 void BM_CdgBuild(benchmark::State& state) {
   const TorusTopology topo(static_cast<int>(state.range(0)), 2);
@@ -280,6 +283,20 @@ std::vector<OperatingPoint> operatingPoints() {
     p.cfg.messageLength = 32;
     p.cfg.injectionRate = 0.006;
     p.threadScaling = true;
+    points.push_back(p);
+  }
+
+  // The paper's Fig. 4/7 router: an 8-ary 3-cube at V=10 has 7 ports x 10
+  // VCs = 70 input units, the only point whose routers span two occupancy
+  // words. Accepted throughput peaks at ~0.0139 msgs/node/cycle (probed
+  // empirically); lambda sits just above it, like the other knee points.
+  {
+    OperatingPoint p{"saturation_8ary3_v10", {}, 3000, 3'000};
+    p.cfg.radix = 8;
+    p.cfg.dims = 3;
+    p.cfg.vcs = 10;
+    p.cfg.messageLength = 32;
+    p.cfg.injectionRate = 0.014;
     points.push_back(p);
   }
 

@@ -276,9 +276,10 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
   // Virtual-channel allocation: collect free output VCs over all candidates
   // and pick one at random (assumption (e): "chooses randomly one of the
   // available virtual channels ... that brings it closer to its destination").
-  // The per-port free-VC bitmask mirrors outOwner state, so one AND replaces
-  // the per-VC owner probes; bit iteration visits VCs in ascending order,
-  // matching the dense reference's scan (and hence its RNG draw) exactly.
+  // The per-port free-VC bitmask (bit set = VC unclaimed) makes that one AND
+  // per candidate instead of per-VC owner probes; bit iteration visits VCs
+  // in ascending order, matching the dense reference's scan (and hence its
+  // RNG draw) exactly.
   InlineVector<std::uint16_t, 128> free;  // encoded port * 16 + vc
   for (const RouteCandidate& cand : decision.candidates) {
     std::uint32_t avail = cand.vcs & arena_.freeVcMask(id, cand.outPort);
@@ -301,7 +302,7 @@ void Network::applyRouteDecision(NodeId id, int unitIdx, MsgId msgId,
   const int outPort = pick / 16;
   const int outVc = pick % 16;
   arena_.allocateRoute(id, unitIdx, outPort, outVc);
-  arena_.setOutOwner(id, outPort, outVc, static_cast<std::int16_t>(unitIdx));
+  arena_.claimVc(id, outPort, outVc);
 }
 
 void Network::stepRouter(NodeId id) {
@@ -330,67 +331,31 @@ void Network::stepRouter(NodeId id) {
   }
 
   // Phase B: the batched link pass. One pass per output link, ascending port
-  // order with the ejection port last: the link's candidate set is a single
-  // request-mask word ANDed with the occupancy word, its downstream credit
-  // line is hoisted once (the V downstream buffer sizes are contiguous
-  // uint16s), and the first eligible candidate in circular round-robin order
-  // from the port cursor — exactly the min-key winner of the dense
-  // reference's full scan — commits immediately.
+  // order with the ejection port last: qualification (link_qual.hpp) reads
+  // each live candidate's front stamp and downstream size and buckets the
+  // qualified ones per output port, then each live port's first qualified
+  // candidate in circular round-robin order from the port cursor — exactly
+  // the min-key winner of the dense reference's full scan — commits.
   //
-  // Fusing selection and commit per link is legal because links of one
-  // router cannot interfere: a commit on port p pops a unit that requests
-  // only p (route words are per-unit), pushes into neighbor(id, p)'s input
-  // port p^1 while port q's credit line lives at neighbor(id, q)'s input
-  // port q^1 (distinct unless p == q, even when both ports reach the same
-  // neighbor on a radix-2 ring), and cursors are per-port. Hence every
-  // eligibility probe reads exactly the state the dense engine's
-  // select-all-then-commit pass would read. The ejection port commits last
-  // so software-layer RNG draws (absorption replanning) stay in the dense
-  // engine's position in the stream.
-  if (occW == 1) {
-    // Every router configuration with <= 64 input units. Qualification
-    // (link_qual.hpp) reads each live candidate's front stamp and
-    // downstream size and buckets the qualified ones per output port.
-    // Reading all qualifications from pre-commit state is legal by the
-    // non-interference argument above: no commit on port p changes port q's
-    // candidates, their arrival stamps, or their downstream credit line.
-    // occW == 1 bounds the unit count by 64 and hence the port count by
-    // 64 / vcs.
-    std::uint64_t okp[64];
-    std::uint64_t pm = qualifyLinkCandidates(arena_, id, cachedDownBaseRow(id),
-                                             cycle_, okp, localPort + 1);
-    // Commit winners in ascending port order, ejection (the highest port)
-    // last. Per port, the first qualified bit in circular round-robin order
-    // from the cursor is picked with one rotate: rotr moves bit u to
-    // (u - cur) mod 64, so the lowest rotated bit is exactly the min-key
-    // winner of the dense reference's scan.
-    const int unitCount = arena_.unitsPerRouter();
-    while (pm != 0) {
-      const int port = std::countr_zero(pm);
-      pm &= pm - 1;
-      const int cur = arena_.cursor(id, port);
-      const std::uint64_t rot = std::rotr(okp[port], cur);
-      const int winnerIdx = (cur + std::countr_zero(rot)) & 63;
-      if (port == localPort) {
-        arena_.setCursor(id, port,
-                         static_cast<std::uint16_t>(
-                             winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
-        ejectFlit(id, winnerIdx);
-      } else {
-        commitLink(id, port, winnerIdx);
-      }
-    }
-    return;
-  }
-
-  // Generic multi-word path (routers with more than 64 input units, e.g. a
-  // 3-cube with V = 10): same per-link batching and the same two reads per
-  // candidate, walked circularly from the cursor (firstLinkWinner).
+  // Reading every qualification from pre-commit state is legal because
+  // links of one router cannot interfere: a commit on port p pops a unit
+  // that requests only p (route words are per-unit), pushes into
+  // neighbor(id, p)'s input port p^1 while port q's credit line lives at
+  // neighbor(id, q)'s input port q^1 (distinct unless p == q, even when both
+  // ports reach the same neighbor on a radix-2 ring), and cursors are
+  // per-port. Hence every eligibility probe reads exactly the state the
+  // dense engine's select-all-then-commit pass would read. The ejection port
+  // commits last so software-layer RNG draws (absorption replanning) stay
+  // in the dense engine's position in the stream.
+  const int ports = localPort + 1;
+  std::uint64_t okp[kOkpCapacity];
+  std::uint64_t pm =
+      qualifyLinkCandidates(arena_, id, cachedDownBaseRow(id), cycle_, okp, ports);
   const int unitCount = arena_.unitsPerRouter();
-  for (int port = 0; port <= localPort; ++port) {
-    const int winnerIdx =
-        firstLinkWinner(arena_, id, port, cachedDownBase(id, port), cycle_);
-    if (winnerIdx < 0) continue;
+  while (pm != 0) {
+    const int port = std::countr_zero(pm);
+    pm &= pm - 1;
+    const int winnerIdx = circularFirst(okp + port, ports, occW, arena_.cursor(id, port));
     if (port == localPort) {
       arena_.setCursor(id, port,
                        static_cast<std::uint16_t>(
@@ -431,7 +396,7 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
 
   if (flit.isTail()) {
     arena_.releaseRoute(id, winnerIdx);
-    arena_.setOutOwner(id, port, outVc, -1);
+    arena_.releaseVc(id, port, outVc);
   }
 }
 

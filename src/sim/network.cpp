@@ -240,9 +240,11 @@ std::string Network::validateNodeState() const {
 std::string Network::validateInvariants() const {
   const int vcs = cfg_.vcs;
   const int unitCount = arena_.unitsPerRouter();
-  // 0. The routed and per-port request masks mirror the route words, every
-  //    parked unit is an occupied unrouted header, and no buffered front
-  //    arrived after the cycle that just executed.
+  const int networkPorts = topo_.networkPorts();
+  std::vector<int> holders;
+  // 0. The routed mask mirrors the route words, every parked unit is an
+  //    occupied unrouted header, and no buffered front arrived after the
+  //    cycle that just executed.
   if (std::string err =
           arena_.auditMasks(cycle_ == 0 ? 0 : cycle_ - 1);
       !err.empty()) {
@@ -270,32 +272,30 @@ std::string Network::validateInvariants() const {
     if (activeBit != (occupied > 0)) {
       return "active-set bit mismatch at node " + std::to_string(id);
     }
-    // 2. Output-VC ownership: every owner refers to a routed unit whose
-    //    allocation points back at exactly that (port, vc).
-    for (int port = 0; port < topo_.networkPorts(); ++port) {
-      for (int vc = 0; vc < vcs; ++vc) {
-        const std::int16_t owner = arena_.outOwner(id, port, vc);
-        if (owner < 0) continue;
-        if (owner >= unitCount) {
-          return "out-of-range output owner at node " + std::to_string(id);
-        }
-        const int g = arena_.base(id) + owner;
-        if (!arena_.routed(g) || arena_.outPort(g) != port || arena_.outVc(g) != vc) {
-          return "inconsistent output ownership at node " + std::to_string(id) +
-                 " port " + std::to_string(port) + " vc " + std::to_string(vc);
-        }
-      }
-    }
-    // 3. A routed unit targeting a network port must hold that output VC.
+    // 2. Output VCs: each VC of each network port is claimed in the free-VC
+    //    mask (the one VC allocation reads) iff exactly one routed unit of
+    //    the router holds it.
+    holders.assign(static_cast<std::size_t>(networkPorts * vcs), 0);
     for (int u = 0; u < unitCount; ++u) {
       const int g = arena_.base(id) + u;
-      if (!arena_.routed(g) || arena_.outPort(g) == topo_.localPort()) continue;
-      if (arena_.outOwner(id, arena_.outPort(g), arena_.outVc(g)) !=
-          static_cast<std::int16_t>(u)) {
-        return "routed unit without matching ownership at node " + std::to_string(id);
+      if (arena_.routed(g) && arena_.outPort(g) < networkPorts) {
+        ++holders[static_cast<std::size_t>(arena_.outPort(g) * vcs + arena_.outVc(g))];
       }
     }
-    // 4. Wormhole contiguity: within a VC buffer, flits between a header and
+    for (int port = 0; port < networkPorts; ++port) {
+      const std::uint16_t freeMask = arena_.freeVcMask(id, port);
+      for (int vc = 0; vc < vcs; ++vc) {
+        const bool claimed = ((freeMask >> vc) & 1u) == 0;
+        const int n = holders[static_cast<std::size_t>(port * vcs + vc)];
+        if (claimed != (n == 1)) {
+          return "output VC mismatch at node " + std::to_string(id) + " port " +
+                 std::to_string(port) + " vc " + std::to_string(vc) + ": " +
+                 (claimed ? "claimed" : "free") + " with " + std::to_string(n) +
+                 " routed holders";
+        }
+      }
+    }
+    // 3. Wormhole contiguity: within a VC buffer, flits between a header and
     //    its tail belong to one message, and kinds follow H (B*) T framing.
     for (int u = 0; u < unitCount; ++u) {
       const int g = arena_.base(id) + u;

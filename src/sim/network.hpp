@@ -85,8 +85,9 @@ class Network {
   }
 
   /// Validate microarchitectural invariants (occupancy bits/counts/active
-  /// set vs buffers, parked headers, output-VC ownership consistency,
-  /// wormhole per-VC message contiguity, injection-side work-set coverage).
+  /// set vs buffers, parked headers, the free-VC mask vs the routed units
+  /// holding each output VC, wormhole per-VC message contiguity,
+  /// injection-side work-set coverage).
   /// Returns an empty string when consistent, else a description of the
   /// first violation.
   /// O(network size); test/debug use.

@@ -40,13 +40,6 @@ RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
                          static_cast<std::size_t>(occWords_),
                      0);
   parked_.resize(routedMask_.size(), 0);
-  portMembers_.resize(static_cast<std::size_t>(nodes) *
-                          static_cast<std::size_t>(totalPorts) *
-                          static_cast<std::size_t>(occWords_),
-                      0);
-  outOwner_.resize(static_cast<std::size_t>(nodes) *
-                       static_cast<std::size_t>(networkPorts * vcs),
-                   -1);
   freeVc_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(networkPorts),
                  static_cast<std::uint16_t>((1u << vcs) - 1));
   cursor_.resize(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(totalPorts),
@@ -83,15 +76,6 @@ std::string RouterArena::auditMasks(std::uint64_t lastCycle) const {
            << " is not an occupied unrouted header: size=" << meta_[g].size
            << " routeWord=" << route_[g];
         return os.str();
-      }
-      for (int p = 0; p < totalPorts_; ++p) {
-        const bool member = (portMembers_[memberIndex(id, p, local)] & bit) != 0;
-        if (member != (routed && wordOutPort(route_[g]) == p)) {
-          os << "portMembers mismatch at node " << id << " local " << local
-             << " port " << p << ": bit=" << member
-             << " routeWord=" << route_[g];
-          return os.str();
-        }
       }
     }
   }

@@ -6,8 +6,8 @@
 // stride on every buffer access, including the credit check that `stepRouter`
 // performs on *downstream* routers for every link traversal. The arena
 // flattens all of it: flit rings, arrival stamps, ring heads/sizes, per-unit
-// routing state, output-VC ownership, round-robin cursors and occupancy
-// bitsets live in parallel arrays indexed by a global unit id
+// routing state, free output VCs, round-robin cursors and occupancy bitsets
+// live in parallel arrays indexed by a global unit id
 //
 //   globalUnit = node * unitsPerRouter + port * vcs + vc
 //
@@ -21,10 +21,10 @@
 // Link qualification reads this state directly (link_qual.hpp): a routed
 // unit's front may cross its link when frontArrival < the executing cycle
 // and the downstream unit it feeds is not full — two scalar reads per
-// candidate, the rule of paper assumptions (f)/(g). The only derived masks
-// kept beside the route words are routedMask_ and portMembers_ (bit per
-// (router, port, unit): routed with outPort == port), written exactly where
-// route words are written and cleared.
+// candidate, the rule of paper assumptions (f)/(g). The only derived mask
+// kept beside the route words is routedMask_ (bit per routed unit), written
+// exactly where route words are written and cleared; the output port a
+// routed unit requests is read from its route word.
 //
 // Arrival stamps hold the low 32 bits of the cycle, and every reader compares
 // ages, `uint32_t(now) - stamp`, never raw stamps. An age is exact while it
@@ -192,9 +192,9 @@ class RouterArena {
   // --- per-unit routing state -----------------------------------------------
   // Packed into one word per unit (bit 0: routed, bits 8..15: outPort,
   // bits 16..23: outVc) so the switch-allocation path pays one load, not
-  // three. An allocation also enters the unit into the per-output-port
-  // request mask that switch allocation walks; `allocateRoute` and
-  // `releaseRoute` are the only mutators, keeping word and masks in sync.
+  // three. An allocation also sets the unit's routed bit, which the route
+  // phase and the link pass scan; `allocateRoute` and `releaseRoute` are the
+  // only mutators, keeping word and mask in sync.
   [[nodiscard]] std::uint32_t routeWord(int u) const noexcept { return route_[u]; }
   [[nodiscard]] static bool wordRouted(std::uint32_t w) noexcept { return (w & 1u) != 0; }
   [[nodiscard]] static int wordOutPort(std::uint32_t w) noexcept {
@@ -216,17 +216,11 @@ class RouterArena {
   void allocateRoute(NodeId node, int localUnit, int port, int vc) noexcept {
     route_[base(node) + localUnit] = 1u | (static_cast<std::uint32_t>(port) << 8) |
                                      (static_cast<std::uint32_t>(vc) << 16);
-    const std::uint64_t bit = 1ULL << (localUnit & 63);
-    routedMask_[maskIndex(node, localUnit)] |= bit;
-    portMembers_[memberIndex(node, port, localUnit)] |= bit;
+    routedMask_[maskIndex(node, localUnit)] |= 1ULL << (localUnit & 63);
   }
   void releaseRoute(NodeId node, int localUnit) noexcept {
-    const int g = base(node) + localUnit;
-    const int port = wordOutPort(route_[g]);
-    route_[g] &= ~1u;
-    const std::uint64_t bit = 1ULL << (localUnit & 63);
-    routedMask_[maskIndex(node, localUnit)] &= ~bit;
-    portMembers_[memberIndex(node, port, localUnit)] &= ~bit;
+    route_[base(node) + localUnit] &= ~1u;
+    routedMask_[maskIndex(node, localUnit)] &= ~(1ULL << (localUnit & 63));
   }
 
   /// Bit per unit: currently routed (holds an output allocation).
@@ -234,23 +228,13 @@ class RouterArena {
     return routedMask_.data() +
            static_cast<std::size_t>(id) * static_cast<std::size_t>(occWords_);
   }
-  /// Bit per unit: routed with outPort == `port` (switch requesters). The
-  /// `ports` rows of a router are contiguous: with one occupancy word per
-  /// router, portMembers(id, 0) is the base of a dense ports x 1 matrix the
-  /// port sweep strides through.
-  [[nodiscard]] const std::uint64_t* portMembers(NodeId id, int port) const noexcept {
-    return portMembers_.data() +
-           (static_cast<std::size_t>(id) * static_cast<std::size_t>(totalPorts_) +
-            static_cast<std::size_t>(port)) *
-               static_cast<std::size_t>(occWords_);
-  }
 
-  /// Recompute the derived per-router masks (routedMask_, portMembers_)
-  /// from the route words, check that every parked unit is occupied,
-  /// unrouted and fronted by a header, and check every buffered front stamp
-  /// against `lastCycle`, the last executed cycle (now() - 1 between cycles,
-  /// 0 before the first): a front that arrived later would qualify a cycle
-  /// early or never. Returns "" or a description of the first divergence.
+  /// Recompute the routed mask from the route words, check that every
+  /// parked unit is occupied, unrouted and fronted by a header, and check
+  /// every buffered front stamp against `lastCycle`, the last executed cycle
+  /// (now() - 1 between cycles, 0 before the first): a front that arrived
+  /// later would qualify a cycle early or never. Returns "" or a description
+  /// of the first divergence.
   [[nodiscard]] std::string auditMasks(std::uint64_t lastCycle) const;
 
   /// Clamp every stored arrival stamp older than kMaxStampAge, as of cycle
@@ -262,8 +246,8 @@ class RouterArena {
   /// Bit per unit: an unrouted header whose last VC allocation found no free
   /// output VC. Its retry would fail again until one of the router's output
   /// VCs is released (route computation is pure and a failed allocation
-  /// draws no RNG), so the route phase skips it; setOutOwner(..., -1) wakes
-  /// the whole router.
+  /// draws no RNG), so the route phase skips it; releaseVc wakes the whole
+  /// router.
   [[nodiscard]] const std::uint64_t* parkedWords(NodeId id) const noexcept {
     return parked_.data() +
            static_cast<std::size_t>(id) * static_cast<std::size_t>(occWords_);
@@ -272,34 +256,28 @@ class RouterArena {
     parked_[maskIndex(node, localUnit)] |= 1ULL << (localUnit & 63);
   }
 
-  // --- output-VC ownership (network ports only) -----------------------------
-  /// Owner (input-unit index local to router `id`) of an output VC, -1 free.
-  [[nodiscard]] std::int16_t outOwner(NodeId id, int port, int vc) const noexcept {
-    return outOwner_[ownerIndex(id, port, vc)];
+  // --- output VCs (network ports only) -------------------------------------
+  /// A header took output VC `vc` of network port `port` of router `id`; it
+  /// holds it until its tail departs (releaseVc).
+  void claimVc(NodeId id, int port, int vc) noexcept {
+    std::uint16_t& m = freeVc_[freeVcIndex(id, port)];
+    m = static_cast<std::uint16_t>(m & ~(1u << vc));
   }
-  /// Releasing a VC (owner -1) wakes every parked header of the router.
-  void setOutOwner(NodeId id, int port, int vc, std::int16_t owner) noexcept {
-    outOwner_[ownerIndex(id, port, vc)] = owner;
-    const std::size_t i = static_cast<std::size_t>(id) *
-                              static_cast<std::size_t>(networkPorts_) +
-                          static_cast<std::size_t>(port);
-    const auto bit = static_cast<std::uint16_t>(1u << vc);
-    if (owner < 0) {
-      freeVc_[i] |= bit;
-      std::uint64_t* row = parked_.data() + static_cast<std::size_t>(id) *
-                                                static_cast<std::size_t>(occWords_);
-      for (int w = 0; w < occWords_; ++w) row[w] = 0;
-    } else {
-      freeVc_[i] = static_cast<std::uint16_t>(freeVc_[i] & ~bit);
-    }
+  /// The holder's tail departed. A release is the only event that can turn
+  /// a failed VC allocation into a success, so it wakes every parked header
+  /// of the router.
+  void releaseVc(NodeId id, int port, int vc) noexcept {
+    freeVc_[freeVcIndex(id, port)] |= static_cast<std::uint16_t>(1u << vc);
+    std::uint64_t* row = parked_.data() + static_cast<std::size_t>(id) *
+                                              static_cast<std::size_t>(occWords_);
+    for (int w = 0; w < occWords_; ++w) row[w] = 0;
   }
-  /// Bit per VC of output port `port`: set iff the VC has no owner. Mirrors
-  /// outOwner_ exactly (maintained by setOutOwner), so the VC-allocation scan
-  /// ANDs one word instead of probing owners per VC.
+  /// Bit per VC of output port `port`: set iff the VC is not claimed, so the
+  /// VC-allocation scan ANDs one word instead of probing the VCs one by one.
+  /// validateInvariants checks it against the route words: a VC is claimed
+  /// iff exactly one routed unit of the router holds it.
   [[nodiscard]] std::uint16_t freeVcMask(NodeId id, int port) const noexcept {
-    return freeVc_[static_cast<std::size_t>(id) *
-                       static_cast<std::size_t>(networkPorts_) +
-                   static_cast<std::size_t>(port)];
+    return freeVc_[freeVcIndex(id, port)];
   }
 
   // --- round-robin switch-arbitration cursors -------------------------------
@@ -341,10 +319,9 @@ class RouterArena {
   [[nodiscard]] int slot(int u, int ringPos) const noexcept {
     return (u << strideLog2_) + ringPos;
   }
-  [[nodiscard]] std::size_t ownerIndex(NodeId id, int port, int vc) const noexcept {
-    return static_cast<std::size_t>(id) *
-               static_cast<std::size_t>(networkPorts_ * vcs_) +
-           static_cast<std::size_t>(port * vcs_ + vc);
+  [[nodiscard]] std::size_t freeVcIndex(NodeId id, int port) const noexcept {
+    return static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
+           static_cast<std::size_t>(port);
   }
   [[nodiscard]] std::size_t maskIndex(NodeId node, int localUnit) const noexcept {
     return static_cast<std::size_t>(node) * static_cast<std::size_t>(occWords_) +
@@ -361,13 +338,6 @@ class RouterArena {
       if (w != own && row[w] != 0) return false;
     }
     return true;
-  }
-  [[nodiscard]] std::size_t memberIndex(NodeId node, int port,
-                                        int localUnit) const noexcept {
-    return (static_cast<std::size_t>(node) * static_cast<std::size_t>(totalPorts_) +
-            static_cast<std::size_t>(port)) *
-               static_cast<std::size_t>(occWords_) +
-           static_cast<std::size_t>(localUnit >> 6);
   }
 
   int nodes_;
@@ -400,12 +370,10 @@ class RouterArena {
   std::vector<UnitMeta> meta_;
 
   std::vector<std::uint32_t> route_;
-  std::vector<std::uint64_t> routedMask_;   // node x occWords
-  std::vector<std::uint64_t> parked_;       // node x occWords
-  std::vector<std::uint64_t> portMembers_;  // (node x totalPorts) x occWords
+  std::vector<std::uint64_t> routedMask_;  // node x occWords
+  std::vector<std::uint64_t> parked_;      // node x occWords
 
-  std::vector<std::int16_t> outOwner_;
-  std::vector<std::uint16_t> freeVc_;  // per (node, port): bit vc = unowned
+  std::vector<std::uint16_t> freeVc_;  // per (node, port): bit vc = unclaimed
   std::vector<std::uint16_t> cursor_;
 
   std::vector<std::uint64_t> occ_;

@@ -136,37 +136,69 @@ INSTANTIATE_TEST_SUITE_P(Matrix, EngineEquivalence, ::testing::ValuesIn(kCases),
                            return std::string(info.param.name);
                          });
 
-// Routers with more than 64 input units keep their occupancy in two words
-// and take the generic multi-word link pass (firstLinkWinner) instead of the
-// one-word batched pass that every matrix case above runs. A 4-ary 3-cube
-// at V = 10 has 7 ports x 10 VCs = 70 units per router; adaptive routing,
-// faults with a software-layer delay and Td = 1 put route cards, absorption
-// and the exact-arrival mode on that path too.
-TEST(EngineEquivalence, MultiWordRoutersMatchDenseAtEveryThreadCount) {
+// Routers with more than 64 input units keep their occupancy in several
+// words, so the link pass buckets candidates per word and picks winners
+// across words; every matrix case above has one word per router. The cases:
+// a 4-ary 3-cube at V = 10 (7 ports x 10 VCs = 70 units) with adaptive
+// routing, faults with a software-layer delay and Td = 1, which puts route
+// cards, absorption and the exact-arrival mode on two words; the same cube
+// deterministic at Td = 0, the inexact-arrival mode on two words; a 3-ary
+// 4-cube at V = 8 (72 units); and a 2-ary 8-cube at V = 16 (17 x 16 = 272
+// units, five words).
+struct MultiWordCase {
+  int k, n, vcs;
+  RoutingMode routing;
+  int faults;
+  int td;
+  double rate;
+  std::uint32_t measured;
+};
+
+class EngineEquivalenceMultiWord : public ::testing::TestWithParam<MultiWordCase> {};
+
+TEST_P(EngineEquivalenceMultiWord, MultiWordRoutersMatchDenseAtEveryThreadCount) {
+  const MultiWordCase& c = GetParam();
   SimConfig cfg;
-  cfg.radix = 4;
-  cfg.dims = 3;
-  cfg.vcs = 10;
-  cfg.routing = RoutingMode::Adaptive;
-  cfg.faults.randomNodes = 3;
-  cfg.reinjectDelay = 10;
-  cfg.routerDecisionTime = 1;
+  cfg.radix = c.k;
+  cfg.dims = c.n;
+  cfg.vcs = c.vcs;
+  cfg.routing = c.routing;
+  cfg.faults.randomNodes = c.faults;
+  cfg.reinjectDelay = c.faults > 0 ? 10 : 0;
+  cfg.routerDecisionTime = c.td;
   cfg.messageLength = 8;
-  cfg.injectionRate = 0.07;  // well into contention: latency ~2x zero-load
+  cfg.injectionRate = c.rate;
   cfg.warmupMessages = 300;
-  cfg.measuredMessages = 3000;
+  cfg.measuredMessages = c.measured;
   cfg.maxCycles = 200'000;
   cfg.seed = 23;
   ASSERT_GT(Network(cfg).arena().occWordsPerRouter(), 1);
   const SimResult dense = DenseReference(cfg).run();
   EXPECT_TRUE(dense.completed);
-  EXPECT_GT(dense.messagesQueued, 0u) << "the faults must absorb traffic";
+  if (c.faults > 0) {
+    EXPECT_GT(dense.messagesQueued, 0u) << "the faults must absorb traffic";
+  }
   expectIdentical(dense, runWith(cfg, EngineKind::Sparse));
   for (const int threads : kThreadAxis) {
     SCOPED_TRACE("sim_threads=" + std::to_string(threads));
     expectIdentical(dense, runWith(cfg, EngineKind::SparseMt, threads));
   }
 }
+
+// Every rate is well into contention: mean latency 1.8-3x zero-load.
+INSTANTIATE_TEST_SUITE_P(
+    Routers, EngineEquivalenceMultiWord,
+    ::testing::Values(MultiWordCase{4, 3, 10, RoutingMode::Adaptive, 3, 1, 0.07, 3000},
+                      MultiWordCase{4, 3, 10, RoutingMode::Deterministic, 3, 0, 0.05,
+                                    3000},
+                      MultiWordCase{3, 4, 8, RoutingMode::Adaptive, 0, 0, 0.05, 2000},
+                      MultiWordCase{2, 8, 16, RoutingMode::Adaptive, 4, 0, 0.06, 3000}),
+    [](const ::testing::TestParamInfo<MultiWordCase>& info) {
+      const MultiWordCase& c = info.param;
+      return catName({knName(c.k, c.n), "V", std::to_string(c.vcs),
+                      c.routing == RoutingMode::Adaptive ? "adp" : "det", "nf",
+                      std::to_string(c.faults), "td", std::to_string(c.td)});
+    });
 
 // Recorded reference values for every equivalence-matrix case, captured from
 // the dense reference engine (seed semantics plus the two ISSUE-2 injection
@@ -488,9 +520,9 @@ TEST(EngineEquivalence, LockstepCountersAndInvariants) {
     ASSERT_EQ(dense.inFlight(), mt.inFlight()) << "cycle " << c;
     ASSERT_NO_FATAL_FAILURE(checkConservation(ref, sparse, c));
     ASSERT_NO_FATAL_FAILURE(checkConservation(ref, mt, c));
-    // Arena-invariant oracle: every cycle, recompute the routed and
-    // per-port request masks from the route words and check that no
-    // buffered front arrived after the cycle that just executed.
+    // Arena-invariant oracle: every cycle, recompute the routed mask from
+    // the route words and check that no buffered front arrived after the
+    // cycle that just executed.
     ASSERT_EQ(sparse.arena().auditMasks(sparse.now() - 1), "") << "cycle " << c;
     ASSERT_EQ(mt.arena().auditMasks(mt.now() - 1), "") << "cycle " << c;
     if (c % 25 == 0) {

@@ -1,13 +1,21 @@
 // Microarchitectural invariants checked live while the engine runs: the
-// validator inspects occupancy masks, VC ownership, wormhole framing and
-// message accounting after every stepping window.
+// validator inspects occupancy masks, the free output-VC masks, wormhole
+// framing and message accounting after every stepping window.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <string>
 
 #include "tests/naming.hpp"
 
 #include "src/sim/network.hpp"
 
 namespace swft {
+
+struct NetworkTestAccess {
+  static RouterArena& arena(Network& net) { return net.arena_; }
+};
+
 namespace {
 
 struct InvariantCase {
@@ -49,7 +57,9 @@ INSTANTIATE_TEST_SUITE_P(
                       InvariantCase{4, 3, 4, RoutingMode::Deterministic, 4, 0.008},
                       InvariantCase{4, 3, 4, RoutingMode::Adaptive, 4, 0.008},
                       InvariantCase{8, 2, 10, RoutingMode::Adaptive, 0, 0.03},  // saturated
-                      InvariantCase{5, 2, 3, RoutingMode::Deterministic, 2, 0.01}),
+                      InvariantCase{5, 2, 3, RoutingMode::Deterministic, 2, 0.01},
+                      // 7 ports x 10 VCs: 70 units, two occupancy words.
+                      InvariantCase{4, 3, 10, RoutingMode::Adaptive, 3, 0.05}),
     [](const auto& info) {
       const auto& p = info.param;
       return catName({knName(p.k, p.n), "V", std::to_string(p.vcs),
@@ -63,6 +73,72 @@ TEST(Invariants, FreshNetworkIsConsistent) {
   cfg.dims = 2;
   const Network net(cfg);
   EXPECT_EQ(net.validateInvariants(), "");
+}
+
+// The free-VC mask is the only VC state VC allocation reads; the
+// validator must catch it drifting from the route words either way. Mid-run,
+// claim a VC no routed unit holds, then (after undoing that) release one a
+// routed unit does hold: each desync is reported with its node and port.
+TEST(Invariants, CatchFreeVcMaskDesyncFromRouteWords) {
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 2;
+  cfg.vcs = 4;
+  cfg.messageLength = 8;
+  cfg.injectionRate = 0.03;
+  cfg.seed = 5;
+  Network net(cfg);
+  net.step(300);
+  ASSERT_EQ(net.validateInvariants(), "");
+  RouterArena& a = NetworkTestAccess::arena(net);
+  const auto where = [](NodeId id, int port) {
+    return "at node " + std::to_string(id) + " port " + std::to_string(port) + " ";
+  };
+
+  // A held VC: the output of some routed unit on a network port.
+  NodeId heldNode = 0;
+  int heldPort = -1;
+  int heldVc = -1;
+  for (NodeId id = 0; id < net.topology().nodeCount() && heldPort < 0; ++id) {
+    for (int u = 0; u < a.unitsPerRouter(); ++u) {
+      const int g = a.base(id) + u;
+      if (a.routed(g) && a.outPort(g) < a.networkPorts()) {
+        heldNode = id;
+        heldPort = a.outPort(g);
+        heldVc = a.outVc(g);
+        break;
+      }
+    }
+  }
+  ASSERT_GE(heldPort, 0) << "the load must keep some VC held";
+
+  // An unheld VC: any free bit.
+  NodeId freeNode = 0;
+  int freePort = -1;
+  int freeVc = -1;
+  for (NodeId id = 0; id < net.topology().nodeCount() && freePort < 0; ++id) {
+    for (int port = 0; port < a.networkPorts() && freePort < 0; ++port) {
+      const std::uint16_t m = a.freeVcMask(id, port);
+      if (m != 0) {
+        freeNode = id;
+        freePort = port;
+        freeVc = std::countr_zero(m);
+      }
+    }
+  }
+  ASSERT_GE(freePort, 0);
+
+  a.claimVc(freeNode, freePort, freeVc);
+  const std::string claimed = net.validateInvariants();
+  EXPECT_NE(claimed.find(where(freeNode, freePort)), std::string::npos) << claimed;
+  EXPECT_NE(claimed.find("claimed with 0 routed holders"), std::string::npos) << claimed;
+  a.releaseVc(freeNode, freePort, freeVc);
+  ASSERT_EQ(net.validateInvariants(), "");
+
+  a.releaseVc(heldNode, heldPort, heldVc);
+  const std::string released = net.validateInvariants();
+  EXPECT_NE(released.find(where(heldNode, heldPort)), std::string::npos) << released;
+  EXPECT_NE(released.find("free with 1 routed holders"), std::string::npos) << released;
 }
 
 TEST(Invariants, HoldThroughFaultRegionTraffic) {

@@ -90,16 +90,22 @@ TEST(RouterArena, RouteAllocationLifecycle) {
   EXPECT_EQ(a.outPort(g), 3);
   EXPECT_EQ(a.outVc(g), 1);
   EXPECT_FALSE(a.routed(g + 1)) << "neighbouring unit unaffected";
-  // The allocation registers the unit as a switch requester of port 3 only.
   EXPECT_TRUE(a.routedWords(1)[0] & (1ULL << local));
-  EXPECT_TRUE(a.portMembers(1, 3)[0] & (1ULL << local));
-  EXPECT_FALSE(a.portMembers(1, 2)[0] & (1ULL << local));
-  EXPECT_FALSE(a.portMembers(2, 3)[0] & (1ULL << local)) << "other router";
+  EXPECT_EQ(a.routedWords(2)[0], 0u) << "other router";
   EXPECT_EQ(a.auditMasks(0), "");
+  // Once occupied, the link pass buckets the unit under port 3 only.
+  a.push(1, g, Flit{1, FlitKind::Header}, 0);
+  std::int32_t downBase[5];
+  for (int p = 0; p < 4; ++p) downBase[p] = a.unitIndex(0, p ^ 1, 0);
+  downBase[4] = a.creditSinkBase();
+  std::uint64_t okp[5];
+  EXPECT_EQ(qualifyLinkCandidates(a, 1, downBase, 1, okp, 5), 1ULL << 3);
+  EXPECT_EQ(okp[3], 1ULL << local);
+  EXPECT_EQ(qualifyLinkCandidates(a, 2, downBase, 1, okp, 5), 0u) << "other router";
   a.releaseRoute(1, local);
   EXPECT_FALSE(a.routed(g));
   EXPECT_EQ(a.routedWords(1)[0], 0u);
-  EXPECT_EQ(a.portMembers(1, 3)[0], 0u);
+  EXPECT_EQ(qualifyLinkCandidates(a, 1, downBase, 1, okp, 5), 0u);
   EXPECT_EQ(a.auditMasks(0), "");
 }
 
@@ -111,7 +117,7 @@ TEST(RouterArena, AuditRejectsFrontStampFromTheFuture) {
 }
 
 // Parking is a per-router row: a failed VC allocation parks one unit, and
-// releasing any output VC of that router (setOutOwner(..., -1)) wakes them
+// releasing any output VC of that router (releaseVc) wakes them
 // all. The audit accepts only parked units that are occupied, unrouted and
 // fronted by a header.
 TEST(RouterArena, ParkedRowLifecycleAndAudit) {
@@ -123,21 +129,21 @@ TEST(RouterArena, ParkedRowLifecycleAndAudit) {
   EXPECT_EQ(a.parkedWords(1)[0], (1ULL << 1) | (1ULL << 16));
   EXPECT_EQ(a.parkedWords(0)[0], 0u) << "other routers unaffected";
   EXPECT_EQ(a.auditMasks(0), "");
-  a.setOutOwner(1, 2, 1, 7);
+  a.claimVc(1, 2, 1);
   EXPECT_NE(a.parkedWords(1)[0], 0u) << "taking a VC wakes nobody";
-  a.setOutOwner(2, 2, 1, -1);
+  a.releaseVc(2, 2, 1);
   EXPECT_NE(a.parkedWords(1)[0], 0u) << "another router's release wakes nobody";
-  a.setOutOwner(1, 2, 1, -1);
+  a.releaseVc(1, 2, 1);
   EXPECT_EQ(a.parkedWords(1)[0], 0u) << "a release wakes the whole router";
 
   a.park(1, 2);  // empty unit
   EXPECT_NE(a.auditMasks(0).find("parked unit"), std::string::npos);
-  a.setOutOwner(1, 0, 0, -1);
+  a.releaseVc(1, 0, 0);
   a.park(1, 0 * 4 + 1);
   a.allocateRoute(1, 0 * 4 + 1, 2, 0);  // routed
   EXPECT_NE(a.auditMasks(0).find("parked unit"), std::string::npos);
   a.releaseRoute(1, 0 * 4 + 1);
-  a.setOutOwner(1, 0, 0, -1);
+  a.releaseVc(1, 0, 0);
   const int body = a.unitIndex(1, 3, 3);
   a.push(1, body, Flit{6, FlitKind::Body}, 0);
   a.park(1, 3 * 4 + 3);  // fronted by a body flit
@@ -268,43 +274,102 @@ TEST(LinkQual, QualifiesFromArenaState) {
   EXPECT_EQ(okp[3], 1ULL << 9);
 }
 
-// The multi-word form walks one port's requesters circularly from the
-// cursor and returns the first that passes both reads.
-TEST(LinkQual, FirstWinnerOnMultiWordRouter) {
+// The same pass on a two-word router: port p's qualified candidates in
+// occupancy word w land in okp[w * ports + p], and circularFirst picks each
+// port's round-robin winner across the words.
+TEST(LinkQual, QualifiesAndPicksWinnersOnMultiWordRouter) {
   RouterArena a(2, 7, 6, 10, 2);  // 70 units per router: two words
   ASSERT_EQ(a.occWordsPerRouter(), 2);
+  constexpr int kPorts = 7;
+  constexpr int kEject = 6;
   constexpr std::uint64_t kCycle = 9;
-  const std::int32_t downBase = a.unitIndex(1, 1, 0);
-  const auto request = [&](int local, std::uint64_t arrival, int vc) {
+  std::int32_t downBase[kPorts];
+  for (int p = 0; p < kEject; ++p) downBase[p] = a.unitIndex(1, p ^ 1, 0);
+  downBase[kEject] = a.creditSinkBase();
+  const auto request = [&](int local, std::uint64_t arrival, int port, int vc) {
     a.push(0, local, Flit{static_cast<MsgId>(local), FlitKind::Header}, arrival);
-    a.allocateRoute(0, local, 0, vc);
+    a.allocateRoute(0, local, port, vc);
   };
-  request(3, kCycle, 0);  // arrived this cycle
-  request(10, 1, 1);      // downstream full
-  a.push(1, downBase + 1, Flit{1, FlitKind::Body}, 0);
-  a.push(1, downBase + 1, Flit{1, FlitKind::Body}, 0);
-  request(20, 2, 2);
-  request(66, 3, 3);
-  const auto winnerFrom = [&](int cursor) {
-    a.setCursor(0, 0, static_cast<std::uint16_t>(cursor));
-    return firstLinkWinner(a, 0, 0, downBase, kCycle);
+  request(3, kCycle, 0, 0);  // arrived this cycle
+  request(10, 1, 0, 1);      // downstream full
+  a.push(1, downBase[0] + 1, Flit{1, FlitKind::Body}, 0);
+  a.push(1, downBase[0] + 1, Flit{1, FlitKind::Body}, 0);
+  request(20, 2, 0, 2);
+  request(66, 3, 0, 3);
+  request(64, 4, kEject, 0);  // ejection through the credit sink
+  request(69, 5, kEject, 0);  // the last unit
+
+  std::uint64_t okp[2 * kPorts];
+  for (std::uint64_t& row : okp) row = ~0ULL;  // the pass assigns every entry
+  EXPECT_EQ(qualifyLinkCandidates(a, 0, downBase, kCycle, okp, kPorts),
+            (1ULL << 0) | (1ULL << kEject));
+  for (int w = 0; w < 2; ++w) {
+    for (int p = 0; p < kPorts; ++p) {
+      std::uint64_t want = 0;
+      if (p == 0) want = w == 0 ? 1ULL << 20 : 1ULL << (66 - 64);
+      if (p == kEject && w == 1) want = (1ULL << (64 - 64)) | (1ULL << (69 - 64));
+      EXPECT_EQ(okp[w * kPorts + p], want) << "word " << w << " port " << p;
+    }
+  }
+
+  const auto winner = [&](int port, int cursor) {
+    return circularFirst(okp + port, kPorts, 2, cursor);
   };
-  EXPECT_EQ(winnerFrom(0), 20);
-  EXPECT_EQ(winnerFrom(21), 66);
-  EXPECT_EQ(winnerFrom(67), 20) << "wraps through word 0";
-  EXPECT_EQ(firstLinkWinner(a, 0, 1, downBase, kCycle), -1)
-      << "port 1 has no requesters";
+  EXPECT_EQ(winner(0, 0), 20);
+  EXPECT_EQ(winner(0, 20), 20) << "the unit at the cursor is first";
+  EXPECT_EQ(winner(0, 21), 66) << "crosses into word 1";
+  EXPECT_EQ(winner(0, 67), 20) << "cursor in word 1 wraps to word 0";
+  EXPECT_EQ(winner(0, 69), 20) << "cursor on the last unit wraps";
+  EXPECT_EQ(winner(kEject, 69), 69) << "cursor on the last unit picks it";
+  EXPECT_EQ(winner(kEject, 65), 69);
+  EXPECT_EQ(winner(kEject, 0), 64) << "ejection winner via the credit sink";
+
+  // Draining the full downstream unit qualifies unit 10 next cycle; unit 3
+  // is no longer fresh either.
+  a.pop(1, downBase[0] + 1);
+  qualifyLinkCandidates(a, 0, downBase, kCycle + 1, okp, kPorts);
+  EXPECT_EQ(okp[0], (1ULL << 3) | (1ULL << 10) | (1ULL << 20));
+  EXPECT_EQ(winner(0, 4), 10);
 }
 
-TEST(RouterArena, OutputOwnershipLifecycle) {
+// circularFirst on synthetic bitsets: a one-word row (the rotate path) and a
+// five-word router (2-ary 8-cube at V = 16: 17 ports x 16 = 272 units)
+// whose only bit sits below the cursor in the cursor's own word.
+TEST(LinkQual, CircularFirstWrapsInEveryWidth) {
+  const std::uint64_t one[] = {(1ULL << 2) | (1ULL << 40)};
+  EXPECT_EQ(circularFirst(one, 1, 1, 0), 2);
+  EXPECT_EQ(circularFirst(one, 1, 1, 3), 40);
+  EXPECT_EQ(circularFirst(one, 1, 1, 41), 2) << "wraps";
+  EXPECT_EQ(circularFirst(one, 1, 1, 63), 2);
+
+  constexpr int kStride = 3;  // column 1 of a words x 3 okp array
+  std::uint64_t five[5 * kStride] = {};
+  five[2 * kStride + 1] = 1ULL << 5;  // unit 133
+  EXPECT_EQ(circularFirst(five + 1, kStride, 5, 140), 133)
+      << "only the cursor word's tail is left";
+  EXPECT_EQ(circularFirst(five + 1, kStride, 5, 271), 133);
+  EXPECT_EQ(circularFirst(five + 1, kStride, 5, 0), 133);
+  five[4 * kStride + 1] = 1ULL << 15;  // unit 271
+  EXPECT_EQ(circularFirst(five + 1, kStride, 5, 140), 271);
+  EXPECT_EQ(circularFirst(five + 1, kStride, 5, 133), 133);
+}
+
+// claimVc clears a VC's bit in the free mask that VC allocation reads and
+// releaseVc sets it again, touching no other VC, port or router.
+TEST(RouterArena, FreeVcClaimReleaseRoundTrip) {
   RouterArena a = smallArena();
-  EXPECT_EQ(a.outOwner(1, 2, 1), -1);
-  a.setOutOwner(1, 2, 1, 7);
-  EXPECT_EQ(a.outOwner(1, 2, 1), 7);
-  EXPECT_EQ(a.outOwner(1, 2, 0), -1) << "other VCs unaffected";
-  EXPECT_EQ(a.outOwner(2, 2, 1), -1) << "other routers unaffected";
-  a.setOutOwner(1, 2, 1, -1);
-  EXPECT_EQ(a.outOwner(1, 2, 1), -1);
+  constexpr std::uint16_t kAll = 0b1111;  // V = 4
+  EXPECT_EQ(a.freeVcMask(1, 2), kAll);
+  a.claimVc(1, 2, 1);
+  EXPECT_EQ(a.freeVcMask(1, 2), kAll & ~0b10);
+  a.claimVc(1, 2, 3);
+  EXPECT_EQ(a.freeVcMask(1, 2), 0b0101);
+  EXPECT_EQ(a.freeVcMask(1, 1), kAll) << "other ports unaffected";
+  EXPECT_EQ(a.freeVcMask(2, 2), kAll) << "other routers unaffected";
+  a.releaseVc(1, 2, 1);
+  EXPECT_EQ(a.freeVcMask(1, 2), kAll & ~0b1000);
+  a.releaseVc(1, 2, 3);
+  EXPECT_EQ(a.freeVcMask(1, 2), kAll);
 }
 
 TEST(RouterArena, CursorsPerNodeAndPort) {
