@@ -3,7 +3,7 @@
 //
 //   swft_bench --list
 //   swft_bench --run fig6
-//   swft_bench --run all --threads 8 --format json --out results/
+//   swft_bench --run all --threads 8 --out results/
 //   swft_bench --run fig3 --shard 2/4       # quarter of the grid, merge-safe
 //
 // Sharding partitions a grid by a stable label hash, so N machines each
@@ -37,13 +37,12 @@ void printUsage() {
          "                     (gen/inj/walk) on stderr; cache hits skip simulation\n"
          "                     and print nothing — combine with --no-cache to time\n"
          "                     every point\n"
-         "  --format csv|json  artifact format (default csv)\n"
          "  --out DIR          artifact directory (default: $SWFT_RESULTS_DIR or results/)\n"
-         "  --cache            consult the content-addressed result cache (default on):\n"
-         "                     cached points short-circuit, misses simulate and store\n"
-         "  --no-cache         simulate every point, touch no cache state\n"
+         "  --no-cache         simulate every point, touch no cache state (default: the\n"
+         "                     content-addressed result cache serves stored points,\n"
+         "                     misses simulate and store)\n"
          "  --cache-dir DIR    cache store directory (default: $SWFT_CACHE_DIR or\n"
-         "                     <results>/cache); implies --cache\n"
+         "                     <results>/cache); re-enables the cache after --no-cache\n"
          "  --cache-stats      print aggregate hit/miss/insert counts and the on-disk\n"
          "                     store size after the runs (usable without --run)\n"
          "  --quiet            suppress per-point progress lines\n"
@@ -116,20 +115,8 @@ int main(int argc, char** argv) {
         }
       } else if (std::strcmp(arg, "--phase-timers") == 0) {
         opt.phaseTimers = true;
-      } else if (std::strcmp(arg, "--format") == 0) {
-        const std::string fmt = needValue(i);
-        if (fmt == "csv") {
-          opt.format = swft::OutputFormat::Csv;
-        } else if (fmt == "json") {
-          opt.format = swft::OutputFormat::Json;
-        } else {
-          std::cerr << "error: --format must be csv|json, got '" << fmt << "'\n";
-          return 2;
-        }
       } else if (std::strcmp(arg, "--out") == 0) {
         opt.outDir = needValue(i);
-      } else if (std::strcmp(arg, "--cache") == 0) {
-        opt.useCache = true;
       } else if (std::strcmp(arg, "--no-cache") == 0) {
         opt.useCache = false;
       } else if (std::strcmp(arg, "--cache-dir") == 0) {
@@ -157,12 +144,12 @@ int main(int argc, char** argv) {
     printList();
     return 0;
   }
+  if (opt.cacheDir.empty()) opt.cacheDir = swft::defaultCacheDir();
   if (names.empty() && cacheStats) {
     // Inspect-only mode: report the store without running anything.
-    const std::string dir = opt.cacheDir.empty() ? swft::defaultCacheDir() : opt.cacheDir;
-    const auto info = swft::ResultCache::scanDir(dir);
+    const auto info = swft::ResultCache::scanDir(opt.cacheDir);
     std::cout << "cache stats: hits=0 misses=0 inserts=0 entries=" << info.entries
-              << " bytes=" << info.bytes << " dir=" << dir << "\n";
+              << " bytes=" << info.bytes << " dir=" << opt.cacheDir << "\n";
     return 0;
   }
   if (names.empty()) {
@@ -192,16 +179,12 @@ int main(int argc, char** argv) {
 
   int failures = 0;
   swft::CacheStats totals;
-  std::string cacheDirUsed;
   for (const auto* spec : toRun) {
     try {
       const swft::ExperimentRun run = swft::runExperiment(*spec, opt, std::cout);
-      if (run.cacheUsed) {
-        totals.hits += run.cache.hits;
-        totals.misses += run.cache.misses;
-        totals.inserts += run.cache.inserts;
-        cacheDirUsed = run.cacheDir;
-      }
+      totals.hits += run.cache.hits;
+      totals.misses += run.cache.misses;
+      totals.inserts += run.cache.inserts;
       for (const swft::SweepRow& row : run.rows) {
         if (row.result.deadlockSuspected) {
           std::cerr << "warning: deadlock watchdog fired at " << spec->name << "/"
@@ -216,14 +199,10 @@ int main(int argc, char** argv) {
     }
   }
   if (cacheStats) {
-    const std::string dir = !cacheDirUsed.empty()
-                                ? cacheDirUsed
-                                : (opt.cacheDir.empty() ? swft::defaultCacheDir()
-                                                        : opt.cacheDir);
-    const auto info = swft::ResultCache::scanDir(dir);
+    const auto info = swft::ResultCache::scanDir(opt.cacheDir);
     std::cout << "cache stats: hits=" << totals.hits << " misses=" << totals.misses
               << " inserts=" << totals.inserts << " entries=" << info.entries
-              << " bytes=" << info.bytes << " dir=" << dir << "\n";
+              << " bytes=" << info.bytes << " dir=" << opt.cacheDir << "\n";
   }
   return failures == 0 ? 0 : 1;
 }

@@ -1,16 +1,14 @@
 #include "src/harness/experiment.hpp"
 
 #include <charconv>
+#include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/harness/table.hpp"
-#include "src/sim/config_parse.hpp"
 #include "src/util/fnv.hpp"
 
 namespace swft {
@@ -22,21 +20,6 @@ int parseShardInt(const std::string& text, std::string_view part) {
   const auto [ptr, ec] = std::from_chars(part.data(), part.data() + part.size(), out);
   if (ec != std::errc{} || ptr != part.data() + part.size()) {
     throw std::invalid_argument("shard: expected 'i/N' with integers, got '" + text + "'");
-  }
-  return out;
-}
-
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
   }
   return out;
 }
@@ -57,13 +40,9 @@ ShardSpec parseShard(const std::string& text) {
   return shard;
 }
 
-std::uint64_t stableLabelHash(std::string_view label) noexcept {
-  return fnv1a64(label);
-}
-
 bool inShard(std::string_view label, const ShardSpec& shard) noexcept {
   if (shard.isAll()) return true;
-  return stableLabelHash(label) % static_cast<std::uint64_t>(shard.count) ==
+  return fnv1a64(label) % static_cast<std::uint64_t>(shard.count) ==
          static_cast<std::uint64_t>(shard.index);
 }
 
@@ -77,48 +56,13 @@ std::vector<SweepPoint> shardPoints(std::vector<SweepPoint> points, const ShardS
   return mine;
 }
 
-std::string rowsToJson(const std::vector<SweepRow>& rows) {
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"swft-experiment-rows-v1\",\n  \"rows\": [";
-  bool first = true;
-  for (const auto& row : rows) {
-    const SimConfig& c = row.point.cfg;
-    const SimResult& r = row.result;
-    os << (first ? "" : ",") << "\n    {"
-       << "\"label\": \"" << jsonEscape(row.point.label) << "\", "
-       << "\"routing\": \"" << c.routingName() << "\", "
-       << "\"traffic\": \"" << trafficPatternName(c.pattern) << "\", "
-       << "\"radix\": " << c.radix << ", "
-       << "\"dims\": " << c.dims << ", "
-       << "\"vcs\": " << c.vcs << ", "
-       << "\"msg_length\": " << c.messageLength << ", "
-       << "\"offered_load\": " << c.injectionRate << ", "
-       << "\"faulty_nodes\": "
-       << c.faults.randomNodes + static_cast<int>(c.faults.explicitNodes.size()) << ", "
-       << "\"mean_latency\": " << r.meanLatency << ", "
-       << "\"latency_stddev\": " << r.latencyStddev << ", "
-       << "\"throughput\": " << r.throughput << ", "
-       << "\"messages_queued\": " << r.messagesQueued << ", "
-       << "\"absorbed_messages\": " << r.absorbedMessages << ", "
-       << "\"mean_hops\": " << r.meanHops << ", "
-       << "\"cycles\": " << r.cycles << ", "
-       << "\"delivered_measured\": " << r.deliveredMeasured << ", "
-       << "\"saturated\": " << (r.saturated ? "true" : "false") << ", "
-       << "\"deadlock\": " << (r.deadlockSuspected ? "true" : "false") << "}";
-    first = false;
-  }
-  os << "\n  ]\n}\n";
-  return os.str();
-}
-
 std::string artifactName(const ExperimentSpec& spec, const RunOptions& opt) {
   std::string name = spec.name;
   if (!opt.shard.isAll()) {
     name += ".shard" + std::to_string(opt.shard.index) + "-of-" +
             std::to_string(opt.shard.count);
   }
-  name += opt.format == OutputFormat::Json ? ".json" : ".csv";
-  return name;
+  return name + ".csv";
 }
 
 ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
@@ -134,15 +78,11 @@ ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
   // Resolve and create the artifact directory (and the cache store) before
   // any point simulates: a bad --out/--cache-dir must fail in milliseconds,
   // not after the grid already burned its simulation time.
-  std::string dir;
-  if (opt.writeArtifact) {
-    dir = opt.outDir.empty() ? resultsDir() : opt.outDir;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (!std::filesystem::is_directory(dir)) {
-      throw std::runtime_error("cannot create artifact directory '" + dir +
-                               "': " + ec.message());
-    }
+  const std::string dir = opt.outDir.empty() ? resultsDir() : opt.outDir;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!std::filesystem::is_directory(dir)) {
+    throw std::runtime_error("cannot create artifact directory '" + dir + "': " + ec.message());
   }
   std::unique_ptr<ResultCache> cache;
   if (opt.useCache) {
@@ -196,27 +136,17 @@ ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
   run.rows = std::move(rows);
 
   if (cache) {
-    run.cacheUsed = true;
     run.cache = cache->stats();
-    run.cacheDir = cache->dir();
     log << "cache: " << run.cache.hits << " hits, " << run.cache.misses
-        << " misses, " << run.cache.inserts << " inserts (" << run.cacheDir << ")\n";
+        << " misses, " << run.cache.inserts << " inserts (" << cache->dir() << ")\n";
   }
 
   log << formatTable(run.rows, spec.columns);
   if (spec.epilogue) log << spec.epilogue(run.rows);
 
-  if (opt.writeArtifact) {
-    run.artifactPath = dir + "/" + artifactName(spec, opt);
-    if (opt.format == OutputFormat::Json) {
-      std::ofstream out(run.artifactPath, std::ios::binary);
-      if (!out) throw std::runtime_error("cannot write " + run.artifactPath);
-      out << rowsToJson(run.rows);
-    } else {
-      toCsv(run.rows).writeFile(run.artifactPath);
-    }
-    log << "wrote " << run.artifactPath << " (" << run.rows.size() << " rows)\n";
-  }
+  run.artifactPath = dir + "/" + artifactName(spec, opt);
+  toCsv(run.rows).writeFile(run.artifactPath);
+  log << "wrote " << run.artifactPath << " (" << run.rows.size() << " rows)\n";
   return run;
 }
 

@@ -2,14 +2,14 @@
 // SweepPoints plus presentation metadata. Specs are registered once (see
 // experiment_registry.hpp) and driven uniformly by the `swft_bench` tool:
 // one code path for the thread pool, deterministic cross-machine sharding,
-// table output and the CSV/JSON artifacts — instead of one hand-rolled
+// table output and the CSV artifact — instead of one hand-rolled
 // main() per paper figure.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/harness/result_cache.hpp"
@@ -42,18 +42,15 @@ struct ShardSpec {
 /// or out-of-range indices.
 [[nodiscard]] ShardSpec parseShard(const std::string& text);
 
-/// FNV-1a 64-bit over the label bytes. Stable across platforms, compilers and
-/// standard libraries (unlike std::hash) — the sharding contract is that the
-/// same label lands in the same shard on every machine.
-[[nodiscard]] std::uint64_t stableLabelHash(std::string_view label) noexcept;
-
+/// Shard membership by FNV-1a 64 of the label bytes (fnv1a64). Stable across
+/// platforms, compilers and standard libraries (unlike std::hash) — the
+/// sharding contract is that the same label lands in the same shard on every
+/// machine.
 [[nodiscard]] bool inShard(std::string_view label, const ShardSpec& shard) noexcept;
 
 /// Partition a point grid down to one shard, preserving order.
 [[nodiscard]] std::vector<SweepPoint> shardPoints(std::vector<SweepPoint> points,
                                                   const ShardSpec& shard);
-
-enum class OutputFormat : std::uint8_t { Csv, Json };
 
 struct RunOptions {
   ShardSpec shard;
@@ -64,9 +61,7 @@ struct RunOptions {
   // is excluded from the canonical cache key on purpose — timers don't
   // change results).
   bool phaseTimers = false;
-  OutputFormat format = OutputFormat::Csv;
-  std::string outDir;  // empty: resultsDir()
-  bool writeArtifact = true;
+  std::string outDir;    // empty: resultsDir()
   bool progress = true;  // per-point progress lines on `log`
   // Consult the content-addressed result cache before simulating: points
   // whose canonical config key is already stored short-circuit to the cached
@@ -80,17 +75,9 @@ struct RunOptions {
 struct ExperimentRun {
   std::vector<SweepRow> rows;
   std::size_t totalPoints = 0;  // grid size before sharding
-  std::string artifactPath;     // empty when writeArtifact was false
-  bool cacheUsed = false;       // RunOptions::useCache was honoured
-  CacheStats cache;             // hit/miss/insert counts (cacheUsed only)
-  std::string cacheDir;         // resolved store directory (cacheUsed only)
+  std::string artifactPath;
+  CacheStats cache;  // hit/miss/insert counts (all zero without useCache)
 };
-
-/// Rows serialised as a JSON array of objects: the CSV columns plus a
-/// `traffic` field (the CSV schema is shared with the pre-refactor figure
-/// drivers and `swft_sim --csv`, where the pattern lives in the label;
-/// schema `swft-experiment-rows-v1`).
-[[nodiscard]] std::string rowsToJson(const std::vector<SweepRow>& rows);
 
 /// Artifact filename for a run: `<name>.csv` unsharded, or
 /// `<name>.shard<i>-of-<N>.csv` so shard outputs never collide and can be
@@ -98,9 +85,8 @@ struct ExperimentRun {
 [[nodiscard]] std::string artifactName(const ExperimentSpec& spec, const RunOptions& opt);
 
 /// Build the grid, apply the shard, run through the runSweep thread pool,
-/// print the paper-style table to `log`, and (by default) write the CSV/JSON
-/// artifact. Rows keep grid order, so a fixed seed reproduces byte-identical
-/// artifacts.
+/// print the paper-style table to `log`, and write the CSV artifact. Rows
+/// keep grid order, so a fixed seed reproduces byte-identical artifacts.
 ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
                             std::ostream& log);
 

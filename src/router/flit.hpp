@@ -40,6 +40,15 @@ struct Flit {
 };
 static_assert(sizeof(Flit) == 4);
 
+/// Kind of flit `index` (0-based) of a `length`-flit message: the one framing
+/// rule for every engine's injection.
+[[nodiscard]] constexpr FlitKind flitKindAt(int index, int length) noexcept {
+  if (length == 1) return FlitKind::HeaderTail;
+  if (index == 0) return FlitKind::Header;
+  if (index == length - 1) return FlitKind::Tail;
+  return FlitKind::Body;
+}
+
 /// Fixed-capacity ring buffer of flits with per-flit arrival stamps.
 /// The stamp enforces the 1 cycle/hop timing: a flit that arrived in cycle t
 /// is eligible to depart in cycle t+1 at the earliest.

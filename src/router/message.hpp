@@ -57,10 +57,8 @@ struct Message {
   std::int8_t lastDetourDirStep = 0;
 
   // --- transport progress ---------------------------------------------------
-  std::uint16_t flitsInjected = 0;  // pushed into the injection buffer
-  std::uint16_t flitsEjected = 0;   // consumed at an ejection channel
-  std::uint32_t hops = 0;           // header link traversals (all segments)
-  std::uint64_t firstInjectCycle = ~std::uint64_t{0};
+  std::uint16_t flitsEjected = 0;  // consumed at an ejection channel
+  std::uint32_t hops = 0;          // header link traversals (all segments)
 
   [[nodiscard]] bool wrapped(int dim) const noexcept {
     return (wrappedMask >> dim) & 1u;
@@ -69,10 +67,7 @@ struct Message {
   void resetTransit() noexcept { wrappedMask = 0; }
 
   [[nodiscard]] FlitKind flitKindAt(int index) const noexcept {
-    if (length == 1) return FlitKind::HeaderTail;
-    if (index == 0) return FlitKind::Header;
-    if (index == length - 1) return FlitKind::Tail;
-    return FlitKind::Body;
+    return swft::flitKindAt(index, length);
   }
 };
 

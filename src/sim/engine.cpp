@@ -192,12 +192,11 @@ bool Network::stepInjection(NodeId id) {
     m.resetTransit();  // fresh network segment: wrap classes reset
     m.flitsEjected = 0;
     node.streamLen = m.length;  // flit kinds need no pool access per flit
-    if (m.firstInjectCycle == ~std::uint64_t{0}) m.firstInjectCycle = cycle_;
   }
 
   // Stream one flit per cycle (injection channel bandwidth, assumption (g)).
-  // The flit kind is Message::flitKindAt over the cached stream length, so
-  // body/tail flits touch no pool state at all.
+  // The flit kind is flitKindAt over the cached stream length, so body/tail
+  // flits touch no pool state at all.
   const int unitIdx = arena_.unitIndex(id, injPort, node.streamVc);
   // Blocked on a full injection buffer: park the node (no RNG is drawn on
   // this path, so skipping the retry calls is invisible to the dense
@@ -206,13 +205,9 @@ bool Network::stepInjection(NodeId id) {
   // the dense engine's retries just the same.
   if (arena_.full(unitIdx)) return true;
   const int idx = node.nextFlit;
-  const int len = node.streamLen;
   Flit f;
   f.msg = node.streaming;
-  f.kind = len == 1            ? FlitKind::HeaderTail
-           : idx == 0          ? FlitKind::Header
-           : idx == len - 1    ? FlitKind::Tail
-                               : FlitKind::Body;
+  f.kind = flitKindAt(idx, node.streamLen);
   arena_.push(id, unitIdx, f, cycle_);
   lastMovementCycle_ = cycle_;
   if (trace_ != nullptr && idx == 0) {

@@ -85,7 +85,6 @@ void DenseReference::stepInjectionDense(NodeId id) {
     Message& m = net_.pool_.get(next);
     m.resetTransit();  // fresh network segment: wrap classes reset
     m.flitsEjected = 0;
-    if (m.firstInjectCycle == ~std::uint64_t{0}) m.firstInjectCycle = net_.cycle_;
   }
 
   // Stream one flit per cycle (injection channel bandwidth, assumption (g)).

@@ -60,8 +60,7 @@ Network::Network(const SimConfig& cfg)
       part_(cfg.routing, cfg.vcs, cfg.escapeVcs),
       ecube_(topo_),
       duato_(topo_),
-      software0_(std::make_unique<SoftwareLayer>(topo_, faults_, cfg.livelockThreshold)),
-      software_(*software0_),
+      software_(topo_, faults_, cfg.livelockThreshold),
       traffic_(cfg.pattern, faults_, cfg.hotspotFraction),
       arena_(static_cast<int>(topo_.nodeCount()), topo_.totalPorts(),
              topo_.networkPorts(), cfg.vcs, cfg.bufferDepth,

@@ -182,8 +182,7 @@ class Network {
   VcPartition part_;
   EcubeRouting ecube_;
   DuatoRouting duato_;
-  std::unique_ptr<SoftwareLayer> software0_;  // built after faults applied
-  SoftwareLayer& software_;
+  SoftwareLayer software_;  // built after faults applied
   TrafficGenerator traffic_;
   MessagePool pool_;
 

@@ -71,9 +71,10 @@ if(NOT out4 MATCHES "cache stats: hits=0 misses=0 inserts=0 entries=0")
   message(FATAL_ERROR "unexpected --cache-stats output:\n${out4}")
 endif()
 
-# Malformed --threads values and the removed --sim-threads flag exit 2 while
-# the arguments are parsed, naming the flag (--list would otherwise exit 0).
-foreach(args "--threads;2x" "--threads;abc" "--sim-threads;2")
+# Malformed --threads values and the removed --sim-threads, --format and
+# --cache flags exit 2 while the arguments are parsed, naming the flag (--list
+# would otherwise exit 0).
+foreach(args "--threads;2x" "--threads;abc" "--sim-threads;2" "--format;json" "--cache")
   list(GET args 0 flag)
   execute_process(
     COMMAND ${SWFT_BENCH} ${args} --list
