@@ -1,233 +1,51 @@
-// Kernel microbenchmarks: per-cycle engine cost, topology arithmetic, RNG
-// throughput, CDG construction. Two modes:
+// The engine's before/after perf harness: times the dense reference engine
+// (DenseReference, the test oracle) against the event-sparse engine on five
+// pinned operating points (low load, three saturation knees, faulty
+// adaptive), each measured in its own subprocess, and prints the figures.
+// The saturation and saturation_16ary3 points also run a sparse-mt
+// thread-scaling sweep (simThreads 1/2/4/8) recording mtN_cps, the best
+// self-speedup over thread counts the machine can actually host, and
+// hardware_concurrency.
 //
-//   (default)       google-benchmark microbenchmarks (adaptive iteration
-//                   counts), used for interactive profiling. The engine
-//                   benches time the production (sparse) engine only.
+//   --emit-json=F   writes the figures as machine-readable JSON (schema
+//                   swft-bench-engine-v1, see README.md).
+//   --check=REF     compares this run's sparse-engine cycles/sec against a
+//                   checked-in reference JSON and exits 1 if any point falls
+//                   more than kTolerance (30%) below it. Used by the
+//                   perf-smoke CI job to catch order-of-magnitude
+//                   regressions without flaking on runner noise. Per-point
+//                   min_speedup and min_self_speedup entries in the
+//                   reference gate the sparse/dense ratio and the sparse-mt
+//                   scaling; the latter is derated by the runner's core
+//                   count so the gate is runner-speed- and
+//                   runner-width-insensitive (trivially satisfied on a
+//                   single-core machine, armed on multi-core CI).
+//   --point=NAME    measures one operating point in this process (how the
+//                   harness runs each subprocess).
 //
-//   --emit-json=F   the repeatable before/after harness: times the dense
-//                   reference engine (DenseReference, the test oracle)
-//                   against the event-sparse engine on five pinned
-//                   operating points (low load, three saturation knees,
-//                   faulty adaptive) and writes machine-readable JSON
-//                   (schema swft-bench-engine-v1, see README.md). The
-//                   saturation and saturation_16ary3 points additionally
-//                   run a sparse-mt
-//                   thread-scaling sweep (simThreads 1/2/4/8) recording
-//                   mtN_cps, the best self-speedup over thread counts the
-//                   machine can actually host, and hardware_concurrency.
-//   --check=REF     additionally compares the sparse-engine cycles/sec of
-//                   this run against a checked-in reference JSON and exits
-//                   non-zero if any point regressed by more than
-//                   --tolerance (default 0.30). Used by the perf-smoke CI
-//                   job to catch order-of-magnitude regressions without
-//                   flaking on runner noise. A per-point min_self_speedup
-//                   in the reference gates the sparse-mt scaling; the
-//                   requirement is derated by the runner's core count so
-//                   the gate is runner-speed- and runner-width-insensitive
-//                   (trivially satisfied on a single-core machine, armed on
-//                   multi-core CI).
-#ifdef SWFT_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#endif
+// Any other argument, or one of these without a value, exits 2.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/harness/result_cache.hpp"
 #include "src/sim/config_parse.hpp"
-#include "src/sim/link_qual.hpp"
 #include "src/sim/engine_dense.hpp"
 #include "src/util/simd.hpp"
-#include "src/verify/cdg.hpp"
 
 using namespace swft;
 
-#ifdef SWFT_HAVE_GBENCH
 namespace {
 
-void BM_RngNext(benchmark::State& state) {
-  Rng rng(1);
-  for (auto _ : state) benchmark::DoNotOptimize(rng.next());
-}
-BENCHMARK(BM_RngNext);
-
-void BM_RngGeometric(benchmark::State& state) {
-  Rng rng(1);
-  for (auto _ : state) benchmark::DoNotOptimize(rng.geometric(0.01));
-}
-BENCHMARK(BM_RngGeometric);
-
-void BM_TopoCoordsRoundTrip(benchmark::State& state) {
-  const TorusTopology topo(8, static_cast<int>(state.range(0)));
-  NodeId id = 0;
-  for (auto _ : state) {
-    const Coordinates c = topo.coordsOf(id);
-    benchmark::DoNotOptimize(topo.idOf(c));
-    id = (id + 97) % topo.nodeCount();
-  }
-}
-BENCHMARK(BM_TopoCoordsRoundTrip)->Arg(2)->Arg(3)->Arg(4);
-
-void BM_TopoNeighbor(benchmark::State& state) {
-  const TorusTopology topo(8, 3);
-  NodeId id = 0;
-  int port = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo.neighbor(id, port));
-    port = (port + 1) % topo.networkPorts();
-    id = (id + 31) % topo.nodeCount();
-  }
-}
-BENCHMARK(BM_TopoNeighbor);
-
-void BM_EngineCyclesPerSecond(benchmark::State& state) {
-  // Steady-state stepping cost of a loaded 8-ary n-cube.
-  SimConfig cfg;
-  cfg.radix = 8;
-  cfg.dims = static_cast<int>(state.range(0));
-  cfg.vcs = 4;
-  cfg.messageLength = 32;
-  cfg.injectionRate = 0.004;
-  cfg.warmupMessages = 0;
-  cfg.measuredMessages = ~std::uint32_t{0};
-  Network net(cfg);
-  net.step(2000);  // warm the network to steady state
-  for (auto _ : state) {
-    net.step(100);
-  }
-  state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_EngineCyclesPerSecond)->Arg(2)->Arg(3)->Unit(benchmark::kMicrosecond);
-
-void BM_EngineSaturated(benchmark::State& state) {
-  SimConfig cfg;
-  cfg.radix = 8;
-  cfg.dims = 2;
-  cfg.vcs = 10;
-  cfg.messageLength = 32;
-  cfg.injectionRate = 0.05;  // deep saturation: worst-case per-cycle cost
-  cfg.warmupMessages = 0;
-  cfg.measuredMessages = ~std::uint32_t{0};
-  Network net(cfg);
-  net.step(5000);
-  for (auto _ : state) {
-    net.step(100);
-  }
-  state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_EngineSaturated)->Unit(benchmark::kMicrosecond);
-
-void BM_LinkBatch(benchmark::State& state) {
-  // The batched link pass in isolation-by-dominance: a knee-loaded 8-ary
-  // 2-cube at the production router shape (V=4, depth 4). Warmed to steady
-  // state, ~90% of per-cycle time is the router phase (per `phase_timers=1`),
-  // so this kernel tracks the single-pass switch arbitration + traversal
-  // commit rather than generation or injection.
-  SimConfig cfg;
-  cfg.radix = 8;
-  cfg.dims = 2;
-  cfg.vcs = 4;
-  cfg.messageLength = 32;
-  cfg.injectionRate = 0.015;
-  cfg.warmupMessages = 0;
-  cfg.measuredMessages = ~std::uint32_t{0};
-  Network net(cfg);
-  net.step(5000);
-  for (auto _ : state) {
-    net.step(100);
-  }
-  state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_LinkBatch)->Unit(benchmark::kMicrosecond);
-
-void BM_Qualify(benchmark::State& state) {
-  // The link-qualification pass (link_qual.hpp) in isolation on a synthetic
-  // saturated router at V=10: route-word gather + arrival compare +
-  // downstream size probe per live unit. 5 ports is the `saturation`
-  // operating-point router (50 units, one occupancy word); 7 ports is the
-  // `saturation_8ary3_v10` one (70 units, two words).
-  const int ports = static_cast<int>(state.range(0));
-  constexpr int kVcs = 10, kDepth = 4;
-  RouterArena a(2, ports, ports - 1, kVcs, kDepth);
-  const int units = a.unitsPerRouter();
-  // Node 0 is the router under test; spread its routed units across all
-  // ports (the ejection port targets the credit sink), downstream rows on
-  // node 1, with every third downstream full so the credit axis is live.
-  std::int32_t downBase[kMaxLinkPorts];
-  for (int p = 0; p < ports - 1; ++p) downBase[p] = a.unitIndex(1, p, 0);
-  downBase[ports - 1] = a.creditSinkBase();
-  for (int u = 0; u < units; ++u) {
-    a.push(0, u, Flit{static_cast<MsgId>(u), FlitKind::Body}, 0);
-    const int port = u % ports;
-    const int vc = u / ports % kVcs;
-    a.allocateRoute(0, u, port, vc);
-    if (port != ports - 1 && u % 3 == 0) {
-      for (int d = 0; d < kDepth; ++d) {
-        a.push(1, downBase[port] + vc, Flit{static_cast<MsgId>(u), FlitKind::Body}, 0);
-      }
-    }
-  }
-  const std::uint64_t cycle = 1;  // every front arrived at cycle 0
-  std::uint64_t okp[kOkpCapacity];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(qualifyLinkCandidates(a, 0, downBase, cycle, okp, ports));
-    benchmark::DoNotOptimize(okp[0]);
-  }
-  state.SetItemsProcessed(state.iterations() * units);
-}
-BENCHMARK(BM_Qualify)->Arg(5)->Arg(7);
-
-void BM_CdgBuild(benchmark::State& state) {
-  const TorusTopology topo(static_cast<int>(state.range(0)), 2);
-  const FaultSet faults(topo);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(buildEcubeCdg(topo, faults, true).hasCycle());
-  }
-}
-BENCHMARK(BM_CdgBuild)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_SoftwareLayerTables(benchmark::State& state) {
-  const TorusTopology topo(8, 3);
-  FaultSet faults(topo);
-  Rng rng(1);
-  applyRandomNodeFaults(faults, 12, rng);
-  for (auto _ : state) {
-    const SoftwareLayer layer(topo, faults, 96);
-    benchmark::DoNotOptimize(layer.tables(0).healthyLinkMask);
-  }
-}
-BENCHMARK(BM_SoftwareLayerTables)->Unit(benchmark::kMicrosecond);
-
-void BM_ResultCacheHit(benchmark::State& state) {
-  // Full warm-path cost per sweep point: canonical key derivation + entry
-  // read + key verification + exact-double deserialization.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "swft_bm_result_cache").string();
-  std::filesystem::remove_all(dir);
-  ResultCache cache(dir);
-  SimConfig cfg;
-  cache.store(cfg, SimResult{});
-  for (auto _ : state) benchmark::DoNotOptimize(cache.lookup(cfg));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_ResultCacheHit)->Unit(benchmark::kMicrosecond);
-
-}  // namespace
-#endif  // SWFT_HAVE_GBENCH
-
-namespace {
-
-// --- before/after harness ---------------------------------------------------
+/// How far sparse_cps may fall below the --check reference before the
+/// absolute gate trips.
+constexpr double kTolerance = 0.30;
 
 struct OperatingPoint {
   const char* name;
@@ -563,8 +381,7 @@ bool measureInSubprocess(const std::string& exe, PointResult& r) {
 }
 
 int runHarness(const std::string& exe, const std::string& emitPath,
-               const std::string& checkPath, double tolerance,
-               const std::string& only) {
+               const std::string& checkPath, const std::string& only) {
   std::vector<PointResult> results;
   for (const OperatingPoint& point : operatingPoints()) {
     if (!only.empty() && only != point.name) continue;
@@ -598,6 +415,11 @@ int runHarness(const std::string& exe, const std::string& emitPath,
     }
     results.push_back(r);
   }
+  if (results.empty()) {
+    std::fprintf(stderr, "kernel_microbench: unknown operating point '--point=%s'\n",
+                 only.c_str());
+    return 2;
+  }
 
   if (!emitPath.empty()) {
     std::ofstream out(emitPath);
@@ -628,12 +450,12 @@ int runHarness(const std::string& exe, const std::string& emitPath,
         continue;
       }
       ++matched;
-      const double floor = (1.0 - tolerance) * refCps;
+      const double floor = (1.0 - kTolerance) * refCps;
       if (r.sparseCps < floor) {
         std::fprintf(stderr,
                      "PERF REGRESSION at %s: %.0f cycles/sec < %.0f "
                      "(reference %.0f, tolerance %.0f%%)\n",
-                     r.name.c_str(), r.sparseCps, floor, refCps, tolerance * 100);
+                     r.name.c_str(), r.sparseCps, floor, refCps, kTolerance * 100);
         ++failures;
       } else {
         std::printf("%s ok: %.0f cycles/sec vs reference %.0f (floor %.0f)\n",
@@ -707,39 +529,24 @@ int runHarness(const std::string& exe, const std::string& emitPath,
 int main(int argc, char** argv) {
   std::string emitPath;
   std::string checkPath;
-  std::string only;
-  double tolerance = 0.30;
-  bool harness = false;
+  std::string only;  // restrict the harness to one operating point
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--emit-json=", 12) == 0) {
-      emitPath = arg + 12;
-      harness = true;
-    } else if (std::strncmp(arg, "--check=", 8) == 0) {
-      checkPath = arg + 8;
-      harness = true;
-    } else if (std::strncmp(arg, "--tolerance=", 12) == 0) {
-      tolerance = std::strtod(arg + 12, nullptr);
-    } else if (std::strncmp(arg, "--point=", 8) == 0) {
-      only = arg + 8;  // restrict the harness to one operating point
-      harness = true;
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    std::string* value = flag == "--emit-json" ? &emitPath
+                         : flag == "--check"   ? &checkPath
+                         : flag == "--point"   ? &only
+                                               : nullptr;
+    if (value == nullptr || eq == std::string::npos || eq + 1 == arg.size()) {
+      std::fprintf(stderr,
+                   "kernel_microbench: bad argument '%s'\n"
+                   "usage: kernel_microbench [--emit-json=FILE] [--check=REF] "
+                   "[--point=NAME]\n",
+                   arg.c_str());
+      return 2;
     }
+    *value = arg.substr(eq + 1);
   }
-  if (harness) {
-    return runHarness(argv[0] != nullptr ? argv[0] : "", emitPath, checkPath,
-                      tolerance, only);
-  }
-
-#ifdef SWFT_HAVE_GBENCH
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-#else
-  std::fprintf(stderr,
-               "kernel_microbench was built without google-benchmark; only the\n"
-               "harness mode is available (--emit-json/--check/--point).\n");
-  return 2;
-#endif
+  return runHarness(argv[0] != nullptr ? argv[0] : "", emitPath, checkPath, only);
 }

@@ -150,7 +150,7 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
     } else {
       fail("config: routing must be det|adaptive, got '" + value + "'");
     }
-  } else if (key == "traffic" || key == "pattern") {  // `pattern` is the legacy key
+  } else if (key == "traffic") {
     const std::optional<TrafficPattern> p = parseTrafficPattern(value);
     if (!p) fail("config: unknown traffic pattern '" + value + "'");
     cfg.pattern = *p;
@@ -254,6 +254,14 @@ void validateConfig(const SimConfig& cfg) {
               cfg.messageLength);
   }
   if (cfg.reinjectDelay < 0) failRange("delta", ">= 0", cfg.reinjectDelay);
+  // A message waiting out Delta in the software layer moves no flit, so a
+  // Delta as long as the watchdog window reads as a deadlock.
+  if (static_cast<std::uint64_t>(cfg.reinjectDelay) >= cfg.deadlockWindow) {
+    failRange("delta",
+              "below the deadlock watchdog window (" +
+                  std::to_string(cfg.deadlockWindow) + " cycles)",
+              cfg.reinjectDelay);
+  }
   // Td is compared against 32-bit arrival-stamp ages, which the router
   // arena keeps exact only below RouterArena::kMaxStampAge.
   if (cfg.routerDecisionTime < 0 ||

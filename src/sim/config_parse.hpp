@@ -3,7 +3,7 @@
 // Accepted keys (all optional, defaults from SimConfig):
 //   k, n, vcs, escape_vcs, buffer_depth, msg_length, rate, routing
 //   (det|adaptive), traffic (uniform|transpose|bitcomp|bitrev|shuffle|
-//   tornado|hotspot; `pattern` is a legacy alias), hotspot_fraction,
+//   tornado|hotspot), hotspot_fraction,
 //   delta, td, nf (random node faults), region (shape:e0xe1[@x,y] —
 //   repeatable), warmup, measured, max_cycles, seed, livelock_threshold,
 //   phase_timers
@@ -33,7 +33,8 @@ SimConfig parseConfig(std::span<const std::string> assignments,
 /// misread: k < 2, n outside [1, kMaxDims], more than 2^24 nodes, vcs
 /// outside [2, 16], buffer_depth outside [1, FlitFifo::kMaxDepth], an odd or
 /// out-of-range escape_vcs under adaptive routing, msg_length outside
-/// [1, 65535], negative delta, td or livelock_threshold, a rate or
+/// [1, 65535], negative delta, td or livelock_threshold, a delta at or
+/// above the deadlock watchdog window, a rate or
 /// hotspot_fraction that is NaN or outside [0, 1], nf outside [0, nodes),
 /// and regions whose anchor digits leave [0, k) or whose extents leave
 /// [1, k]. Throws std::invalid_argument naming the key. parseConfig and the

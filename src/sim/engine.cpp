@@ -120,24 +120,29 @@ void Network::advanceCycleSparse() {
   clock.mark(PhaseBreakdown::kWalk);
 }
 
+MsgId Network::queueMessage(NodeId src, NodeId dest, int length, RoutingMode mode) {
+  const MsgId id = pool_.allocate();
+  Message& m = pool_.get(id);
+  m.src = src;
+  m.finalDest = dest;
+  m.curTarget = dest;
+  m.seq = genSeq_++;
+  m.genCycle = cycle_;
+  m.length = static_cast<std::uint16_t>(length);
+  m.mode = mode;
+  nodes_[src].sourceQueue.push_back(id);
+  markNodeWork(src);
+  ++generatedTotal_;
+  return id;
+}
+
 void Network::stepGeneration(NodeId id) {
   NodeState& node = nodes_[id];
   while (node.nextGenCycle <= cycle_) {
     const NodeId dest = traffic_.pickDestination(id, node.rng);
     node.nextGenCycle += node.rng.geometric(cfg_.injectionRate);
     if (dest == kInvalidNode) continue;  // permutation maps to self/faulty
-    const MsgId msgId = pool_.allocate();
-    Message& m = pool_.get(msgId);
-    m.src = id;
-    m.finalDest = dest;
-    m.curTarget = dest;
-    m.seq = genSeq_++;
-    m.genCycle = cycle_;
-    m.length = static_cast<std::uint16_t>(cfg_.messageLength);
-    m.mode = cfg_.routing;
-    node.sourceQueue.push_back(msgId);
-    markNodeWork(id);
-    ++generatedTotal_;
+    queueMessage(id, dest, cfg_.messageLength, cfg_.routing);
     if (!windowOpen_ && genSeq_ >= cfg_.warmupMessages) {
       windowOpen_ = true;
       windowStartCycle_ = cycle_;

@@ -126,19 +126,7 @@ MsgId Network::injectTestMessage(NodeId src, NodeId dest, int length, RoutingMod
   if (faults_.nodeFaulty(src) || faults_.nodeFaulty(dest)) {
     throw std::invalid_argument("injectTestMessage: endpoint is faulty");
   }
-  const MsgId id = pool_.allocate();
-  Message& m = pool_.get(id);
-  m.src = src;
-  m.finalDest = dest;
-  m.curTarget = dest;
-  m.seq = genSeq_++;
-  m.genCycle = cycle_;
-  m.length = static_cast<std::uint16_t>(length);
-  m.mode = mode;
-  nodes_[src].sourceQueue.push_back(id);
-  markNodeWork(src);
-  ++generatedTotal_;
-  return id;
+  return queueMessage(src, dest, length, mode);
 }
 
 SimResult Network::snapshot() const {

@@ -125,6 +125,9 @@ class Network {
   void advanceCycleSparse();
 
   void stepGeneration(NodeId id);
+  // Allocate a message generated now at `src` for `dest` and queue it at its
+  // source: the one place stepGeneration and injectTestMessage build one.
+  MsgId queueMessage(NodeId src, NodeId dest, int length, RoutingMode mode);
   // Returns true when the node can make no injection progress until an
   // external event (queues drained, or streaming blocked on a full buffer
   // that only a router-side pop can drain), so the sparse engine can clear

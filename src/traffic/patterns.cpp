@@ -31,7 +31,6 @@ std::optional<TrafficPattern> parseTrafficPattern(std::string_view name) noexcep
   for (const TrafficPattern p : kAllTrafficPatterns) {
     if (name == trafficPatternName(p)) return p;
   }
-  if (name == "bit-complement") return TrafficPattern::BitComplement;  // legacy alias
   return std::nullopt;
 }
 

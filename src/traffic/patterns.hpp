@@ -36,8 +36,7 @@ inline constexpr std::array<TrafficPattern, 7> kAllTrafficPatterns = {
 /// the CLI, the config parser and `swft_bench --list` can never drift.
 [[nodiscard]] std::string_view trafficPatternName(TrafficPattern p) noexcept;
 
-/// Parse a pattern token (the canonical names plus the legacy alias
-/// "bit-complement"). Returns nullopt for unknown tokens.
+/// Parse a canonical pattern token. Returns nullopt for unknown tokens.
 [[nodiscard]] std::optional<TrafficPattern> parseTrafficPattern(std::string_view name) noexcept;
 
 /// Destination chooser. Deterministic permutations returning the source

@@ -250,7 +250,8 @@ TEST(Traffic, ParseIsInverseOfName) {
     ASSERT_TRUE(parsed.has_value()) << trafficPatternName(p);
     EXPECT_EQ(*parsed, p);
   }
-  EXPECT_EQ(parseTrafficPattern("bit-complement"), TrafficPattern::BitComplement);
+  EXPECT_EQ(parseTrafficPattern("bitcomp"), TrafficPattern::BitComplement);
+  EXPECT_FALSE(parseTrafficPattern("bit-complement").has_value());
   EXPECT_FALSE(parseTrafficPattern("worst").has_value());
   EXPECT_FALSE(parseTrafficPattern("").has_value());
 }
