@@ -70,7 +70,7 @@ class FlitFifo {
     assert(!full());
     const int idx = (head_ + size_) % kMaxDepth;
     flit_[idx] = f;
-    arrival_[idx] = arrivalCycle;
+    arrivals_[idx] = arrivalCycle;
     ++size_;
   }
 
@@ -85,7 +85,7 @@ class FlitFifo {
   }
   [[nodiscard]] std::uint64_t frontArrival() const noexcept {
     assert(!empty());
-    return arrival_[head_];
+    return arrivals_[head_];
   }
 
   Flit pop() noexcept {
@@ -100,7 +100,7 @@ class FlitFifo {
 
  private:
   Flit flit_[kMaxDepth]{};
-  std::uint64_t arrival_[kMaxDepth]{};
+  std::uint64_t arrivals_[kMaxDepth]{};
   int head_ = 0;
   int size_ = 0;
   int capacity_;

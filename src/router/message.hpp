@@ -18,22 +18,23 @@ enum class RoutingMode : std::uint8_t { Deterministic = 0, Adaptive = 1 };
 
 inline constexpr std::int8_t kNoOverride = 0;
 
+// Fields are ordered so the message fits one 64-byte cache line.
 struct Message {
   // --- identity / workload -------------------------------------------------
+  std::uint64_t genCycle = 0;     // when the PE generated it
   NodeId src = kInvalidNode;
   NodeId finalDest = kInvalidNode;
   std::uint32_t seq = 0;          // global generation sequence number
-  std::uint64_t genCycle = 0;     // when the PE generated it
   std::uint16_t length = 1;       // flits, header included
   RoutingMode mode = RoutingMode::Deterministic;
 
   // --- software-based routing header state ---------------------------------
-  /// Current routing target: the final destination, or an intermediate node
-  /// address computed by the messaging layer (assumption (i), option ii).
-  NodeId curTarget = kInvalidNode;
   /// True iff curTarget is a software intermediate: the message is absorbed
   /// there and re-routed, rather than consumed.
   bool absorbAtTarget = false;
+  /// Current routing target: the final destination, or an intermediate node
+  /// address computed by the messaging layer (assumption (i), option ii).
+  NodeId curTarget = kInvalidNode;
   /// Second leg of a two-leg detour (used when the sidestep dimension is
   /// lower than the blocked dimension, where a single intermediate would be
   /// undone immediately by dimension-order routing). Promoted to curTarget
@@ -59,6 +60,10 @@ struct Message {
   // --- transport progress ---------------------------------------------------
   std::uint16_t flitsEjected = 0;  // consumed at an ejection channel
   std::uint32_t hops = 0;          // header link traversals (all segments)
+  /// Cycle the header entered the buffer it occupies (or last occupied):
+  /// written wherever a header is pushed, read by the router decision time
+  /// (Td) gate.
+  std::uint64_t headerArrival = 0;
 
   [[nodiscard]] bool wrapped(int dim) const noexcept {
     return (wrappedMask >> dim) & 1u;
@@ -70,5 +75,6 @@ struct Message {
     return swft::flitKindAt(index, length);
   }
 };
+static_assert(sizeof(Message) == 64);
 
 }  // namespace swft

@@ -8,7 +8,6 @@
 #include "src/router/flit.hpp"
 #include "src/router/message.hpp"
 #include "src/routing/vc_partition.hpp"
-#include "src/sim/router_arena.hpp"
 
 namespace swft {
 
@@ -253,21 +252,20 @@ void validateConfig(const SimConfig& cfg) {
     failRange("msg_length", "in [1, " + std::to_string(kMaxLength) + "]",
               cfg.messageLength);
   }
-  if (cfg.reinjectDelay < 0) failRange("delta", ">= 0", cfg.reinjectDelay);
-  // A message waiting out Delta in the software layer moves no flit, so a
-  // Delta as long as the watchdog window reads as a deadlock.
-  if (static_cast<std::uint64_t>(cfg.reinjectDelay) >= cfg.deadlockWindow) {
-    failRange("delta",
-              "below the deadlock watchdog window (" +
-                  std::to_string(cfg.deadlockWindow) + " cycles)",
-              cfg.reinjectDelay);
-  }
-  // Td is compared against 32-bit arrival-stamp ages, which the router
-  // arena keeps exact only below RouterArena::kMaxStampAge.
-  if (cfg.routerDecisionTime < 0 ||
-      static_cast<std::uint64_t>(cfg.routerDecisionTime) >= RouterArena::kMaxStampAge) {
-    failRange("td", "in [0, 2^30)", cfg.routerDecisionTime);
-  }
+  // A message waiting out Delta in the software layer, or a header waiting
+  // out Td in its buffer, moves no flit, so a wait as long as the watchdog
+  // window reads as a deadlock.
+  const auto checkWait = [&](const char* key, int wait) {
+    if (wait < 0) failRange(key, ">= 0", wait);
+    if (static_cast<std::uint64_t>(wait) >= cfg.deadlockWindow) {
+      failRange(key,
+                "below the deadlock watchdog window (" +
+                    std::to_string(cfg.deadlockWindow) + " cycles)",
+                wait);
+    }
+  };
+  checkWait("delta", cfg.reinjectDelay);
+  checkWait("td", cfg.routerDecisionTime);
   if (!(cfg.injectionRate >= 0.0 && cfg.injectionRate <= 1.0)) {
     failRange("rate", "in [0, 1]", cfg.injectionRate);
   }

@@ -39,7 +39,8 @@ void Network::advanceCycle() {
 
 void Network::endCycle() noexcept {
   ++cycle_;
-  // Keep every 32-bit arrival-stamp age exact (router_arena.hpp).
+  // Keep the arena's 32-bit push stamps from wrapping round to look fresh
+  // (router_arena.hpp).
   if ((cycle_ & (RouterArena::kMaxStampAge - 1)) == 0) {
     arena_.renormaliseStamps(cycle_);
   }
@@ -196,6 +197,7 @@ bool Network::stepInjection(NodeId id) {
     Message& m = pool_.get(next);
     m.resetTransit();  // fresh network segment: wrap classes reset
     m.flitsEjected = 0;
+    m.headerArrival = cycle_;  // the chosen unit is empty: the header goes in now
     node.streamLen = m.length;  // flit kinds need no pool access per flit
   }
 
@@ -325,14 +327,16 @@ void Network::stepRouter(NodeId id) {
       bits &= bits - 1;
       const int g = routerBase + unitIdx;
       if (!arena_.front(g).isHeader()) continue;
-      if (td != 0 && arena_.frontAge(g, cycle_) < td) continue;  // Td model
+      if (td != 0 && cycle_ - pool_.get(arena_.front(g).msg).headerArrival < td) {
+        continue;  // Td model
+      }
       routeHeader(id, unitIdx);
     }
   }
 
   // Phase B: the batched link pass. One pass per output link, ascending port
   // order with the ejection port last: qualification (link_qual.hpp) reads
-  // each live candidate's front stamp and downstream size and buckets the
+  // each live candidate's freshness and downstream size and buckets the
   // qualified ones per output port, then each live port's first qualified
   // candidate in circular round-robin order from the port cursor — exactly
   // the min-key winner of the dense reference's full scan — commits.
@@ -374,7 +378,7 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
                        winnerIdx + 1 == unitCount ? 0 : winnerIdx + 1));
   const int g = arena_.base(id) + winnerIdx;
   const int outVc = arena_.outVc(g);
-  const Flit flit = arena_.pop(id, g, cycle_);
+  const Flit flit = arena_.pop(id, g);
   lastMovementCycle_ = cycle_;
   // Draining an injection unit re-arms the owning PE: it may have been
   // parked by stepInjection while this buffer was full.
@@ -385,6 +389,7 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
   if (flit.isHeader()) {
     Message& msg = pool_.get(flit.msg);
     ++msg.hops;
+    msg.headerArrival = cycle_;
     if (cachedWrap(id, port)) msg.setWrapped(dimOfPort(port));
     if (trace_ != nullptr) {
       trace_->record({TraceEvent::Kind::Hop, cycle_, id,
@@ -402,7 +407,7 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
 
 inline void Network::ejectFlit(NodeId id, int unitIdx) {
   const int g = arena_.base(id) + unitIdx;
-  const Flit flit = arena_.pop(id, g, cycle_);
+  const Flit flit = arena_.pop(id, g);
   lastMovementCycle_ = cycle_;
   // Self-absorbed traffic can eject straight out of an injection unit; the
   // drain re-arms the owning PE just as a link traversal would.

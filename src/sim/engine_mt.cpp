@@ -117,9 +117,10 @@ void MtEngine::buildCards(int d) {
           units &= units - 1;
           const Flit& front = a.front(g);
           if (!front.isHeader()) continue;
-          if (td != 0 && a.frontAge(g, cycle) < td) continue;
-          cards.push_back({static_cast<std::int32_t>(g), front.msg,
-                           n.computeRoute(n.pool_.get(front.msg), id)});
+          const Message& msg = n.pool_.get(front.msg);
+          if (td != 0 && cycle - msg.headerArrival < td) continue;
+          cards.push_back(
+              {static_cast<std::int32_t>(g), front.msg, n.computeRoute(msg, id)});
         }
       }
       if (cards.size() != begin) {

@@ -6,11 +6,12 @@
 // earlier cycle and the downstream VC buffer it feeds has a free slot (paper
 // §5.1 assumptions (f)/(g)):
 //
-//   frontAge(u, cycle) != 0  &&  size(downBase[outPort(u)] + outVc(u)) != depth
+//   !frontArrivedIn(u, cycle)  &&  size(downBase[outPort(u)] + outVc(u)) != depth
 //
-// Two scalar reads per candidate, straight from arena state. (A nonzero
-// 32-bit stamp age means "arrived before cycle"; router_arena.hpp keeps
-// ages exact.) The ejection port's downstream is the arena's always-empty
+// Two scalar reads per candidate, straight from arena state. (Only a unit's
+// latest push can have arrived this cycle, so the front is fresh exactly
+// when it is the unit's only flit and its push stamp equals the cycle; see
+// router_arena.hpp.) The ejection port's downstream is the arena's always-empty
 // credit sink, so an ejection candidate passes the credit read without a
 // locality branch. The same pass serves every router width: a router with
 // more than 64 input units keeps one qualified-candidate word per port per
@@ -62,7 +63,7 @@ inline constexpr int kOkpCapacity = kMaxLinkPorts * ((kMaxLinkPorts * 16 + 63) /
       const std::uint32_t r = wordRoutes[b];
       const int port = RouterArena::wordOutPort(r);
       const auto arrived =
-          static_cast<std::uint64_t>(a.frontAge(wordBase + b, cycle) != 0);
+          static_cast<std::uint64_t>(!a.frontArrivedIn(wordBase + b, cycle));
       const auto credit = static_cast<std::uint64_t>(
           a.size(downBase[port] + RouterArena::wordOutVc(r)) != depth);
       const std::uint64_t q = arrived & credit;

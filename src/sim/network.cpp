@@ -63,8 +63,7 @@ Network::Network(const SimConfig& cfg)
       software_(topo_, faults_, cfg.livelockThreshold),
       traffic_(cfg.pattern, faults_, cfg.hotspotFraction),
       arena_(static_cast<int>(topo_.nodeCount()), topo_.totalPorts(),
-             topo_.networkPorts(), cfg.vcs, cfg.bufferDepth,
-             /*exactArrivals=*/cfg.routerDecisionTime > 0),
+             topo_.networkPorts(), cfg.vcs, cfg.bufferDepth),
       engineRng_(Rng(cfg.seed).split(0xE61E)) {
   nodes_.reserve(topo_.nodeCount());
   nodeWork_.resize((static_cast<std::size_t>(topo_.nodeCount()) + 63) / 64, 0);
@@ -224,6 +223,36 @@ std::string Network::validateNodeState() const {
   return {};
 }
 
+std::string Network::checkHeaderArrival(NodeId id, int u) const {
+  // The Td gate reads a front header's Message::headerArrival and the link
+  // pass reads the unit's 32-bit push stamp; both record the header's push.
+  // It cannot postdate the last executed cycle, and a lone header is the
+  // unit's latest push, so the stamp holds its low 32 bits — unless
+  // renormaliseStamps clamped the stamp, leaving a stamp at least
+  // kMaxStampAge old and a header older still.
+  const int g = arena_.base(id) + u;
+  if (arena_.empty(g) || !arena_.front(g).isHeader()) return {};
+  const std::uint64_t arrival = pool_.get(arena_.front(g).msg).headerArrival;
+  const std::uint64_t lastCycle = cycle_ == 0 ? 0 : cycle_ - 1;
+  const auto report = [&](const std::string& what, const std::string& detail) {
+    return what + " at node " + std::to_string(id) + " unit " + std::to_string(u) +
+           ": headerArrival=" + std::to_string(arrival) + detail;
+  };
+  if (arrival > lastCycle) {
+    return report("header arrival from the future",
+                  " last executed cycle " + std::to_string(lastCycle));
+  }
+  const std::uint32_t stamp = arena_.lastPush(g);
+  const std::uint32_t stampAge = static_cast<std::uint32_t>(cycle_) - stamp;
+  const bool clamped =
+      stampAge >= RouterArena::kMaxStampAge && cycle_ - arrival > stampAge;
+  if (arena_.size(g) == 1 && static_cast<std::uint32_t>(arrival) != stamp && !clamped) {
+    return report("lone header's arrival differs from its unit's push stamp",
+                  " lastPush=" + std::to_string(stamp));
+  }
+  return {};
+}
+
 std::string Network::validateInvariants() const {
   const int vcs = cfg_.vcs;
   const int unitCount = arena_.unitsPerRouter();
@@ -286,6 +315,7 @@ std::string Network::validateInvariants() const {
     //    its tail belong to one message, and kinds follow H (B*) T framing.
     for (int u = 0; u < unitCount; ++u) {
       const int g = arena_.base(id) + u;
+      if (std::string err = checkHeaderArrival(id, u); !err.empty()) return err;
       MsgId current = kInvalidMsg;
       for (int i = 0; i < arena_.size(g); ++i) {
         const Flit& f = arena_.flitAt(g, i);

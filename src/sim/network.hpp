@@ -86,8 +86,9 @@ class Network {
 
   /// Validate microarchitectural invariants (occupancy bits/counts/active
   /// set vs buffers, parked headers, the free-VC mask vs the routed units
-  /// holding each output VC, wormhole per-VC message contiguity,
-  /// injection-side work-set coverage).
+  /// holding each output VC, wormhole per-VC message contiguity, front
+  /// headers' arrival cycles vs the buffers' push stamps, injection-side
+  /// work-set coverage).
   /// Returns an empty string when consistent, else a description of the
   /// first violation.
   /// O(network size); test/debug use.
@@ -146,6 +147,8 @@ class Network {
 
   // validateInvariants' storage-independent checks, reused by DenseReference.
   [[nodiscard]] std::string validateNodeState() const;
+  // validateInvariants' check of a front header's arrival (network.cpp).
+  [[nodiscard]] std::string checkHeaderArrival(NodeId id, int u) const;
 
   [[nodiscard]] NodeId cachedNeighbor(NodeId id, int port) const noexcept {
     return nbr_[static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +

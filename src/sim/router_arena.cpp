@@ -6,14 +6,13 @@
 namespace swft {
 
 RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
-                         int bufferDepth, bool exactArrivals)
+                         int bufferDepth)
     : nodes_(nodes),
       totalPorts_(totalPorts),
       networkPorts_(networkPorts),
       vcs_(vcs),
       depth_(bufferDepth),
-      unitsPerRouter_(totalPorts * vcs),
-      exactArrivals_(exactArrivals) {
+      unitsPerRouter_(totalPorts * vcs) {
   if (bufferDepth < 1 || bufferDepth > FlitFifo::kMaxDepth) {
     throw std::invalid_argument("RouterArena: buffer depth out of range");
   }
@@ -30,7 +29,6 @@ RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
       static_cast<std::size_t>(nodes) * static_cast<std::size_t>(unitsPerRouter_);
   const std::size_t slots = units << strideLog2_;
   flit_.resize(slots);
-  if (exactArrivals_) arrival_.resize(slots, 0);
   // One extra always-empty row of V units past the real ones: the credit
   // sink. The engine points the ejection port's "downstream" units here so a
   // credit probe of any port alike reads a never-full size.
@@ -58,11 +56,11 @@ std::string RouterArena::auditMasks(std::uint64_t lastCycle) const {
       const bool occupied = (occ_[w] & bit) != 0;
       // Ages below 2^31 are the only legal ones (class comment); a stamp
       // ahead of lastCycle wraps to an age at or above that.
-      if (occupied && static_cast<std::uint32_t>(lastCycle) - meta_[g].frontArrival >=
+      if (occupied && static_cast<std::uint32_t>(lastCycle) - meta_[g].lastPush >=
                           (std::uint32_t{1} << 31)) {
-        os << "front stamp from the future at node " << id << " local "
-           << local << ": frontArrival=" << meta_[g].frontArrival
-           << " last executed cycle " << lastCycle;
+        os << "stamp from the future at node " << id << " local " << local
+           << ": lastPush=" << meta_[g].lastPush << " last executed cycle "
+           << lastCycle;
         return os.str();
       }
       const bool routed = wordRouted(route_[g]);
@@ -84,14 +82,9 @@ std::string RouterArena::auditMasks(std::uint64_t lastCycle) const {
 
 void RouterArena::renormaliseStamps(std::uint64_t now) noexcept {
   const auto floor = static_cast<std::uint32_t>(now) - kMaxStampAge;
-  const auto clamp = [&](std::uint32_t& stamp) {
-    if (static_cast<std::uint32_t>(now) - stamp > kMaxStampAge) stamp = floor;
-  };
   for (UnitMeta& m : meta_) {
-    clamp(m.frontArrival);
-    clamp(m.lastPush);
+    if (static_cast<std::uint32_t>(now) - m.lastPush > kMaxStampAge) m.lastPush = floor;
   }
-  for (std::uint32_t& stamp : arrival_) clamp(stamp);
 }
 
 }  // namespace swft

@@ -12,28 +12,31 @@
 //   globalUnit = node * unitsPerRouter + port * vcs + vc
 //
 // so the credit-check fields (`full()` == one byte compare against the shared
-// depth, `frontAge()`) are dense and prefetch-friendly. The arena also
+// depth, `frontArrivedIn()`) are dense and prefetch-friendly. The arena also
 // maintains the network-level active set (one bit per router with any
 // occupied input unit) that the event-sparse engine walks with countr_zero;
 // push/pop keep the per-router occupancy words, the occupied-unit count and
 // the active bit consistent so the engine cannot desynchronise them.
 //
 // Link qualification reads this state directly (link_qual.hpp): a routed
-// unit's front may cross its link when frontArrival < the executing cycle
+// unit's front may cross its link when it arrived before the executing cycle
 // and the downstream unit it feeds is not full — two scalar reads per
 // candidate, the rule of paper assumptions (f)/(g). The only derived mask
 // kept beside the route words is routedMask_ (bit per routed unit), written
 // exactly where route words are written and cleared; the output port a
 // routed unit requests is read from its route word.
 //
-// Arrival stamps hold the low 32 bits of the cycle, and every reader compares
-// ages, `uint32_t(now) - stamp`, never raw stamps. An age is exact while it
-// is below 2^32; renormaliseStamps, run every kMaxStampAge cycles,
-// clamps each stamp older than 2^30 to exactly age 2^30, so no age ever
-// reaches 2^31. The clamp keeps every comparison the engine makes — "age
-// != 0" (arrived before this cycle) and "age < td" with td < 2^30 — by the
-// freshness lemma below: any stamp < now is as good as the true one once the
-// age exceeds td.
+// Each unit keeps one arrival stamp, `lastPush`: the low 32 bits of the
+// cycle of its latest push. That is all the link pass needs. At most one
+// flit enters a unit per cycle and arrivals within a unit strictly
+// increase, so only the latest push can have arrived in the current cycle:
+// the front arrived in cycle `now` exactly when it is the unit's only flit
+// and lastPush == uint32_t(now) (frontArrivedIn). The router decision time
+// Td asks a different question — how long ago did this header arrive — and
+// reads the full-width Message::headerArrival instead. renormaliseStamps,
+// run every kMaxStampAge cycles, clamps each stamp older than 2^30 to
+// exactly age 2^30, so no stamp's age ever reaches 2^31 and the equality
+// never holds by wrap-around.
 #pragma once
 
 #include <bit>
@@ -49,25 +52,10 @@ namespace swft {
 
 class RouterArena {
  public:
-  /// `exactArrivals` selects the arrival-stamp representation. With exact
-  /// stamps (default) every buffered flit keeps its arrival cycle in a ring
-  /// parallel to the flit ring — required when the router decision time Td
-  /// is nonzero, because a header's routing eligibility compares against the
-  /// true arrival cycle. With Td == 0 the only question the engine ever asks
-  /// is "did the front flit arrive strictly before the current cycle?", and
-  /// that is derivable without the ring: arrivals within one buffer strictly
-  /// increase and at most one flit enters a unit per cycle, so after a pop a
-  /// single remaining flit is the most recent push (stamp kept exactly in
-  /// `lastPush_`) while >= 2 remaining flits all arrived strictly before the
-  /// popping cycle (any stamp < now preserves every comparison). Dropping
-  /// the ring removes 4 bytes x depth-rounded slots per unit from the hot
-  /// working set.
-  RouterArena(int nodes, int totalPorts, int networkPorts, int vcs, int bufferDepth,
-              bool exactArrivals = true);
+  RouterArena(int nodes, int totalPorts, int networkPorts, int vcs, int bufferDepth);
 
-  /// Stamp ages are clamped to this bound by renormaliseStamps, which
-  /// Network::endCycle runs every kMaxStampAge cycles; a router decision
-  /// time must stay below it (validateConfig).
+  /// renormaliseStamps, which Network::endCycle runs every kMaxStampAge
+  /// cycles, clamps stamp ages to this bound.
   static constexpr std::uint32_t kMaxStampAge = std::uint32_t{1} << 30;
 
   // --- geometry -------------------------------------------------------------
@@ -91,14 +79,15 @@ class RouterArena {
   [[nodiscard]] const Flit& front(int u) const noexcept {
     return flit_[slot(u, meta_[u].head)];
   }
-  /// Cycles since the front flit arrived, as of cycle `now`: 0 iff it
-  /// arrived in `now`. Exact below kMaxStampAge, at least that above. The
-  /// stamp sits beside the ring head/size: the per-cycle eligibility checks
-  /// (`departed-this-cycle`, Td) and the push/pop updates hit the same
-  /// packed record.
-  [[nodiscard]] std::uint32_t frontAge(int u, std::uint64_t now) const noexcept {
-    return static_cast<std::uint32_t>(now) - meta_[u].frontArrival;
+  /// True iff the front flit arrived in cycle `now` (see the class
+  /// comment). The stamp sits beside the ring head/size, so the link pass's
+  /// freshness check and the push/pop updates hit the same packed record.
+  [[nodiscard]] bool frontArrivedIn(int u, std::uint64_t now) const noexcept {
+    const UnitMeta& m = meta_[u];
+    return (m.size == 1) & (m.lastPush == static_cast<std::uint32_t>(now));
   }
+  /// Low 32 bits of the cycle of the unit's latest push (validation).
+  [[nodiscard]] std::uint32_t lastPush(int u) const noexcept { return meta_[u].lastPush; }
   /// i-th buffered flit from the front (introspection/validation).
   [[nodiscard]] const Flit& flitAt(int u, int i) const noexcept {
     return flit_[slot(u, (meta_[u].head + i) & strideMask_)];
@@ -120,25 +109,16 @@ class RouterArena {
   /// sizes oscillate around 0..2, so the was-empty / became-empty
   /// transitions are data-dependent coin flips a predictor cannot learn;
   /// every update that depends on them is a mask or a conditional move, not
-  /// a branch. The remaining branches are either engine constants
-  /// (exactArrivals_) or rare and cheap to predict (whole-router active
-  /// transitions).
+  /// a branch. The remaining branches are rare and cheap to predict
+  /// (whole-router active transitions).
   void push(NodeId node, int u, Flit f, std::uint64_t arrivalCycle) noexcept {
     assert(u >= base(node) && u < base(node) + unitsPerRouter_);
     UnitMeta& m = meta_[u];
     const std::uint16_t was = m.size;
     const int s = slot(u, (m.head + was) & strideMask_);
-    const auto stamp = static_cast<std::uint32_t>(arrivalCycle);
     flit_[s] = f;
-    if (exactArrivals_) {
-      arrival_[s] = stamp;
-    } else {
-      m.lastPush = stamp;
-    }
+    m.lastPush = static_cast<std::uint32_t>(arrivalCycle);
     m.size = static_cast<std::uint16_t>(was + 1);
-    const bool wasEmpty = was == 0;
-    // Only a push into an empty unit installs a new front.
-    m.frontArrival = wasEmpty ? stamp : m.frontArrival;
     const int local = u - base(node);
     const std::uint64_t bit = 1ULL << (local & 63);
     std::uint64_t& ow = occ_[maskIndex(node, local)];
@@ -153,11 +133,7 @@ class RouterArena {
     }
   }
 
-  /// `now` is the popping cycle; in the inexact-arrival mode it feeds the
-  /// conservative front stamp (see the freshness lemma in the class comment).
-  /// Engine callers must pass the current cycle; tests running in the exact
-  /// mode may omit it.
-  Flit pop(NodeId node, int u, std::uint64_t now = 0) noexcept {
+  Flit pop(NodeId node, int u) noexcept {
     assert(u >= base(node) && u < base(node) + unitsPerRouter_);
     UnitMeta& m = meta_[u];
     const Flit f = flit_[slot(u, m.head)];
@@ -166,16 +142,6 @@ class RouterArena {
     m.size = left;
     const int local = u - base(node);
     const std::uint64_t fbit = 1ULL << (local & 63);
-    std::uint32_t fa;
-    if (exactArrivals_) {
-      fa = arrival_[slot(u, m.head)];  // stale-but-unread when emptied
-    } else {
-      // Freshness lemma: a lone survivor is the latest push; >= 2 survivors
-      // all arrived strictly before the popping cycle (see ctor comment).
-      assert(left <= 1 || now > 0);
-      fa = left == 1 ? m.lastPush : static_cast<std::uint32_t>(now - 1);
-    }
-    m.frontArrival = fa;
     const bool emptied = left == 0;
     std::uint64_t& ow = occ_[maskIndex(node, local)];
     const std::uint64_t after =
@@ -231,13 +197,13 @@ class RouterArena {
 
   /// Recompute the routed mask from the route words, check that every
   /// parked unit is occupied, unrouted and fronted by a header, and check
-  /// every buffered front stamp against `lastCycle`, the last executed cycle
-  /// (now() - 1 between cycles, 0 before the first): a front that arrived
-  /// later would qualify a cycle early or never. Returns "" or a description
+  /// every occupied unit's stamp against `lastCycle`, the last executed
+  /// cycle (now() - 1 between cycles, 0 before the first): a flit that
+  /// arrived later would qualify a cycle early or never. Returns "" or a description
   /// of the first divergence.
   [[nodiscard]] std::string auditMasks(std::uint64_t lastCycle) const;
 
-  /// Clamp every stored arrival stamp older than kMaxStampAge, as of cycle
+  /// Clamp every unit's stamp older than kMaxStampAge, as of cycle
   /// `now`, to exactly that age (see the class comment). Engines call it
   /// every kMaxStampAge cycles; it changes no comparison result.
   void renormaliseStamps(std::uint64_t now) noexcept;
@@ -349,24 +315,20 @@ class RouterArena {
   int strideLog2_;   // ring stride = bit_ceil(depth); slots per unit
   int strideMask_;
   int occWords_;     // occupancy words per router
-  bool exactArrivals_;
 
   // Flit rings: slot = (unit << strideLog2) + ringPos.
   std::vector<Flit> flit_;
-  std::vector<std::uint32_t> arrival_;  // per-slot stamps (exact mode only)
   // Hot per-unit ring metadata, packed so one cache access serves a whole
   // push or pop (a flit move reads and writes every field; keeping them in
-  // parallel arrays cost a separate line touch each). 12-byte stride:
-  // 32-bit stamps (see the class comment on ages). The credit sink (vcs
-  // entries past the real units, see ctor) rides along with permanently-zero
-  // sizes.
+  // parallel arrays cost a separate line touch each). 8-byte stride. The
+  // credit sink (vcs entries past the real units, see ctor) rides along
+  // with permanently-zero sizes.
   struct UnitMeta {
-    std::uint32_t frontArrival = 0;  // stamp of the front flit
-    std::uint32_t lastPush = 0;      // latest stamp (inexact mode only)
+    std::uint32_t lastPush = 0;  // low 32 bits of the latest push's cycle
     std::uint16_t head = 0;
     std::uint16_t size = 0;
   };
-  static_assert(sizeof(UnitMeta) == 12);
+  static_assert(sizeof(UnitMeta) == 8);
   std::vector<UnitMeta> meta_;
 
   std::vector<std::uint32_t> route_;

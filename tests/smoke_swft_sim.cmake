@@ -48,12 +48,12 @@ endif()
 
 # Rejected configurations exit 2 before simulating, naming the bad key on
 # stderr. No key selects an engine or its thread count, a router decision
-# time must stay below 2^30 (the arena's exact arrival-stamp ages), a Delta
-# must stay below the deadlock watchdog window, and the former `pattern=`
-# and `bit-complement` aliases are gone. The trailing keys bound the run
+# time Td and a Delta must both stay below the deadlock watchdog window (a
+# wait that long moves no flit and reads as a deadlock), and the former
+# `pattern=` and `bit-complement` aliases are gone. The trailing keys bound the run
 # should one be accepted.
 foreach(bad engine=dense engine=sparse-mt engine=sparse sim_threads=2 msg_length=0
-        td=1073741824 delta=20000 pattern=uniform traffic=bit-complement)
+        td=1073741824 td=20000 delta=20000 pattern=uniform traffic=bit-complement)
   string(REGEX REPLACE "=.*" "" key "${bad}")
   execute_process(
     COMMAND ${SWFT_SIM} ${bad} k=4 warmup=10 measured=50 max_cycles=20000

@@ -184,10 +184,9 @@ TEST(ConfigParse, Errors) {
   EXPECT_THROW(parse({"region=rect"}), std::invalid_argument);
   EXPECT_THROW(parse({"region=rect:3"}), std::invalid_argument);
   // Integers that do not fit their field, and values the engine would wrap
-  // or misread (a 0- or 70000-flit message, a negative delay, a delay the
-  // deadlock watchdog would read as a stall, a decision time of 2^30 or more
-  // that 32-bit stamp ages cannot compare, a NaN or out-of-range rate), are
-  // rejected naming the key.
+  // or misread (a 0- or 70000-flit message, a negative delay or decision
+  // time, a delay or decision time the deadlock watchdog would read as a
+  // stall, a NaN or out-of-range rate), are rejected naming the key.
   // Likewise every shape the network cannot build: a degenerate or oversized
   // torus, a VC count or buffer depth the router cannot hold, an escape pool
   // Duato's protocol cannot split, a NaN or out-of-range hotspot share, more
@@ -196,7 +195,8 @@ TEST(ConfigParse, Errors) {
   // assignment first; the error must name its key.
   const std::vector<std::vector<std::string>> cases = {
       {"k=4294967304"}, {"warmup=-1"}, {"msg_length=0"}, {"msg_length=70000"},
-      {"delta=-5"}, {"delta=20000"}, {"delta=30000"}, {"td=-1"}, {"td=1073741824"}, {"rate=nan"}, {"rate=-0.5"},
+      {"delta=-5"}, {"delta=20000"}, {"delta=30000"}, {"td=-1"}, {"td=20000"},
+      {"td=30000"}, {"td=1073741823"}, {"td=1073741824"}, {"rate=nan"}, {"rate=-0.5"},
       {"rate=1.5"},
       {"k=1"}, {"k=-3"}, {"n=0"}, {"n=9"}, {"k=4097", "n=2"},
       {"vcs=1"}, {"vcs=17"}, {"buffer_depth=0"}, {"buffer_depth=17"},
@@ -218,10 +218,21 @@ TEST(ConfigParse, Errors) {
           << bad << ": " << e.what();
     }
   }
+  // Td and Delta share the watchdog bound and its wording.
+  for (const char* key : {"td", "delta"}) {
+    try {
+      (void)parse({std::string(key) + "=30000"});
+      ADD_FAILURE() << key << "=30000 parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "config: '" + std::string(key) +
+                                           "' must be below the deadlock watchdog "
+                                           "window (20000 cycles), got 30000");
+    }
+  }
   EXPECT_EQ(parse({"seed=18446744073709551615"}).seed, ~std::uint64_t{0});
   EXPECT_EQ(parse({"msg_length=65535", "rate=1", "delta=0", "td=0"}).messageLength, 65535);
   EXPECT_EQ(parse({"delta=19999"}).reinjectDelay, 19999);
-  EXPECT_EQ(parse({"td=1073741823"}).routerDecisionTime, (1 << 30) - 1);
+  EXPECT_EQ(parse({"td=19999"}).routerDecisionTime, 19999);
   EXPECT_EQ(parse({"k=2", "n=8", "vcs=16", "buffer_depth=16", "nf=255",
                    "hotspot_fraction=1", "livelock_threshold=0"})
                 .faults.randomNodes,

@@ -34,6 +34,8 @@ struct EngineCase {
   RoutingMode routing;
   int randomFaults;
   double rate;
+  int messageLength = 16;
+  int td = 0;
 };
 
 const EngineCase kCases[] = {
@@ -51,6 +53,16 @@ const EngineCase kCases[] = {
      0.006},
     {"transpose_adp_faulty", TrafficPattern::Transpose, RoutingMode::Adaptive, 5,
      0.005},
+    // Headers queued behind another message's tail: 2-flit messages in
+    // 4-flit buffers, so a buffer often holds a tail with the next header
+    // behind it, and that header reaches the front long after it arrived.
+    // The Td gate must count from the header's arrival, as the dense
+    // reference's per-slot stamps do, not from the cycle it became the front
+    // (nor from the cycle before, which Td <= 2 cannot tell apart). The rate
+    // is past the throughput knee for 2-flit messages (a long run saturates
+    // near 0.28), so buffers fill from the first cycles.
+    {"uniform_det_td3_queued", TrafficPattern::Uniform, RoutingMode::Deterministic, 0,
+     0.3, 2, 3},
 };
 
 SimConfig caseConfig(const EngineCase& c) {
@@ -58,7 +70,8 @@ SimConfig caseConfig(const EngineCase& c) {
   cfg.radix = 8;
   cfg.dims = 2;
   cfg.vcs = 4;
-  cfg.messageLength = 16;
+  cfg.messageLength = c.messageLength;
+  cfg.routerDecisionTime = c.td;
   cfg.pattern = c.pattern;
   cfg.routing = c.routing;
   cfg.faults.randomNodes = c.randomFaults;
@@ -141,10 +154,9 @@ INSTANTIATE_TEST_SUITE_P(Matrix, EngineEquivalence, ::testing::ValuesIn(kCases),
 // across words; every matrix case above has one word per router. The cases:
 // a 4-ary 3-cube at V = 10 (7 ports x 10 VCs = 70 units) with adaptive
 // routing, faults with a software-layer delay and Td = 1, which puts route
-// cards, absorption and the exact-arrival mode on two words; the same cube
-// deterministic at Td = 0, the inexact-arrival mode on two words; a 3-ary
-// 4-cube at V = 8 (72 units); and a 2-ary 8-cube at V = 16 (17 x 16 = 272
-// units, five words).
+// cards, absorption and the Td gate on two words; the same cube
+// deterministic at Td = 0; a 3-ary 4-cube at V = 8 (72 units); and a 2-ary
+// 8-cube at V = 16 (17 x 16 = 272 units, five words).
 struct MultiWordCase {
   int k, n, vcs;
   RoutingMode routing;
@@ -200,15 +212,16 @@ INSTANTIATE_TEST_SUITE_P(
                       std::to_string(c.faults), "td", std::to_string(c.td)});
     });
 
-// Recorded reference values for every equivalence-matrix case, captured from
-// the dense reference engine (seed semantics plus the two ISSUE-2 injection
-// fixes: peek-don't-pop requeue and the single unsigned VC-rotation draw).
-// The first and last rows date from the PR that introduced the event-sparse
-// engine; the other six were recorded — from the dense oracle, unchanged by
-// that PR — when the batched link pass landed, so every matrix corner is now
-// pinned, not just compared engine-to-engine. Any change to these numbers
-// means the engine's observable behaviour drifted — deliberate changes must
-// re-record and justify in the commit message.
+// Recorded reference values for the eight traffic x routing x fault cases of
+// the equivalence matrix, captured from the dense reference engine (seed
+// semantics plus the two injection fixes that came with the event-sparse
+// engine: peek-don't-pop requeue and the single unsigned VC-rotation draw).
+// The first and last rows date from the event-sparse engine itself; the
+// other six were recorded — from the dense oracle, unchanged since — when
+// the batched link pass landed, so each of those corners is pinned, not just
+// compared engine-to-engine (the Td case after them is compared only). Any
+// change to these numbers means the engine's observable behaviour drifted —
+// deliberate changes must re-record and justify in the commit message.
 struct GoldenRecord {
   const char* name;
   std::uint64_t cycles;
@@ -331,7 +344,7 @@ TEST(EngineEquivalence, PinnedHopVectorsUnderContentionSparseMt) {
 }
 
 // The same schedule started 4 cycles before cycle 2^32: the arena's 32-bit
-// arrival stamps wrap mid-scenario, and the stamp renormalisation pass runs
+// push stamps wrap mid-scenario, and the stamp renormalisation pass runs
 // at the end of cycle 2^32 - 1 (2^32 is a multiple of its period).
 TEST(EngineEquivalence, PinnedHopVectorsAcrossStampWrap) {
   runPinnedContention(EngineKind::Sparse, 1, (std::uint64_t{1} << 32) - 4);

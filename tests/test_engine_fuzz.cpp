@@ -81,7 +81,7 @@ std::string reproString(const SimConfig& cfg) {
 /// still crossing the engine code paths: wormhole streaming, VC allocation
 /// under contention, credit backpressure (depth 1), faults with
 /// software-layer absorption/reinjection, non-zero router decision time
-/// (exact-arrival mode), and saturated points that stop on max_cycles
+/// (the Td gate on Message::headerArrival), and saturated points that stop on max_cycles
 /// instead of the delivery target. The draws stay on one-word routers
 /// (V <= 6 and at most 9 ports give at most 54 input units); the multi-word
 /// path (more than 64 units) is covered by

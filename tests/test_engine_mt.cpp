@@ -208,8 +208,8 @@ TEST(MtEdgeCases, PhaseTimersDoNotPerturbResults) {
 
 TEST(MtEdgeCases, FaultyRingWithDecisionTime) {
   // 1-D ring with faults, software-layer reinjection and td > 0: header
-  // arrival stamps and absorption all land on domain boundaries when the
-  // ring is split three ways.
+  // arrivals and absorption all land on domain boundaries when the ring is
+  // split three ways.
   SimConfig cfg;
   cfg.radix = 12;
   cfg.dims = 1;

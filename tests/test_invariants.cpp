@@ -14,6 +14,7 @@ namespace swft {
 
 struct NetworkTestAccess {
   static RouterArena& arena(Network& net) { return net.arena_; }
+  static Message& message(Network& net, MsgId id) { return net.pool_.get(id); }
 };
 
 namespace {
@@ -139,6 +140,42 @@ TEST(Invariants, CatchFreeVcMaskDesyncFromRouteWords) {
   const std::string released = net.validateInvariants();
   EXPECT_NE(released.find(where(heldNode, heldPort)), std::string::npos) << released;
   EXPECT_NE(released.find("free with 1 routed holders"), std::string::npos) << released;
+}
+
+// The Td gate reads a front header's Message::headerArrival and the link
+// pass reads its unit's 32-bit push stamp: two records of one push. Mid-run,
+// shift a lone header's arrival one cycle back, then date it in the cycle
+// that has not executed yet; the validator must report each.
+TEST(Invariants, CatchHeaderArrivalDesyncFromPushStamp) {
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 2;
+  cfg.vcs = 4;
+  cfg.messageLength = 8;
+  cfg.injectionRate = 0.03;
+  cfg.routerDecisionTime = 2;  // headers wait in their buffers
+  cfg.seed = 5;
+  Network net(cfg);
+  net.step(300);
+  ASSERT_EQ(net.validateInvariants(), "");
+  const RouterArena& a = NetworkTestAccess::arena(net);
+  int lone = -1;
+  for (int g = 0; g < a.creditSinkBase() && lone < 0; ++g) {
+    if (a.size(g) == 1 && a.front(g).isHeader()) lone = g;
+  }
+  ASSERT_GE(lone, 0) << "the load must leave some header alone in its buffer";
+  Message& msg = NetworkTestAccess::message(net, a.front(lone).msg);
+  const std::uint64_t arrival = msg.headerArrival;
+
+  msg.headerArrival = arrival - 1;
+  const std::string shifted = net.validateInvariants();
+  EXPECT_NE(shifted.find("differs from its unit's push stamp"), std::string::npos)
+      << shifted;
+  msg.headerArrival = net.now();
+  const std::string future = net.validateInvariants();
+  EXPECT_NE(future.find("header arrival from the future"), std::string::npos) << future;
+  msg.headerArrival = arrival;
+  EXPECT_EQ(net.validateInvariants(), "");
 }
 
 TEST(Invariants, HoldThroughFaultRegionTraffic) {

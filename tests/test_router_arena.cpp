@@ -30,17 +30,22 @@ TEST(RouterArena, FifoOrderAndArrivalStamps) {
   a.push(2, u, Flit{10, FlitKind::Tail}, 102);
   EXPECT_TRUE(a.full(u)) << "depth 3 reached";
   EXPECT_EQ(a.size(u), 3);
-  EXPECT_EQ(a.frontAge(u, 104), 4u) << "the header arrived in cycle 100";
+  EXPECT_EQ(a.lastPush(u), 102u);
+  EXPECT_FALSE(a.frontArrivedIn(u, 102)) << "the front arrived before the latest push";
   EXPECT_EQ(a.flitAt(u, 2).kind, FlitKind::Tail);
   EXPECT_EQ(a.pop(2, u).kind, FlitKind::Header);
-  EXPECT_EQ(a.frontAge(u, 104), 3u) << "the body arrived in cycle 101";
+  EXPECT_FALSE(a.frontArrivedIn(u, 103)) << "two survivors: the body arrived in 101";
   // Ring wrap: the freed slot is reusable immediately.
   a.push(2, u, Flit{11, FlitKind::Header}, 103);
   EXPECT_TRUE(a.full(u));
+  EXPECT_FALSE(a.frontArrivedIn(u, 103)) << "the new header queues behind two flits";
   EXPECT_EQ(a.pop(2, u).kind, FlitKind::Body);
   EXPECT_EQ(a.pop(2, u).kind, FlitKind::Tail);
+  EXPECT_TRUE(a.frontArrivedIn(u, 103)) << "a lone flit is the latest push";
+  EXPECT_FALSE(a.frontArrivedIn(u, 104));
   EXPECT_EQ(a.pop(2, u).msg, 11u);
   EXPECT_TRUE(a.empty(u));
+  EXPECT_FALSE(a.frontArrivedIn(u, 103)) << "an empty unit has no front";
 }
 
 TEST(RouterArena, BuffersAreIndependent) {
@@ -109,11 +114,11 @@ TEST(RouterArena, RouteAllocationLifecycle) {
   EXPECT_EQ(a.auditMasks(0), "");
 }
 
-TEST(RouterArena, AuditRejectsFrontStampFromTheFuture) {
+TEST(RouterArena, AuditRejectsStampFromTheFuture) {
   RouterArena a = smallArena();
   a.push(2, a.unitIndex(2, 1, 0), Flit{1, FlitKind::Header}, 7);
   EXPECT_EQ(a.auditMasks(7), "");
-  EXPECT_NE(a.auditMasks(6).find("front stamp from the future"), std::string::npos);
+  EXPECT_NE(a.auditMasks(6).find("stamp from the future"), std::string::npos);
 }
 
 // Parking is a per-router row: a failed VC allocation parks one unit, and
@@ -150,16 +155,15 @@ TEST(RouterArena, ParkedRowLifecycleAndAudit) {
   EXPECT_NE(a.auditMasks(0).find("parked unit"), std::string::npos);
 }
 
-// Arrival stamps are 32 bits wide and every reader compares ages, so a
-// unit's flits keep their 1 cycle/hop timing straight across cycle 2^32,
-// in both stamp representations. renormaliseStamps clamps a stamp older
-// than 2^30 to age exactly 2^30 and leaves younger ones alone, which keeps
-// every age comparison (age != 0, age < td for td < 2^30) unchanged.
-class RouterArenaStamps : public ::testing::TestWithParam<bool> {};
-
-TEST_P(RouterArenaStamps, PushPopAndQualifyAcrossCycle2To32) {
-  RouterArena a(4, 5, 4, 4, 4, /*exactArrivals=*/GetParam());
+// A unit's one stamp holds the low 32 bits of its latest push's cycle, so
+// freshness ("the front arrived this cycle") must hold straight across
+// cycle 2^32, and the clamp renormaliseStamps applies on the engine's
+// 2^30-cycle schedule must keep an old stamp from ever wrapping round to
+// equal the current cycle.
+TEST(RouterArena, FreshnessAcrossCycle2To32AndStampClamp) {
+  RouterArena a = smallArena(4);
   constexpr std::uint64_t kWrap = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kAge = RouterArena::kMaxStampAge;
   std::int32_t downBase[5];
   for (int p = 0; p < 4; ++p) downBase[p] = a.unitIndex(1, p ^ 1, 0);
   downBase[4] = a.creditSinkBase();
@@ -173,58 +177,42 @@ TEST_P(RouterArenaStamps, PushPopAndQualifyAcrossCycle2To32) {
   a.push(0, u, Flit{1, FlitKind::Header}, kWrap - 2);
   a.allocateRoute(0, 4 * 4 + 2, 1, 0);
   EXPECT_FALSE(qualifies(kWrap - 2)) << "arrived this cycle";
-  EXPECT_EQ(a.frontAge(u, kWrap + 5), 7u);
   EXPECT_TRUE(qualifies(kWrap - 1));
-  EXPECT_EQ(a.pop(0, u, kWrap - 1).kind, FlitKind::Header);
+  EXPECT_EQ(a.pop(0, u).kind, FlitKind::Header);  // in kWrap - 1
   a.push(0, u, Flit{1, FlitKind::Body}, kWrap - 1);
-  EXPECT_EQ(a.frontAge(u, kWrap - 1), 0u);
   EXPECT_FALSE(qualifies(kWrap - 1));
   a.push(0, u, Flit{1, FlitKind::Body}, kWrap);
-  EXPECT_TRUE(qualifies(kWrap)) << "age 1 across the wrap";
+  EXPECT_TRUE(qualifies(kWrap)) << "the front arrived in kWrap - 1, across the wrap";
   a.push(0, u, Flit{1, FlitKind::Tail}, kWrap + 1);
-  EXPECT_EQ(a.pop(0, u, kWrap + 1).kind, FlitKind::Body);
-  EXPECT_EQ(a.frontAge(u, kWrap + 1), 1u) << "two survivors, the front from kWrap";
-  EXPECT_TRUE(qualifies(kWrap + 1));
+  EXPECT_EQ(a.pop(0, u).kind, FlitKind::Body);  // in kWrap + 1
+  EXPECT_TRUE(qualifies(kWrap + 1)) << "two survivors, the front from kWrap";
   EXPECT_EQ(a.auditMasks(kWrap + 1), "");
   EXPECT_NE(a.auditMasks(kWrap - 1).find("from the future"), std::string::npos);
-  EXPECT_EQ(a.pop(0, u, kWrap + 2).kind, FlitKind::Body);
-  EXPECT_EQ(a.frontAge(u, kWrap + 2), 1u) << "the lone tail arrived in kWrap + 1";
+  EXPECT_EQ(a.pop(0, u).kind, FlitKind::Body);  // in kWrap + 2
+  EXPECT_FALSE(qualifies(kWrap + 1)) << "the lone tail arrived in kWrap + 1";
   EXPECT_TRUE(qualifies(kWrap + 2));
-  EXPECT_FALSE(qualifies(kWrap + 1));
-  EXPECT_EQ(a.pop(0, u, kWrap + 3).kind, FlitKind::Tail);
-  EXPECT_TRUE(a.empty(u));
-}
 
-TEST_P(RouterArenaStamps, RenormaliseClampsOnlyStampsOlderThan2To30) {
-  RouterArena a(4, 5, 4, 4, 4, /*exactArrivals=*/GetParam());
-  constexpr std::uint64_t kOld = (std::uint64_t{1} << 32) - 3;  // wraps below
-  constexpr std::uint64_t kNow = kOld + RouterArena::kMaxStampAge + 10;
-  const int stale = a.unitIndex(0, 1, 0);
-  const int fresh = a.unitIndex(2, 3, 1);
-  a.push(0, stale, Flit{1, FlitKind::Header}, kOld);
-  a.push(0, stale, Flit{1, FlitKind::Tail}, kOld + 1);
-  a.push(2, fresh, Flit{2, FlitKind::HeaderTail}, kNow - 3);
-  EXPECT_EQ(a.frontAge(stale, kNow), RouterArena::kMaxStampAge + 10);
-  a.renormaliseStamps(kNow);
-  EXPECT_EQ(a.frontAge(stale, kNow), RouterArena::kMaxStampAge) << "clamped";
-  EXPECT_EQ(a.frontAge(fresh, kNow), 3u) << "younger stamps untouched";
-  EXPECT_EQ(a.auditMasks(kNow - 1), "");
-  // The second flit's stamp (ring slot or lastPush) was clamped too.
-  a.pop(0, stale, kNow);
-  EXPECT_EQ(a.frontAge(stale, kNow), RouterArena::kMaxStampAge);
-  // Ages keep counting from the clamp, so the next pass finds it at 2^31
-  // and clamps it again; it never wraps to look fresh.
-  constexpr std::uint64_t kNext = kNow + RouterArena::kMaxStampAge;
-  EXPECT_EQ(a.frontAge(stale, kNext), std::uint32_t{1} << 31);
-  a.renormaliseStamps(kNext);
-  EXPECT_EQ(a.frontAge(stale, kNext), RouterArena::kMaxStampAge);
-  EXPECT_EQ(a.frontAge(fresh, kNext), RouterArena::kMaxStampAge);
+  // The lone tail now sits still. Unclamped, its stamp (the low bits of
+  // kWrap + 1) would equal those of cycle 2 kWrap + 1 and make it look fresh
+  // again. The first pass clamps a stamp older than 2^30 to exactly that age
+  // and leaves younger ones — the tail's, 2^30 - 1 old — alone.
+  const int old = a.unitIndex(2, 3, 1);
+  a.push(2, old, Flit{2, FlitKind::HeaderTail}, kWrap - 3);
+  a.renormaliseStamps(kWrap + kAge);
+  EXPECT_EQ(a.lastPush(old), static_cast<std::uint32_t>(kWrap)) << "clamped to age 2^30";
+  EXPECT_EQ(a.lastPush(u), static_cast<std::uint32_t>(kWrap + 1)) << "younger, untouched";
+  EXPECT_EQ(a.auditMasks(kWrap + kAge - 1), "");
+  // Ages keep counting from the clamp, so each later pass finds a stamp at
+  // most 2^31 old and clamps it again; it never wraps to look fresh.
+  for (std::uint64_t pass = kWrap + 2 * kAge; pass <= 2 * kWrap; pass += kAge) {
+    a.renormaliseStamps(pass);
+    EXPECT_EQ(a.lastPush(u), static_cast<std::uint32_t>(pass - kAge));
+    EXPECT_EQ(a.lastPush(old), static_cast<std::uint32_t>(pass - kAge));
+  }
+  EXPECT_FALSE(a.frontArrivedIn(u, 2 * kWrap + 1));
+  EXPECT_TRUE(qualifies(2 * kWrap + 1));
+  EXPECT_EQ(a.auditMasks(2 * kWrap), "");
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, RouterArenaStamps, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return std::string(info.param ? "Exact" : "Inexact");
-                         });
 
 // The direct link predicate on a hand-built router 0 of the small arena:
 // a routed front qualifies iff it arrived before the executing cycle and the
