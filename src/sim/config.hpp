@@ -13,7 +13,7 @@
 namespace swft {
 
 /// Cycle-engine selector. `Sparse` (default) is the event-sparse engine: a
-/// calendar queue for generation, active-set bitsets for injection and
+/// binary heap for generation, active-set bitsets for injection and
 /// router sweeps, contiguous arena storage. `SparseMt` runs the same cycle
 /// after a parallel step in which `simThreads` workers, each owning a
 /// contiguous node-id domain, precompute the cycle's route decisions

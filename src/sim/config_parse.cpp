@@ -245,8 +245,8 @@ void validateConfig(const SimConfig& cfg) {
   // Each range below is one the engine would otherwise wrap or misread
   // silently: Message::length is a uint16_t, Delta is cast to a uint64_t
   // cycle offset, Rng::geometric reads a NaN or negative rate as
-  // "never" and a rate above 1 as 1, and a NaN hotspot fraction never
-  // compares true.
+  // "never", a rate above 1 as 1 and a rate below kMinRate as a gap that
+  // may not fit 64 bits, and a NaN hotspot fraction never compares true.
   constexpr int kMaxLength = std::numeric_limits<decltype(Message::length)>::max();
   if (cfg.messageLength < 1 || cfg.messageLength > kMaxLength) {
     failRange("msg_length", "in [1, " + std::to_string(kMaxLength) + "]",
@@ -266,8 +266,12 @@ void validateConfig(const SimConfig& cfg) {
   };
   checkWait("delta", cfg.reinjectDelay);
   checkWait("td", cfg.routerDecisionTime);
-  if (!(cfg.injectionRate >= 0.0 && cfg.injectionRate <= 1.0)) {
-    failRange("rate", "in [0, 1]", cfg.injectionRate);
+  // At kMinRate the longest geometric gap is ~4e16 cycles, far inside 64
+  // bits; much below it (about 2e-18) gaps overflow.
+  constexpr double kMinRate = 1e-15;
+  if (!(cfg.injectionRate == 0.0 ||
+        (cfg.injectionRate >= kMinRate && cfg.injectionRate <= 1.0))) {
+    failRange("rate", "0 or in [1e-15, 1]", cfg.injectionRate);
   }
   if (!(cfg.hotspotFraction >= 0.0 && cfg.hotspotFraction <= 1.0)) {
     failRange("hotspot_fraction", "in [0, 1]", cfg.hotspotFraction);

@@ -34,8 +34,8 @@ SimConfig parseConfig(std::span<const std::string> assignments,
 /// outside [2, 16], buffer_depth outside [1, FlitFifo::kMaxDepth], an odd or
 /// out-of-range escape_vcs under adaptive routing, msg_length outside
 /// [1, 65535], negative delta, td or livelock_threshold, a delta or td at
-/// or above the deadlock watchdog window, a rate or
-/// hotspot_fraction that is NaN or outside [0, 1], nf outside [0, nodes),
+/// or above the deadlock watchdog window, a rate or hotspot_fraction that
+/// is NaN or outside [0, 1], a rate in (0, 1e-15), nf outside [0, nodes),
 /// and regions whose anchor digits leave [0, k) or whose extents leave
 /// [1, k]. Throws std::invalid_argument naming the key. parseConfig and the
 /// Network constructor (before it builds anything) both call it.

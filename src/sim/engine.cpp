@@ -7,7 +7,7 @@
 // becomes eligible to depart in cycle t+1, which yields exactly one
 // cycle/hop end to end.
 //
-// This file is the event-sparse production engine: the generation calendar
+// This file is the event-sparse production engine: the generation heap
 // yields only due PEs, the nodeWork_ bitset yields only PEs with
 // queued/streaming messages, and the arena's active set yields only routers
 // with any occupied input unit. The dense reference engine (the seed
@@ -53,21 +53,28 @@ void Network::endCycle() noexcept {
 
 void Network::advanceCycleSparse() {
   PhaseClock clock(phaseShard(0));
-  // Phase 1a: generation, due PEs only. The calendar returns them ascending
-  // by id — the order the dense sweep would reach them — so the global
-  // generation sequence numbers match. Generation touches no injection
-  // state of *other* nodes, so running all generations before all
-  // injections is observationally identical to the dense gen/inj interleave.
-  for (NodeId id : calendar_.takeDue(cycle_)) {
+  // Phase 1a: generation, due PEs only. The heap orders (cycle, id) pairs,
+  // so this cycle's due PEs pop ascending by id — the order the dense sweep
+  // would reach them — and the global generation sequence numbers match.
+  // A re-pushed PE is due strictly later, so it cannot pop again here.
+  // Generation touches no injection state of *other* nodes, so running all
+  // generations before all injections is observationally identical to the
+  // dense gen/inj interleave.
+  assert(genHeap_.empty() || genHeap_.top().first >= cycle_);
+  while (!genHeap_.empty() && genHeap_.top().first == cycle_) {
+    const NodeId id = genHeap_.top().second;
+    genHeap_.pop();
     stepGeneration(id);
     const std::uint64_t next = nodes_[id].nextGenCycle;
-    if (next != ~std::uint64_t{0}) calendar_.schedule(id, next);
+    if (next != ~std::uint64_t{0}) genHeap_.emplace(next, id);
   }
 
   clock.mark(PhaseBreakdown::kGen);
   // Phase 1b: injection, only PEs with queued or streaming work, ascending.
   // stepInjection on a workless node is a no-op with no RNG draws, so the
-  // conservative bitset (cleared lazily here) cannot change results.
+  // conservative bitset (cleared lazily here) cannot change results. A PE
+  // streaming into a full injection buffer keeps its bit: its retry draws
+  // no RNG and changes no state, exactly like the dense sweep's.
   // (stepInjection never marks work on other nodes, so the skip over zero
   // words cannot miss a bit set mid-walk.)
   for (std::size_t w = simd::findNonZero(nodeWork_.data(), 0, nodeWork_.size());
@@ -78,7 +85,8 @@ void Network::advanceCycleSparse() {
       const int b = std::countr_zero(bits);
       bits &= bits - 1;
       const auto id = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
-      if (stepInjection(id)) nodeWork_[w] &= ~(1ULL << b);
+      stepInjection(id);
+      if (nodeIdle(id)) nodeWork_[w] &= ~(1ULL << b);
     }
   }
 
@@ -151,7 +159,7 @@ void Network::stepGeneration(NodeId id) {
   }
 }
 
-bool Network::stepInjection(NodeId id) {
+void Network::stepInjection(NodeId id) {
   NodeState& node = nodes_[id];
   const int injPort = topo_.localPort();
 
@@ -168,9 +176,7 @@ bool Network::stepInjection(NodeId id) {
     } else if (!node.sourceQueue.empty()) {
       next = node.sourceQueue.front();
     }
-    // Idle exactly when both queues are drained (a waiting reinjection
-    // with a future readyCycle still counts as work).
-    if (next == kInvalidMsg) return node.swQueue.empty() && node.sourceQueue.empty();
+    if (next == kInvalidMsg) return;
     // Choose an injection VC whose buffer is empty; rotate the start index
     // (one RNG draw, unsigned arithmetic) to spread successive messages
     // over the V injection buffers.
@@ -185,7 +191,7 @@ bool Network::stepInjection(NodeId id) {
         break;
       }
     }
-    if (chosenVc < 0) return false;  // all injection buffers busy: retry later
+    if (chosenVc < 0) return;  // all injection buffers busy: retry next cycle
     if (fromSwQueue) {
       node.swQueue.pop_front();
     } else {
@@ -205,12 +211,7 @@ bool Network::stepInjection(NodeId id) {
   // The flit kind is flitKindAt over the cached stream length, so body/tail
   // flits touch no pool state at all.
   const int unitIdx = arena_.unitIndex(id, injPort, node.streamVc);
-  // Blocked on a full injection buffer: park the node (no RNG is drawn on
-  // this path, so skipping the retry calls is invisible to the dense
-  // reference). Any pop of an injection unit re-arms the work bit — see
-  // commitLink/ejectFlit — and a full buffer that is never popped blocks
-  // the dense engine's retries just the same.
-  if (arena_.full(unitIdx)) return true;
+  if (arena_.full(unitIdx)) return;
   const int idx = node.nextFlit;
   Flit f;
   f.msg = node.streaming;
@@ -227,9 +228,7 @@ bool Network::stepInjection(NodeId id) {
   if (f.isTail()) {
     node.streaming = kInvalidMsg;
     node.streamVc = -1;
-    return node.swQueue.empty() && node.sourceQueue.empty();
   }
-  return false;
 }
 
 void Network::routeHeader(NodeId id, int unitIdx) {
@@ -380,9 +379,7 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
   const int outVc = arena_.outVc(g);
   const Flit flit = arena_.pop(id, g);
   lastMovementCycle_ = cycle_;
-  // Draining an injection unit re-arms the owning PE: it may have been
-  // parked by stepInjection while this buffer was full.
-  if (winnerIdx >= networkPorts_ * cfg_.vcs) markNodeWork(id);
+  const NodeId down = cachedNeighbor(id, port);
 
   // Only headers touch Message state on a link traversal: body/tail flits
   // skip the (random-access) pool load entirely.
@@ -390,14 +387,13 @@ inline void Network::commitLink(NodeId id, int port, int winnerIdx) {
     Message& msg = pool_.get(flit.msg);
     ++msg.hops;
     msg.headerArrival = cycle_;
-    if (cachedWrap(id, port)) msg.setWrapped(dimOfPort(port));
+    if (stepWraps(dirOfPort(port), id, down)) msg.setWrapped(dimOfPort(port));
     if (trace_ != nullptr) {
       trace_->record({TraceEvent::Kind::Hop, cycle_, id,
                       static_cast<std::uint8_t>(port), msg.seq});
     }
   }
-  arena_.push(cachedNeighbor(id, port), cachedDownBase(id, port) + outVc, flit,
-              cycle_);
+  arena_.push(down, cachedDownBase(id, port) + outVc, flit, cycle_);
 
   if (flit.isTail()) {
     arena_.releaseRoute(id, winnerIdx);
@@ -409,9 +405,6 @@ inline void Network::ejectFlit(NodeId id, int unitIdx) {
   const int g = arena_.base(id) + unitIdx;
   const Flit flit = arena_.pop(id, g);
   lastMovementCycle_ = cycle_;
-  // Self-absorbed traffic can eject straight out of an injection unit; the
-  // drain re-arms the owning PE just as a link traversal would.
-  if (unitIdx >= networkPorts_ * cfg_.vcs) markNodeWork(id);
 
 #ifndef NDEBUG
   // flitsEjected feeds only the partial-ejection assert in finalizeEjected;

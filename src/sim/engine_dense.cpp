@@ -228,7 +228,9 @@ void DenseReference::stepRouterDense(NodeId id) {
     Message& msg = net_.pool_.get(flit.msg);
     if (flit.isHeader()) {
       ++msg.hops;
-      if (net_.cachedWrap(id, port)) msg.setWrapped(dimOfPort(port));
+      if (net_.topo_.isWrapLink(id, dimOfPort(port), dirOfPort(port))) {
+        msg.setWrapped(dimOfPort(port));
+      }
       if (net_.trace_ != nullptr) {
         net_.trace_->record({TraceEvent::Kind::Hop, net_.cycle_, id,
                              static_cast<std::uint8_t>(port), msg.seq});

@@ -73,7 +73,7 @@ Network::Network(const SimConfig& cfg)
     node.rng = nodeSeeder.split(id);
     if (cfg.injectionRate > 0.0 && !faults_.nodeFaulty(id)) {
       node.nextGenCycle = node.rng.geometric(cfg.injectionRate);
-      calendar_.schedule(id, node.nextGenCycle);
+      genHeap_.emplace(node.nextGenCycle, id);
     } else {
       node.nextGenCycle = ~std::uint64_t{0};
     }
@@ -83,7 +83,6 @@ Network::Network(const SimConfig& cfg)
   networkPorts_ = topo_.networkPorts();
   nbr_.resize(static_cast<std::size_t>(topo_.nodeCount()) *
               static_cast<std::size_t>(networkPorts_));
-  wrapBit_.resize(nbr_.size());
   // downBase_ has a row per *total* port: the ejection port's entry points at
   // the arena's always-zero credit sink, so the link-qualification loop can
   // read a downstream size row for every port without branching on locality.
@@ -95,7 +94,6 @@ Network::Network(const SimConfig& cfg)
           static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
           static_cast<std::size_t>(port);
       nbr_[idx] = topo_.neighbor(id, port);
-      wrapBit_[idx] = topo_.isWrapLink(id, dimOfPort(port), dirOfPort(port)) ? 1 : 0;
       downBase_[static_cast<std::size_t>(id) *
                     static_cast<std::size_t>(networkPorts_ + 1) +
                 static_cast<std::size_t>(port)] =
@@ -205,19 +203,11 @@ std::string Network::validateNodeState() const {
   }
   // Injection-side work set covers every node with pending work (the
   // sparse engine never visits a node whose bit is clear, so a clear bit
-  // with queued/streaming work would silently stall that node). One
-  // exception: a node streaming into a *full* injection buffer is parked —
-  // only a router-side pop can unblock it, and that pop re-arms the bit.
+  // with queued/streaming work would silently stall that node).
   for (NodeId id = 0; id < topo_.nodeCount(); ++id) {
     const bool bit = (nodeWork_[static_cast<std::size_t>(id) >> 6] >> (id & 63)) & 1u;
     if (!bit && !nodeIdle(id)) {
-      const NodeState& n = nodes_[id];
-      const bool parkedOnFullBuffer =
-          n.streaming != kInvalidMsg &&
-          arena_.full(arena_.unitIndex(id, topo_.localPort(), n.streamVc));
-      if (!parkedOnFullBuffer) {
-        return "work-set bit clear for busy node " + std::to_string(id);
-      }
+      return "work-set bit clear for busy node " + std::to_string(id);
     }
   }
   return {};

@@ -16,7 +16,10 @@
 // test_engine_fuzz.cpp enforce it.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/fault/connectivity.hpp"
@@ -25,7 +28,6 @@
 #include "src/routing/ecube.hpp"
 #include "src/routing/software_layer.hpp"
 #include "src/sim/config.hpp"
-#include "src/sim/gen_calendar.hpp"
 #include "src/sim/node.hpp"
 #include "src/sim/router_arena.hpp"
 #include "src/sim/stats.hpp"
@@ -122,19 +124,17 @@ class Network {
   // One simulation cycle: injection, route computation + VC allocation,
   // switch allocation + link traversal, ejection (everything but endCycle).
   void advanceCycle();
-  // Event-sparse implementation: generation calendar + active-set walks.
+  // Event-sparse implementation: generation heap + active-set walks.
   void advanceCycleSparse();
 
   void stepGeneration(NodeId id);
   // Allocate a message generated now at `src` for `dest` and queue it at its
   // source: the one place stepGeneration and injectTestMessage build one.
   MsgId queueMessage(NodeId src, NodeId dest, int length, RoutingMode mode);
-  // Returns true when the node can make no injection progress until an
-  // external event (queues drained, or streaming blocked on a full buffer
-  // that only a router-side pop can drain), so the sparse engine can clear
-  // its work bit; the event source re-arms it (generation: stepGeneration,
-  // buffer drain: commitLink/ejectFlit).
-  bool stepInjection(NodeId id);
+  // Pick and stream at most one flit of the node's next message. The sparse
+  // walk clears the node's work bit once nodeIdle holds afterwards; only
+  // queueMessage and scheduleReinjection set it again.
+  void stepInjection(NodeId id);
   // Single pass per router: route computation + VC allocation for unrouted
   // headers, then the batched link pass (per-link switch arbitration fused
   // with the traversal commit; see engine.cpp).
@@ -153,10 +153,6 @@ class Network {
   [[nodiscard]] NodeId cachedNeighbor(NodeId id, int port) const noexcept {
     return nbr_[static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
                 static_cast<std::size_t>(port)];
-  }
-  [[nodiscard]] bool cachedWrap(NodeId id, int port) const noexcept {
-    return wrapBit_[static_cast<std::size_t>(id) * static_cast<std::size_t>(networkPorts_) +
-                    static_cast<std::size_t>(port)] != 0;
   }
 
   void routeHeader(NodeId id, int unitIdx);
@@ -196,18 +192,19 @@ class Network {
   std::vector<NodeState> nodes_;
   Rng engineRng_;
 
-  // Event-sparse engine state. The calendar holds every healthy node's next
-  // generation cycle; nodeWork_ covers every node with injection-side work.
-  // Both are conservative supersets of "nodes that will do something" —
-  // visiting an idle node is a no-op in both engines, so the active sets can
-  // never change results, only skip provably-dead work.
-  GenCalendar calendar_;
+  // Event-sparse engine state. genHeap_ holds every generating node's next
+  // generation cycle, keyed (cycle, id) so the due nodes pop in ascending id
+  // order; nodeWork_ covers every node with injection-side work. Both are
+  // conservative supersets of "nodes that will do something" — visiting an
+  // idle node is a no-op in both engines, so the active sets can never
+  // change results, only skip provably-dead work.
+  using GenEvent = std::pair<std::uint64_t, NodeId>;
+  std::priority_queue<GenEvent, std::vector<GenEvent>, std::greater<>> genHeap_;
   std::vector<std::uint64_t> nodeWork_;
 
   // Hot-path topology caches (one entry per node x network port).
   int networkPorts_ = 0;
   std::vector<NodeId> nbr_;
-  std::vector<std::uint8_t> wrapBit_;
   // Arena base of the downstream input-port units reached through (id, port):
   // neighbor * unitsPerRouter + (port ^ 1) * vcs. Adding outVc yields the
   // downstream unit in one add — the credit check needs no multiplies. The

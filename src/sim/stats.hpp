@@ -115,7 +115,7 @@ class LatencyTracker {
 struct PhaseBreakdown {
   enum Phase : int {
     kCards = 0,  // P1: route precomputation (route cards)
-    kGen,        // sparse cycle: generation calendar
+    kGen,        // sparse cycle: generation heap
     kInj,        // sparse cycle: injection
     kWalk,       // sparse cycle: router walk
     kBarrier,    // launch/await overhead around P1

@@ -27,6 +27,16 @@ constexpr int portOf(int dim, Dir dir) noexcept {
 constexpr int dimOfPort(int port) noexcept { return port / 2; }
 constexpr Dir dirOfPort(int port) noexcept { return (port & 1) ? Dir::Neg : Dir::Pos; }
 
+/// Whether the step `from` -> `to` along a ring in direction `dir` is the
+/// wrap-around link. Node ids are mixed-radix positional
+/// (AddressSpace::idOf), so one step moves the id against its direction
+/// exactly when it crosses between digits k-1 and 0 — for every k >= 2.
+/// Equals TorusTopology::isWrapLink(from, dim, dir) for to = neighbor(from,
+/// dim, dir), without decoding coordinates.
+constexpr bool stepWraps(Dir dir, NodeId from, NodeId to) noexcept {
+  return dir == Dir::Pos ? to < from : to > from;
+}
+
 class TorusTopology {
  public:
   TorusTopology(int radix, int dims);

@@ -12,7 +12,10 @@ std::uint64_t Rng::geometric(double p) noexcept {
   const double u = uniform01();
   const double v = std::log1p(-u) / std::log1p(-p);
   const double n = std::ceil(v);
-  return n < 1.0 ? 1 : static_cast<std::uint64_t>(n);
+  if (n < 1.0) return 1;
+  // A draw of 2^64 cycles or more does not fit the result (converting it
+  // would be undefined): it means "never", like p == 0.
+  return n < 0x1p64 ? static_cast<std::uint64_t>(n) : ~0ULL;
 }
 
 int Rng::randomSetBit(std::uint64_t mask) noexcept {

@@ -73,6 +73,7 @@ class Rng {
 
   /// Geometric inter-arrival sample (number of cycles until next arrival,
   /// >= 1) for a Bernoulli-per-cycle approximation of a Poisson process.
+  /// ~0 means "never": p <= 0, or a draw too large for 64 bits.
   std::uint64_t geometric(double p) noexcept;
 
   /// Pick a uniformly random set bit position of a non-zero mask.

@@ -186,7 +186,8 @@ TEST(ConfigParse, Errors) {
   // Integers that do not fit their field, and values the engine would wrap
   // or misread (a 0- or 70000-flit message, a negative delay or decision
   // time, a delay or decision time the deadlock watchdog would read as a
-  // stall, a NaN or out-of-range rate), are rejected naming the key.
+  // stall, a NaN or out-of-range rate, a rate so small its geometric gaps
+  // overflow 64 bits), are rejected naming the key.
   // Likewise every shape the network cannot build: a degenerate or oversized
   // torus, a VC count or buffer depth the router cannot hold, an escape pool
   // Duato's protocol cannot split, a NaN or out-of-range hotspot share, more
@@ -197,7 +198,7 @@ TEST(ConfigParse, Errors) {
       {"k=4294967304"}, {"warmup=-1"}, {"msg_length=0"}, {"msg_length=70000"},
       {"delta=-5"}, {"delta=20000"}, {"delta=30000"}, {"td=-1"}, {"td=20000"},
       {"td=30000"}, {"td=1073741823"}, {"td=1073741824"}, {"rate=nan"}, {"rate=-0.5"},
-      {"rate=1.5"},
+      {"rate=1.5"}, {"rate=1e-300"},
       {"k=1"}, {"k=-3"}, {"n=0"}, {"n=9"}, {"k=4097", "n=2"},
       {"vcs=1"}, {"vcs=17"}, {"buffer_depth=0"}, {"buffer_depth=17"},
       {"escape_vcs=3", "routing=adaptive"}, {"escape_vcs=0", "routing=adaptive"},
@@ -229,6 +230,14 @@ TEST(ConfigParse, Errors) {
                                            "window (20000 cycles), got 30000");
     }
   }
+  try {
+    (void)parse({"rate=1e-19"});
+    ADD_FAILURE() << "rate=1e-19 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "config: 'rate' must be 0 or in [1e-15, 1], got 1e-19");
+  }
+  EXPECT_EQ(parse({"rate=1e-15"}).injectionRate, 1e-15);
+  EXPECT_EQ(parse({"rate=0"}).injectionRate, 0.0);
   EXPECT_EQ(parse({"seed=18446744073709551615"}).seed, ~std::uint64_t{0});
   EXPECT_EQ(parse({"msg_length=65535", "rate=1", "delta=0", "td=0"}).messageLength, 65535);
   EXPECT_EQ(parse({"delta=19999"}).reinjectDelay, 19999);

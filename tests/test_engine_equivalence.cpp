@@ -38,6 +38,10 @@ struct EngineCase {
   int td = 0;
 };
 
+// gtest prints a failing parameter through PrintTo; without one it dumps
+// the struct's raw bytes.
+void PrintTo(const EngineCase& c, std::ostream* os) { *os << c.name; }
+
 const EngineCase kCases[] = {
     {"uniform_det_faultfree", TrafficPattern::Uniform, RoutingMode::Deterministic, 0,
      0.006},
@@ -166,6 +170,14 @@ struct MultiWordCase {
   std::uint32_t measured;
 };
 
+std::string multiWordName(const MultiWordCase& c) {
+  return catName({knName(c.k, c.n), "V", std::to_string(c.vcs),
+                  c.routing == RoutingMode::Adaptive ? "adp" : "det", "nf",
+                  std::to_string(c.faults), "td", std::to_string(c.td)});
+}
+
+void PrintTo(const MultiWordCase& c, std::ostream* os) { *os << multiWordName(c); }
+
 class EngineEquivalenceMultiWord : public ::testing::TestWithParam<MultiWordCase> {};
 
 TEST_P(EngineEquivalenceMultiWord, MultiWordRoutersMatchDenseAtEveryThreadCount) {
@@ -206,10 +218,7 @@ INSTANTIATE_TEST_SUITE_P(
                       MultiWordCase{3, 4, 8, RoutingMode::Adaptive, 0, 0, 0.05, 2000},
                       MultiWordCase{2, 8, 16, RoutingMode::Adaptive, 4, 0, 0.06, 3000}),
     [](const ::testing::TestParamInfo<MultiWordCase>& info) {
-      const MultiWordCase& c = info.param;
-      return catName({knName(c.k, c.n), "V", std::to_string(c.vcs),
-                      c.routing == RoutingMode::Adaptive ? "adp" : "det", "nf",
-                      std::to_string(c.faults), "td", std::to_string(c.td)});
+      return multiWordName(info.param);
     });
 
 // Recorded reference values for the eight traffic x routing x fault cases of

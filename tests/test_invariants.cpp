@@ -15,6 +15,9 @@ namespace swft {
 struct NetworkTestAccess {
   static RouterArena& arena(Network& net) { return net.arena_; }
   static Message& message(Network& net, MsgId id) { return net.pool_.get(id); }
+  static void clearWork(Network& net, NodeId id) {
+    net.nodeWork_[static_cast<std::size_t>(id) >> 6] &= ~(1ULL << (id & 63));
+  }
 };
 
 namespace {
@@ -176,6 +179,36 @@ TEST(Invariants, CatchHeaderArrivalDesyncFromPushStamp) {
   EXPECT_NE(future.find("header arrival from the future"), std::string::npos) << future;
   msg.headerArrival = arrival;
   EXPECT_EQ(net.validateInvariants(), "");
+}
+
+// A PE streaming into a full injection buffer is busy: the sparse walk must
+// keep visiting it, so its work bit must stay set. Find such a PE in a
+// saturated run, clear its bit, and the validator must name the node.
+TEST(Invariants, CatchWorkBitClearedOnFullInjectionBuffer) {
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 2;
+  cfg.vcs = 2;
+  cfg.messageLength = 32;
+  cfg.injectionRate = 0.05;
+  cfg.seed = 5;
+  Network net(cfg);
+  net.step(300);
+  ASSERT_EQ(net.validateInvariants(), "");
+  const RouterArena& a = NetworkTestAccess::arena(net);
+  NodeId blocked = kInvalidNode;
+  for (NodeId id = 0; id < net.topology().nodeCount() && blocked == kInvalidNode; ++id) {
+    const NodeState& n = net.node(id);
+    if (n.streaming != kInvalidMsg &&
+        a.full(a.unitIndex(id, net.topology().localPort(), n.streamVc))) {
+      blocked = id;
+    }
+  }
+  ASSERT_NE(blocked, kInvalidNode) << "the load must block some PE on a full buffer";
+
+  NetworkTestAccess::clearWork(net, blocked);
+  EXPECT_EQ(net.validateInvariants(),
+            "work-set bit clear for busy node " + std::to_string(blocked));
 }
 
 TEST(Invariants, HoldThroughFaultRegionTraffic) {

@@ -95,6 +95,17 @@ TEST(Rng, GeometricEdgeCases) {
   EXPECT_EQ(r.geometric(-1.0), ~0ULL);
 }
 
+// Below about p = 2e-18 a draw can exceed 2^64 cycles; it must read as
+// "never", not wrap to a zero gap that would re-fire the PE forever.
+TEST(Rng, GeometricBeyondSixtyFourBitsIsNever) {
+  Rng r(41);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t gap = r.geometric(1e-300);
+    ASSERT_NE(gap, 0u);
+    EXPECT_EQ(gap, ~0ULL);
+  }
+}
+
 TEST(Rng, RandomSetBitPicksOnlySetBits) {
   Rng r(37);
   const std::uint64_t mask = 0b101001010ULL;

@@ -160,6 +160,28 @@ TEST(Torus, WrapLinkPositions8ary) {
   EXPECT_TRUE(t.isWrapLink(0, 1, Dir::Neg));
 }
 
+// The engine derives the wrap bit from the id order of a link's two ends
+// (stepWraps); it must agree with the coordinate-based rule on every link,
+// including k = 2, where both directions reach the same neighbour.
+TEST(Torus, IdOrderWrapRuleMatchesCoordinates) {
+  for (const int k : {2, 3, 5, 8}) {
+    for (int n = 1; n <= 4; ++n) {
+      const TorusTopology t(k, n);
+      int wraps = 0;
+      for (NodeId id = 0; id < t.nodeCount(); ++id) {
+        for (int port = 0; port < t.networkPorts(); ++port) {
+          const bool coords = t.isWrapLink(id, dimOfPort(port), dirOfPort(port));
+          ASSERT_EQ(stepWraps(dirOfPort(port), id, t.neighbor(id, port)), coords)
+              << knName(k, n) << " node " << id << " port " << port;
+          wraps += coords ? 1 : 0;
+        }
+      }
+      // One wrap link per ring direction: 2n directions x k^(n-1) rings.
+      EXPECT_EQ(wraps, 2 * static_cast<int>(t.nodeCount()) / k * n) << knName(k, n);
+    }
+  }
+}
+
 TEST(Torus, LocalPortLayout) {
   const TorusTopology t(8, 3);
   EXPECT_EQ(t.networkPorts(), 6);
