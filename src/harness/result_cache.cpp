@@ -1,18 +1,19 @@
 #include "src/harness/result_cache.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <charconv>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/harness/table.hpp"
-#include "src/util/hex.hpp"
+#include "src/util/fnv.hpp"
+#include "src/util/text.hpp"
 
 namespace swft {
 
@@ -21,42 +22,86 @@ namespace {
 constexpr std::string_view kEntryMagic = "swft-cache-entry-v1";
 constexpr std::string_view kResultMagic = "swft-result-v1";
 
-void putDouble(std::ostringstream& os, std::string_view name, double v) {
-  os << name << ' ' << hex16(std::bit_cast<std::uint64_t>(v)) << '\n';
+void putName(std::string& out, std::string_view name) {
+  out += name;
+  out += ' ';
 }
 
-void putU64(std::ostringstream& os, std::string_view name, std::uint64_t v) {
-  os << name << ' ' << v << '\n';
+void putDouble(std::string& out, std::string_view name, double v) {
+  putName(out, name);
+  appendHex16(out, std::bit_cast<std::uint64_t>(v));
+  out += '\n';
 }
 
-void putBool(std::ostringstream& os, std::string_view name, bool v) {
-  os << name << ' ' << (v ? 1 : 0) << '\n';
+void putU64(std::string& out, std::string_view name, std::uint64_t v) {
+  putName(out, name);
+  appendDecimal(out, v);
+  out += '\n';
 }
 
-/// Strict line reader: consumes "<name> <value>" from `in`, failing (by
-/// setting ok = false) on a name mismatch, so reordered or dropped fields
-/// invalidate the whole entry instead of silently zero-filling.
+void putBool(std::string& out, std::string_view name, bool v) {
+  putName(out, name);
+  out += v ? '1' : '0';
+  out += '\n';
+}
+
+void appendResult(std::string& out, const SimResult& r) {
+  out += kResultMagic;
+  out += '\n';
+  putDouble(out, "mean_latency", r.meanLatency);
+  putDouble(out, "latency_stddev", r.latencyStddev);
+  putDouble(out, "max_latency", r.maxLatency);
+  putDouble(out, "latency_p50", r.latencyP50);
+  putDouble(out, "latency_p95", r.latencyP95);
+  putDouble(out, "latency_p99", r.latencyP99);
+  putDouble(out, "latency_ci95", r.latencyCi95);
+  putDouble(out, "mean_hops", r.meanHops);
+  putU64(out, "cycles", r.cycles);
+  putU64(out, "generated_total", r.generatedTotal);
+  putU64(out, "delivered_total", r.deliveredTotal);
+  putU64(out, "delivered_measured", r.deliveredMeasured);
+  putDouble(out, "throughput", r.throughput);
+  putDouble(out, "offered_load", r.offeredLoad);
+  putU64(out, "messages_queued", r.messagesQueued);
+  putU64(out, "absorbed_messages", r.absorbedMessages);
+  putU64(out, "reversals", r.reversals);
+  putU64(out, "detours", r.detours);
+  putU64(out, "escalations", r.escalations);
+  putBool(out, "saturated", r.saturated);
+  putBool(out, "deadlock_suspected", r.deadlockSuspected);
+  putBool(out, "completed", r.completed);
+}
+
+/// Consumes one '\n'-terminated line from the front of `text`; false (and
+/// `text` untouched) when no newline is left.
+bool takeLine(std::string_view& text, std::string_view& line) {
+  const std::size_t nl = text.find('\n');
+  if (nl == std::string_view::npos) return false;
+  line = text.substr(0, nl);
+  text.remove_prefix(nl + 1);
+  return true;
+}
+
+/// Strict line reader over a view of the block: consumes "<name> <value>\n"
+/// lines in order, failing (by setting ok = false) on a name mismatch, so
+/// reordered or dropped fields invalidate the whole entry instead of
+/// silently zero-filling.
 struct FieldReader {
-  std::istringstream& in;
+  std::string_view rest;
   bool ok = true;
 
-  std::string value(std::string_view name) {
-    if (!ok) return {};
-    std::string line;
-    if (!std::getline(in, line)) {
+  std::string_view value(std::string_view name) {
+    std::string_view line;
+    if (!ok || !takeLine(rest, line) || !line.starts_with(name) ||
+        line.size() == name.size() || line[name.size()] != ' ') {
       ok = false;
       return {};
     }
-    const std::size_t sp = line.find(' ');
-    if (sp == std::string::npos || std::string_view(line).substr(0, sp) != name) {
-      ok = false;
-      return {};
-    }
-    return line.substr(sp + 1);
+    return line.substr(name.size() + 1);
   }
 
   double readDouble(std::string_view name) {
-    const std::string v = value(name);
+    const std::string_view v = value(name);
     if (!ok || v.size() != 16) {
       ok = false;
       return 0.0;
@@ -78,7 +123,7 @@ struct FieldReader {
   }
 
   std::uint64_t readU64(std::string_view name) {
-    const std::string v = value(name);
+    const std::string_view v = value(name);
     if (!ok) return 0;
     std::uint64_t out = 0;
     const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
@@ -90,7 +135,7 @@ struct FieldReader {
   }
 
   bool readBool(std::string_view name) {
-    const std::string v = value(name);
+    const std::string_view v = value(name);
     if (!ok || (v != "0" && v != "1")) {
       ok = false;
       return false;
@@ -99,41 +144,72 @@ struct FieldReader {
   }
 };
 
+/// The whole file at `path` into `out`; false when it cannot be opened or
+/// read.
+bool readWholeFile(const std::string& path, std::string& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  char buf[4096];
+  bool ok = true;
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n > 0) {
+      out.append(buf, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      ok = false;
+      break;
+    }
+  }
+  ::close(fd);
+  return ok;
+}
+
+/// Creates (or truncates) `path` and writes all of `bytes`; false on any
+/// open, write or close failure.
+bool writeWholeFile(const std::string& path, std::string_view bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  bool ok = true;
+  while (ok && !bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n > 0) {
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      ok = false;
+    }
+  }
+  return ::close(fd) == 0 && ok;
+}
+
+/// The result stored in `entry`, provided its magic line is right and its key
+/// line names exactly `key`. The embedded canonical key guards against both
+/// hash collisions and any drift in the key format itself.
+std::optional<SimResult> parseEntry(std::string_view entry, std::string_view key) {
+  std::string_view magic;
+  std::string_view keyLine;
+  if (!takeLine(entry, magic) || magic != kEntryMagic || !takeLine(entry, keyLine) ||
+      !keyLine.starts_with("key ") || keyLine.substr(4) != key) {
+    return std::nullopt;
+  }
+  return deserializeResult(entry);
+}
+
 }  // namespace
 
 std::string serializeResult(const SimResult& r) {
-  std::ostringstream os;
-  os << kResultMagic << '\n';
-  putDouble(os, "mean_latency", r.meanLatency);
-  putDouble(os, "latency_stddev", r.latencyStddev);
-  putDouble(os, "max_latency", r.maxLatency);
-  putDouble(os, "latency_p50", r.latencyP50);
-  putDouble(os, "latency_p95", r.latencyP95);
-  putDouble(os, "latency_p99", r.latencyP99);
-  putDouble(os, "latency_ci95", r.latencyCi95);
-  putDouble(os, "mean_hops", r.meanHops);
-  putU64(os, "cycles", r.cycles);
-  putU64(os, "generated_total", r.generatedTotal);
-  putU64(os, "delivered_total", r.deliveredTotal);
-  putU64(os, "delivered_measured", r.deliveredMeasured);
-  putDouble(os, "throughput", r.throughput);
-  putDouble(os, "offered_load", r.offeredLoad);
-  putU64(os, "messages_queued", r.messagesQueued);
-  putU64(os, "absorbed_messages", r.absorbedMessages);
-  putU64(os, "reversals", r.reversals);
-  putU64(os, "detours", r.detours);
-  putU64(os, "escalations", r.escalations);
-  putBool(os, "saturated", r.saturated);
-  putBool(os, "deadlock_suspected", r.deadlockSuspected);
-  putBool(os, "completed", r.completed);
-  return os.str();
+  std::string out;
+  appendResult(out, r);
+  return out;
 }
 
 std::optional<SimResult> deserializeResult(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string magic;
-  if (!std::getline(in, magic) || magic != kResultMagic) return std::nullopt;
-  FieldReader f{in};
+  std::string_view magic;
+  if (!takeLine(text, magic) || magic != kResultMagic) return std::nullopt;
+  FieldReader f{text};
   SimResult r;
   r.meanLatency = f.readDouble("mean_latency");
   r.latencyStddev = f.readDouble("latency_stddev");
@@ -157,7 +233,9 @@ std::optional<SimResult> deserializeResult(std::string_view text) {
   r.saturated = f.readBool("saturated");
   r.deadlockSuspected = f.readBool("deadlock_suspected");
   r.completed = f.readBool("completed");
-  if (!f.ok) return std::nullopt;
+  // The block ends exactly after `completed`'s line: anything further is a
+  // format this reader does not know.
+  if (!f.ok || !f.rest.empty()) return std::nullopt;
   return r;
 }
 
@@ -179,63 +257,56 @@ ResultCache::ResultCache(std::string dir, std::uint32_t semanticsVersion)
 }
 
 std::string ResultCache::keyFor(const SimConfig& cfg) const {
-  return hex16(canonicalConfigHash(cfg, version_));
+  std::string name;
+  appendHex16(name, canonicalConfigHash(cfg, version_));
+  return name;
 }
 
-std::string ResultCache::entryPath(const SimConfig& cfg) const {
-  return dir_ + "/" + keyFor(cfg) + ".result";
+std::string ResultCache::entryPath(std::string_view key) const {
+  std::string path = dir_;
+  path += '/';
+  appendHex16(path, fnv1a64(key));
+  path += ".result";
+  return path;
 }
 
 std::optional<SimResult> ResultCache::lookup(const SimConfig& cfg) {
-  std::ifstream in(entryPath(cfg), std::ios::binary);
-  const auto miss = [this]() -> std::optional<SimResult> {
+  const std::string key = canonicalConfigKey(cfg, version_);
+  std::string entry;
+  std::optional<SimResult> r;
+  if (readWholeFile(entryPath(key), entry)) r = parseEntry(entry, key);
+  if (r) {
+    ++stats_.hits;
+  } else {
     ++stats_.misses;
-    return std::nullopt;
-  };
-  if (!in) return miss();
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::istringstream entry{buf.str()};
-  std::string line;
-  if (!std::getline(entry, line) || line != kEntryMagic) return miss();
-  // The embedded canonical key guards against both hash collisions and any
-  // drift in the key format itself: the entry is only trusted when the full
-  // key text matches byte-for-byte.
-  if (!std::getline(entry, line) ||
-      line != "key " + canonicalConfigKey(cfg, version_)) {
-    return miss();
   }
-  std::string rest(buf.str().substr(static_cast<std::size_t>(entry.tellg())));
-  const std::optional<SimResult> r = deserializeResult(rest);
-  if (!r) return miss();
-  ++stats_.hits;
   return r;
 }
 
 bool ResultCache::store(const SimConfig& cfg, const SimResult& r) {
   static std::atomic<std::uint64_t> seq{0};
-  const std::string final = entryPath(cfg);
-  std::ostringstream tmpName;
-  tmpName << final << ".tmp." << ::getpid() << "."
-          << seq.fetch_add(1, std::memory_order_relaxed);
-  const std::string tmp = tmpName.str();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << kEntryMagic << '\n'
-        << "key " << canonicalConfigKey(cfg, version_) << '\n'
-        << serializeResult(r);
-    out.flush();
-    if (!out) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
+  const std::string key = canonicalConfigKey(cfg, version_);
+  const std::string final = entryPath(key);
+  std::string tmp = final;
+  tmp += ".tmp.";
+  appendDecimal(tmp, ::getpid());
+  tmp += '.';
+  appendDecimal(tmp, seq.fetch_add(1, std::memory_order_relaxed));
+
+  std::string entry;
+  entry.reserve(key.size() + 640);
+  entry += kEntryMagic;
+  entry += "\nkey ";
+  entry += key;
+  entry += '\n';
+  appendResult(entry, r);
+  std::error_code ec;
+  if (!writeWholeFile(tmp, entry)) {
+    std::filesystem::remove(tmp, ec);
+    return false;
   }
   // Atomic publish: rename within one directory replaces any existing entry
   // in a single step, so concurrent readers never observe a partial file.
-  std::error_code ec;
   std::filesystem::rename(tmp, final, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);

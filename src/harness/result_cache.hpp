@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/sim/config_canon.hpp"
 #include "src/sim/stats.hpp"
@@ -74,7 +75,8 @@ class ResultCache {
   [[nodiscard]] static StoreInfo scanDir(const std::string& dir);
 
  private:
-  [[nodiscard]] std::string entryPath(const SimConfig& cfg) const;
+  /// Store path of the entry whose canonical key is `key`.
+  [[nodiscard]] std::string entryPath(std::string_view key) const;
 
   std::string dir_;
   std::uint32_t version_;

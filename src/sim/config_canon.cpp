@@ -1,62 +1,102 @@
 #include "src/sim/config_canon.hpp"
 
 #include <bit>
-#include <sstream>
+#include <string_view>
 
 #include "src/fault/regions.hpp"
 #include "src/traffic/patterns.hpp"
 #include "src/util/fnv.hpp"
-#include "src/util/hex.hpp"
+#include "src/util/text.hpp"
 
 namespace swft {
 
-std::string exactDoubleToken(double v) {
+namespace {
+
+void appendExactDouble(std::string& out, double v) {
   // Canonicalize the zero sign: -0.0 and +0.0 compare equal and behave
   // identically in every config field, but their bit patterns differ.
   if (v == 0.0) v = 0.0;
-  return hex16(std::bit_cast<std::uint64_t>(v));
+  appendHex16(out, std::bit_cast<std::uint64_t>(v));
+}
+
+}  // namespace
+
+std::string exactDoubleToken(double v) {
+  std::string out;
+  appendExactDouble(out, v);
+  return out;
 }
 
 std::string canonicalConfigKey(const SimConfig& cfg, std::uint32_t semanticsVersion) {
-  std::ostringstream os;
-  os << "swft-cfg-v1"
-     << "|sem=" << semanticsVersion
-     // topology
-     << "|k=" << cfg.radix << "|n=" << cfg.dims
-     // router
-     << "|V=" << cfg.vcs << "|eV=" << cfg.escapeVcs << "|depth=" << cfg.bufferDepth
-     << "|td=" << cfg.routerDecisionTime
-     // workload
-     << "|M=" << cfg.messageLength << "|rate=" << exactDoubleToken(cfg.injectionRate)
-     << "|traffic=" << trafficPatternName(cfg.pattern)
-     << "|hsf=" << exactDoubleToken(cfg.hotspotFraction)
-     // software-based routing
-     << "|routing=" << cfg.routingName() << "|delta=" << cfg.reinjectDelay
-     << "|llt=" << cfg.livelockThreshold
-     // faults
-     << "|nf=" << cfg.faults.randomNodes;
-  os << "|rg=";
+  std::string k;
+  k.reserve(320);
+  const auto num = [&k](std::string_view tag, auto v) {
+    k += tag;
+    appendDecimal(k, v);
+  };
+  const auto exact = [&k](std::string_view tag, double v) {
+    k += tag;
+    appendExactDouble(k, v);
+  };
+  const auto text = [&k](std::string_view tag, std::string_view v) {
+    k += tag;
+    k += v;
+  };
+  k += "swft-cfg-v1";
+  num("|sem=", semanticsVersion);
+  // topology
+  num("|k=", cfg.radix);
+  num("|n=", cfg.dims);
+  // router
+  num("|V=", cfg.vcs);
+  num("|eV=", cfg.escapeVcs);
+  num("|depth=", cfg.bufferDepth);
+  num("|td=", cfg.routerDecisionTime);
+  // workload
+  num("|M=", cfg.messageLength);
+  exact("|rate=", cfg.injectionRate);
+  text("|traffic=", trafficPatternName(cfg.pattern));
+  exact("|hsf=", cfg.hotspotFraction);
+  // software-based routing
+  text("|routing=", cfg.routingName());
+  num("|delta=", cfg.reinjectDelay);
+  num("|llt=", cfg.livelockThreshold);
+  // faults
+  num("|nf=", cfg.faults.randomNodes);
+  k += "|rg=";
   for (const RegionSpec& r : cfg.faults.regions) {
-    os << regionShapeName(r.shape) << ":" << r.dim0 << "." << r.dim1 << ":"
-       << r.extent0 << "x" << r.extent1 << "@";
-    for (int d = 0; d < r.anchor.dims(); ++d) os << (d ? "," : "") << r.anchor[d];
-    os << ";";
+    k += regionShapeName(r.shape);
+    num(":", r.dim0);
+    num(".", r.dim1);
+    num(":", r.extent0);
+    num("x", r.extent1);
+    k += '@';
+    for (int d = 0; d < r.anchor.dims(); ++d) num(d ? "," : "", r.anchor[d]);
+    k += ';';
   }
-  os << "|xn=";
-  for (const NodeId n : cfg.faults.explicitNodes) os << n << ";";
-  os << "|xl=";
+  k += "|xn=";
+  for (const NodeId n : cfg.faults.explicitNodes) {
+    num("", n);
+    k += ';';
+  }
+  k += "|xl=";
   for (const auto& l : cfg.faults.explicitLinks) {
-    os << l[0] << "." << l[1] << "." << l[2] << ";";
+    num("", l[0]);
+    num(".", l[1]);
+    num(".", l[2]);
+    k += ';';
   }
   // measurement protocol
-  os << "|warmup=" << cfg.warmupMessages << "|measured=" << cfg.measuredMessages
-     << "|maxcyc=" << cfg.maxCycles << "|dlwin=" << cfg.deadlockWindow
-     << "|seed=" << cfg.seed;
+  num("|warmup=", cfg.warmupMessages);
+  num("|measured=", cfg.measuredMessages);
+  num("|maxcyc=", cfg.maxCycles);
+  num("|dlwin=", cfg.deadlockWindow);
+  num("|seed=", cfg.seed);
   // cfg.engine / cfg.simThreads intentionally absent: bit-identical engines
   // share one content address, so cached results interchange across them.
   // cfg.phaseTimers is likewise absent — it only adds wall-clock
   // instrumentation and never changes the simulated outcome.
-  return os.str();
+  return k;
 }
 
 std::uint64_t canonicalConfigHash(const SimConfig& cfg, std::uint32_t semanticsVersion) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <sstream>
 
 namespace swft {
 namespace {
@@ -49,6 +55,82 @@ TEST(Csv, WriteFileRoundTrip) {
   std::string content((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "a\n1\n");
   std::remove(path.c_str());
+}
+
+/// The one-cell CSV text of `v` and the bytes a default-formatted stream
+/// prints for it must agree: cells are formatted without a stream, and
+/// every artifact byte depends on this.
+template <typename T>
+void expectStreamCell(const T& v) {
+  CsvWriter csv({"v"});
+  csv.addRowOf(v);
+  std::ostringstream os;
+  os << v;
+  EXPECT_EQ(csv.str(), "v\n" + os.str() + "\n");
+}
+
+TEST(Csv, ArithmeticCellsMatchStreamFormatting) {
+  using dbl = std::numeric_limits<double>;
+  const double tricky[] = {0.0,
+                           -0.0,
+                           dbl::infinity(),
+                           -dbl::infinity(),
+                           dbl::quiet_NaN(),
+                           -dbl::quiet_NaN(),
+                           dbl::denorm_min(),
+                           dbl::min() / 3.0,
+                           dbl::min(),
+                           dbl::max(),
+                           dbl::lowest(),
+                           1e-5,
+                           0.0001,
+                           std::nextafter(0.0001, 0.0),
+                           999999.5,
+                           999999.4,
+                           -999999.5,
+                           1e6,
+                           100000.0,
+                           0.00233333,
+                           1.23457e+08,
+                           123456789.0,
+                           1.0 / 3.0,
+                           0.5,
+                           42.0};
+  for (const double v : tricky) expectStreamCell(v);
+  std::mt19937_64 rng(20061019);
+  for (int i = 0; i < 20000; ++i) expectStreamCell(std::bit_cast<double>(rng()));
+  for (const float v : {0.1f, -3.5e-20f, 1.0f / 3.0f, 16777217.0f}) expectStreamCell(v);
+
+  for (const int v : {0, 42, -42, std::numeric_limits<int>::max(),
+                      std::numeric_limits<int>::min()}) {
+    expectStreamCell(v);
+  }
+  for (const long v : {-1L, std::numeric_limits<long>::max(), std::numeric_limits<long>::min()}) {
+    expectStreamCell(v);
+  }
+  expectStreamCell(std::numeric_limits<std::uint32_t>::max());
+  expectStreamCell(std::numeric_limits<std::uint64_t>::max());
+  expectStreamCell(std::numeric_limits<std::int64_t>::min());
+  expectStreamCell(std::int16_t{-7});
+
+  // bool and the character types keep the stream's output: 1/0 and characters.
+  expectStreamCell(true);
+  expectStreamCell(false);
+  expectStreamCell('x');
+  expectStreamCell(static_cast<unsigned char>('A'));
+  expectStreamCell(static_cast<signed char>('z'));
+}
+
+TEST(Csv, WriteFileReportsFailure) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  CsvWriter csv({"a"});
+  csv.addRow({"1"});
+  try {
+    csv.writeFile("/dev/full");
+    ADD_FAILURE() << "writing to a full device must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

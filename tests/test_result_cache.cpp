@@ -133,6 +133,36 @@ TEST(ResultSerialization, RejectsCorruptedText) {
   std::string bad_hex = good;
   bad_hex[bad_hex.find("mean_latency ") + 13] = 'g';
   EXPECT_FALSE(deserializeResult(bad_hex).has_value());
+  // Content after the last field (a future format's extra line).
+  EXPECT_FALSE(deserializeResult(good + "extra_field 7\n").has_value());
+  // The final newline dropped.
+  EXPECT_FALSE(deserializeResult(good.substr(0, good.size() - 1)).has_value());
+}
+
+// The parser walks views into the block by hand: no prefix may read past its
+// end, and no single overwritten byte may make it fault. A mutated block is
+// either rejected or parses to a result that round-trips exactly.
+TEST(ResultSerialization, EveryPrefixAndByteFlipIsSafe) {
+  const std::string good = serializeResult(trickyResult());
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    // A heap copy of exactly `len` bytes (no terminator, no spare
+    // capacity), so a read past the prefix is an overflow the address
+    // sanitizer reports.
+    const std::vector<char> prefix(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(deserializeResult({prefix.data(), prefix.size()}).has_value())
+        << "prefix of " << len << " bytes";
+  }
+  for (std::size_t pos = 0; pos < good.size(); ++pos) {
+    for (const char c : {'\n', ' ', 'g', '0', '\0'}) {
+      std::string flipped = good;
+      flipped[pos] = c;
+      const auto r = deserializeResult(flipped);
+      if (!r) continue;
+      const auto again = deserializeResult(serializeResult(*r));
+      ASSERT_TRUE(again.has_value()) << "byte " << pos;
+      expectBitIdentical(*r, *again);
+    }
+  }
 }
 
 // ---- canonical config keys -------------------------------------------------
@@ -319,6 +349,29 @@ TEST(ResultCache, CorruptEntryIsAMissAndRestorable) {
   const auto hit = cache.lookup(cfg);
   ASSERT_TRUE(hit.has_value());
   expectBitIdentical(r, *hit);
+}
+
+TEST(ResultCache, TrailingLineEntryIsAMissAndRestorable) {
+  const std::string dir = freshDir("trailing");
+  ResultCache cache(dir);
+  SimConfig cfg;
+  const SimResult r = trickyResult();
+  ASSERT_TRUE(cache.store(cfg, r));
+  const std::string path = dir + "/" + cache.keyFor(cfg) + ".result";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "extra_field 7\n";
+  }
+  EXPECT_FALSE(cache.lookup(cfg).has_value()) << "an entry with an unknown line is a miss";
+
+  EXPECT_TRUE(cache.store(cfg, r));
+  const auto hit = cache.lookup(cfg);
+  ASSERT_TRUE(hit.has_value());
+  expectBitIdentical(r, *hit);
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.inserts, 2u);
 }
 
 TEST(ResultCache, TruncatedEntryIsAMiss) {
