@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -96,20 +97,23 @@ ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
         << " of " << run.totalPoints << " points\n";
   }
 
-  // Cache pass: hit rows short-circuit the pool entirely; only misses are
-  // submitted to runSweep. Rows stay in grid order in both paths, so the
-  // artifact bytes cannot depend on where a row came from.
+  // Cache pass, on the sweep pool's threads: hit rows short-circuit the pool
+  // entirely; only misses are submitted to runSweep. Rows stay in grid order
+  // in both paths, so the artifact bytes cannot depend on where a row came
+  // from or which thread looked it up.
   std::vector<SweepRow> rows(points.size());
   std::vector<std::size_t> missIdx;
   if (cache) {
-    missIdx.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (std::optional<SimResult> hit = cache->lookup(points[i].cfg)) {
-        rows[i].point = points[i];
-        rows[i].result = *hit;
-      } else {
-        missIdx.push_back(i);
+    std::vector<char> hit(points.size(), 0);
+    parallelFor(points.size(), opt.threads, [&](std::size_t i) {
+      if (std::optional<SimResult> r = cache->lookup(points[i].cfg)) {
+        rows[i].point = std::move(points[i]);
+        rows[i].result = *r;
+        hit[i] = 1;
       }
+    });
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (!hit[i]) missIdx.push_back(i);
     }
   } else {
     missIdx.resize(points.size());
@@ -117,7 +121,7 @@ ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
   }
   std::vector<SweepPoint> missPoints;
   missPoints.reserve(missIdx.size());
-  for (const std::size_t i : missIdx) missPoints.push_back(points[i]);
+  for (const std::size_t i : missIdx) missPoints.push_back(std::move(points[i]));
 
   const std::size_t missCount = missPoints.size();
   std::size_t done = 0;

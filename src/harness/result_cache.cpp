@@ -1,17 +1,16 @@
 #include "src/harness/result_cache.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
-#include <cerrno>
 #include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 
 #include "src/harness/table.hpp"
+#include "src/util/file_io.hpp"
 #include "src/util/fnv.hpp"
 #include "src/util/text.hpp"
 
@@ -144,47 +143,6 @@ struct FieldReader {
   }
 };
 
-/// The whole file at `path` into `out`; false when it cannot be opened or
-/// read.
-bool readWholeFile(const std::string& path, std::string& out) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  char buf[4096];
-  bool ok = true;
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n > 0) {
-      out.append(buf, static_cast<std::size_t>(n));
-    } else if (n == 0) {
-      break;
-    } else if (errno != EINTR) {
-      ok = false;
-      break;
-    }
-  }
-  ::close(fd);
-  return ok;
-}
-
-/// Creates (or truncates) `path` and writes all of `bytes`; false on any
-/// open, write or close failure.
-bool writeWholeFile(const std::string& path, std::string_view bytes) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-  if (fd < 0) return false;
-  bool ok = true;
-  while (ok && !bytes.empty()) {
-    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
-    if (n > 0) {
-      bytes.remove_prefix(static_cast<std::size_t>(n));
-    } else if (n < 0 && errno == EINTR) {
-      continue;
-    } else {
-      ok = false;
-    }
-  }
-  return ::close(fd) == 0 && ok;
-}
-
 /// The result stored in `entry`, provided its magic line is right and its key
 /// line names exactly `key`. The embedded canonical key guards against both
 /// hash collisions and any drift in the key format itself.
@@ -275,11 +233,7 @@ std::optional<SimResult> ResultCache::lookup(const SimConfig& cfg) {
   std::string entry;
   std::optional<SimResult> r;
   if (readWholeFile(entryPath(key), entry)) r = parseEntry(entry, key);
-  if (r) {
-    ++stats_.hits;
-  } else {
-    ++stats_.misses;
-  }
+  (r ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return r;
 }
 
@@ -312,7 +266,7 @@ bool ResultCache::store(const SimConfig& cfg, const SimResult& r) {
     std::filesystem::remove(tmp, ec);
     return false;
   }
-  ++stats_.inserts;
+  inserts_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

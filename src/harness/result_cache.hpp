@@ -12,10 +12,14 @@
 // sweep-pool workers and sharded processes can share one store. A reader
 // sees either no file or a complete entry, never a torn one; two writers
 // racing on the same key both publish identical bytes, so last-rename-wins
-// is benign. Corrupt or truncated entries (key mismatch, bad magic, parse
-// failure) are treated as misses and silently re-stored, never trusted.
+// is benign. Within one process, lookup and store may be called from many
+// threads at once: the hit/miss/insert counters are atomics, and the two
+// calls share no other mutable state. Corrupt or truncated entries (key
+// mismatch, bad magic, parse failure) are treated as misses and silently
+// re-stored, never trusted.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -58,14 +62,20 @@ class ResultCache {
   [[nodiscard]] std::string keyFor(const SimConfig& cfg) const;
 
   /// Returns the stored result, or nullopt (absent, corrupt, key-collision
-  /// or version mismatch). Counts one hit or one miss.
+  /// or version mismatch). Counts one hit or one miss. Safe to call
+  /// concurrently with lookup and store.
   [[nodiscard]] std::optional<SimResult> lookup(const SimConfig& cfg);
 
   /// Publishes `r` under cfg's content address (write temp + atomic
   /// rename). Returns false on I/O failure; counts one insert on success.
+  /// Safe to call concurrently with lookup and store, for the same key too.
   bool store(const SimConfig& cfg, const SimResult& r);
 
-  [[nodiscard]] CacheStats stats() const noexcept { return stats_; }
+  /// A snapshot of the counters; exact once concurrent calls have returned.
+  [[nodiscard]] CacheStats stats() const noexcept {
+    return {hits_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed),
+            inserts_.load(std::memory_order_relaxed)};
+  }
 
   struct StoreInfo {
     std::uint64_t entries = 0;
@@ -80,7 +90,9 @@ class ResultCache {
 
   std::string dir_;
   std::uint32_t version_;
-  CacheStats stats_;
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> inserts_{0};
 };
 
 }  // namespace swft

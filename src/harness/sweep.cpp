@@ -29,11 +29,46 @@ namespace {
 
 }  // namespace
 
+void parallelFor(std::size_t n, int threads, const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  const std::size_t width = std::min<std::size_t>(
+      threads > 0 ? static_cast<std::size_t>(threads)
+                  : std::max(1u, std::thread::hardware_concurrency()),
+      n);
+
+  std::atomic<std::size_t> nextIndex{0};
+  std::mutex failureMutex;
+  // The first exception fn throws (guarded by failureMutex). Once it is set,
+  // workers stop taking indices; the caller rethrows it after the join.
+  std::exception_ptr failure;
+
+  auto worker = [&] {
+    for (;;) {
+      const std::size_t i = nextIndex.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(failureMutex);
+        if (!failure) failure = std::current_exception();
+        nextIndex.store(n, std::memory_order_relaxed);
+      }
+    }
+  };
+
+  if (width <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(width);
+    for (std::size_t t = 0; t < width; ++t) pool.emplace_back(worker);
+    for (auto& t : pool) t.join();
+  }
+  if (failure) std::rethrow_exception(failure);
+}
+
 std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
                                const std::function<void(const SweepRow&)>& onDone) {
-  std::vector<SweepRow> rows(points.size());
-  if (points.empty()) return rows;
-
   // Reject a bad point before any simulation starts.
   for (const SweepPoint& p : points) {
     try {
@@ -43,52 +78,22 @@ std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
     }
   }
 
-  const unsigned nThreads = std::min<unsigned>(
-      threads > 0 ? static_cast<unsigned>(threads)
-                  : std::max(1u, std::thread::hardware_concurrency()),
-      static_cast<unsigned>(points.size()));
-
-  std::atomic<std::size_t> nextIndex{0};
+  std::vector<SweepRow> rows(points.size());
   std::mutex doneMutex;
-  // The first exception any point throws and that point's index (guarded by
-  // doneMutex). Once it is set, workers stop taking points; the caller
-  // rethrows it after the join.
-  std::exception_ptr failure;
-  std::size_t failedIndex = 0;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = nextIndex.fetch_add(1, std::memory_order_relaxed);
-      if (i >= points.size()) return;
-      try {
-        SweepRow row;
-        row.point = points[i];
-        row.result = runSimulation(points[i].cfg);
-        if (onDone) {
-          const std::lock_guard<std::mutex> lock(doneMutex);
-          onDone(row);
-        }
-        rows[i] = std::move(row);
-      } catch (...) {
+  parallelFor(points.size(), threads, [&](std::size_t i) {
+    try {
+      SweepRow row;
+      row.point = points[i];
+      row.result = runSimulation(points[i].cfg);
+      if (onDone) {
         const std::lock_guard<std::mutex> lock(doneMutex);
-        if (!failure) {
-          failure = std::current_exception();
-          failedIndex = i;
-        }
-        nextIndex.store(points.size(), std::memory_order_relaxed);
+        onDone(row);
       }
+      rows[i] = std::move(row);
+    } catch (...) {
+      rethrowLabelled(std::current_exception(), points[i].label);
     }
-  };
-
-  if (nThreads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(nThreads);
-    for (unsigned t = 0; t < nThreads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-  if (failure) rethrowLabelled(failure, points[failedIndex].label);
+  });
   return rows;
 }
 

@@ -3,6 +3,7 @@
 // embarrassingly parallel) and collects paper-style result rows.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -21,15 +22,22 @@ struct SweepRow {
   SimResult result;
 };
 
-/// Run all points; `threads` <= 0 means hardware concurrency (at least one),
-/// and the pool is never wider than the grid. Points run in submission order
-/// per thread but complete out of order; the returned rows are in the
-/// original order. `onDone` (optional) is invoked after each point completes
-/// (serialised), e.g. for progress output. Every point is validated
-/// (validateConfig) before the pool starts; the first exception a point
-/// throws stops the pool from taking further points and is rethrown to the
-/// caller once the workers have joined. A std::invalid_argument or
-/// std::runtime_error is rethrown as the same type with the point's label
+/// Calls `fn(i)` exactly once for every i in [0, n) on a pool of workers that
+/// take indices in ascending order. `threads` <= 0 means hardware concurrency
+/// (at least one), and the pool is never wider than `n`; a width of 1 runs
+/// every index inline on the calling thread and starts no thread. The first
+/// exception `fn` throws stops the pool from handing out further indices and
+/// is rethrown to the caller once the workers have joined (indices already
+/// running finish; the rest never run). `fn` must be safe to call
+/// concurrently for distinct indices.
+void parallelFor(std::size_t n, int threads, const std::function<void(std::size_t)>& fn);
+
+/// Run all points on parallelFor's pool. Points start in submission order
+/// but complete out of order; the returned rows are in the original order.
+/// `onDone` (optional) is invoked after each point completes (serialised),
+/// e.g. for progress output. Every point is validated (validateConfig)
+/// before the pool starts. A std::invalid_argument or std::runtime_error
+/// that a point throws is rethrown as the same type with the point's label
 /// prefixed to its message.
 std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads = 0,
                                const std::function<void(const SweepRow&)>& onDone = {});

@@ -1,10 +1,11 @@
 #include "src/harness/table.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace swft {
 
@@ -30,26 +31,48 @@ double resultField(const SimResult& r, const std::string& name) {
   throw std::invalid_argument("resultField: unknown column " + name);
 }
 
+namespace {
+
+/// `text` padded with spaces to `width`: on the right when `left`-aligned,
+/// else on the left, as `std::setw` pads (never truncating).
+void appendPadded(std::string& out, std::string_view text, std::size_t width, bool left) {
+  const std::size_t pad = width > text.size() ? width - text.size() : 0;
+  if (!left) out.append(pad, ' ');
+  out += text;
+  if (left) out.append(pad, ' ');
+}
+
+constexpr std::size_t kCellWidth = 14;
+
+}  // namespace
+
+// The bytes of `os << std::setw(14) << std::setprecision(6) << v` per cell,
+// built without a stream: std::to_chars at %g precision 6 is the stream's
+// default float format (the CSV cells use the same rule).
 std::string formatTable(const std::vector<SweepRow>& rows,
                         const std::vector<std::string>& columns) {
   std::size_t labelWidth = 5;
   for (const auto& row : rows) labelWidth = std::max(labelWidth, row.point.label.size());
 
-  std::ostringstream os;
-  os << std::left << std::setw(static_cast<int>(labelWidth + 2)) << "point";
-  for (const auto& col : columns) os << std::right << std::setw(14) << col;
-  os << '\n';
+  std::string out;
+  out.reserve((rows.size() + 1) * (labelWidth + 2 + kCellWidth * columns.size() + 16));
+  appendPadded(out, "point", labelWidth + 2, true);
+  for (const auto& col : columns) appendPadded(out, col, kCellWidth, false);
+  out += '\n';
   for (const auto& row : rows) {
-    os << std::left << std::setw(static_cast<int>(labelWidth + 2)) << row.point.label;
+    appendPadded(out, row.point.label, labelWidth + 2, true);
     for (const auto& col : columns) {
-      const double v = resultField(row.result, col);
-      os << std::right << std::setw(14) << std::setprecision(6) << v;
+      char buf[32];  // "-1.23457e+308" is the longest double at %g precision 6
+      const auto res = std::to_chars(buf, buf + sizeof buf, resultField(row.result, col),
+                                     std::chars_format::general, 6);
+      appendPadded(out, std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)),
+                   kCellWidth, false);
     }
-    if (row.result.saturated) os << "  [saturated]";
-    if (row.result.deadlockSuspected) os << "  [DEADLOCK?]";
-    os << '\n';
+    if (row.result.saturated) out += "  [saturated]";
+    if (row.result.deadlockSuspected) out += "  [DEADLOCK?]";
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 CsvWriter toCsv(const std::vector<SweepRow>& rows) {

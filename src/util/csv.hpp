@@ -7,61 +7,72 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/text.hpp"
 
 namespace swft {
 
+/// Builds the CSV text in one buffer: the header at construction, then each
+/// row's escaped cells as it is added.
 class CsvWriter {
  public:
-  explicit CsvWriter(std::vector<std::string> header);
+  explicit CsvWriter(const std::vector<std::string>& header);
 
   /// Append one row; the number of cells must match the header.
-  void addRow(std::vector<std::string> cells);
+  void addRow(const std::vector<std::string>& cells);
 
   template <typename... Ts>
   void addRowOf(const Ts&... values) {
-    std::vector<std::string> cells;
-    cells.reserve(sizeof...(Ts));
-    (cells.push_back(toCell(values)), ...);
-    addRow(std::move(cells));
+    checkWidth(sizeof...(Ts));
+    bool first = true;
+    const auto field = [&](const auto& v) {
+      if (!first) text_ += ',';
+      first = false;
+      appendCell(v);
+    };
+    (field(values), ...);
+    endRow();
   }
 
-  [[nodiscard]] std::string str() const;
+  /// The CSV text so far: the header line and one line per row. The
+  /// reference is into this writer and lives as long as it does.
+  [[nodiscard]] const std::string& str() const noexcept { return text_; }
   /// Writes str() to `path`; throws std::runtime_error naming the path when
-  /// the file cannot be opened or any byte of it cannot be written.
+  /// the file cannot be created or any byte of it cannot be written.
   void writeFile(const std::string& path) const;
-  [[nodiscard]] std::size_t rowCount() const noexcept { return rows_.size(); }
+  [[nodiscard]] std::size_t rowCount() const noexcept { return rows_; }
 
  private:
   /// A cell holds exactly what `std::ostream << v` prints with default
   /// flags. Numbers go through std::to_chars, which writes the same bytes
   /// (a floating-point value at the stream's default %g precision of 6)
-  /// without building a stream; bool, the character types and anything
-  /// else streamable keep the stream.
+  /// without building a stream; they never need quoting. bool, the
+  /// character types and anything else streamable keep the stream.
   template <typename T>
-  static std::string toCell(const T& v) {
-    if constexpr (std::is_convertible_v<T, std::string>) {
-      return std::string(v);
+  void appendCell(const T& v) {
+    if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+      appendEscaped(std::string_view(v));
     } else if constexpr (DecimalInteger<T>) {
-      std::string out;
-      appendDecimal(out, v);
-      return out;
+      appendDecimal(text_, v);
     } else if constexpr (std::floating_point<T>) {
       char buf[32];  // "-1.23457e+4932" is the longest %g at precision 6
       const auto res = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
-      return std::string(buf, res.ptr);
+      text_.append(buf, res.ptr);
     } else {
       std::ostringstream os;
       os << v;
-      return os.str();
+      appendEscaped(os.str());
     }
   }
-  static void appendEscaped(std::string& out, std::string_view cell);
+  void appendEscaped(std::string_view cell);
+  void checkWidth(std::size_t cells) const;
+  void endRow();
 
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
+  std::size_t columns_;
+  std::size_t rows_ = 0;
+  std::string text_;
 };
 
 }  // namespace swft

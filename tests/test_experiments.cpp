@@ -10,6 +10,9 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/harness/experiment_registry.hpp"
 #include "src/harness/result_cache.hpp"
@@ -376,6 +379,78 @@ TEST(RunExperiment, WarmCacheRerunIsAllHitsWithByteIdenticalArtifact) {
   EXPECT_EQ(slurp(healed.artifactPath), coldBytes);
   const ExperimentRun afterHeal = runExperiment(spec, opt, log);
   EXPECT_EQ(afterHeal.cache.hits, 6u);
+}
+
+/// `log` split into its progress lines ("  [k/n] ...") and everything else.
+std::pair<std::vector<std::string>, std::string> splitProgress(const std::string& log) {
+  std::stringstream ss(log);
+  std::string line;
+  std::vector<std::string> progress;
+  std::string rest;
+  while (std::getline(ss, line)) {
+    if (line.starts_with("  [")) {
+      progress.push_back(line);
+    } else {
+      rest += line;
+      rest += '\n';
+    }
+  }
+  return {progress, rest};
+}
+
+// The cache pass runs on the pool's threads; what the run prints and writes
+// must not show it: progress only for the simulated points, numbered over
+// the misses, the same cache line, and the cold run's table and artifact.
+TEST(RunExperiment, PartlyWarmRunLogsOnlyItsMisses) {
+  const std::string base =
+      (std::filesystem::temp_directory_path() / "swft_experiment_partly_warm").string();
+  std::filesystem::remove_all(base);
+  const ExperimentSpec spec = tinySpec("tiny_partly_warm");
+
+  RunOptions opt;
+  opt.outDir = base + "/out";
+  opt.useCache = true;
+  opt.cacheDir = base + "/cache";
+  opt.threads = 4;
+  opt.progress = true;
+  std::ostringstream coldLog;
+  const ExperimentRun cold = runExperiment(spec, opt, coldLog);
+  const std::string coldBytes = slurp(cold.artifactPath);
+  EXPECT_EQ(splitProgress(coldLog.str()).first.size(), 6u);
+
+  const std::vector<SweepPoint> points = spec.build();
+  const ResultCache store(opt.cacheDir);
+  for (const std::size_t i : {1u, 4u}) {
+    std::ofstream out(opt.cacheDir + "/" + store.keyFor(points[i].cfg) + ".result",
+                      std::ios::binary | std::ios::trunc);
+    out << "garbage";
+  }
+
+  std::ostringstream log;
+  const ExperimentRun run = runExperiment(spec, opt, log);
+  EXPECT_EQ(run.cache.hits, 4u);
+  EXPECT_EQ(run.cache.misses, 2u);
+  EXPECT_EQ(run.cache.inserts, 2u);
+  EXPECT_EQ(slurp(run.artifactPath), coldBytes);
+
+  const auto [progress, rest] = splitProgress(log.str());
+  ASSERT_EQ(progress.size(), 2u) << log.str();
+  EXPECT_TRUE(progress[0].starts_with("  [1/2] tiny_partly_warm/")) << progress[0];
+  EXPECT_TRUE(progress[1].starts_with("  [2/2] tiny_partly_warm/")) << progress[1];
+  const std::set<std::string> simulated{progress[0].substr(progress[0].find('/', 6) + 1),
+                                        progress[1].substr(progress[1].find('/', 6) + 1)};
+  EXPECT_EQ(simulated, (std::set<std::string>{"pt1", "pt4"}));
+  const std::string cacheLine =
+      "cache: 4 hits, 2 misses, 2 inserts (" + opt.cacheDir + ")\n";
+  EXPECT_NE(rest.find(cacheLine), std::string::npos) << log.str();
+
+  // Apart from the progress and cache lines, the log is the cold run's.
+  std::string coldRest = splitProgress(coldLog.str()).second;
+  const std::string coldCacheLine =
+      "cache: 0 hits, 6 misses, 6 inserts (" + opt.cacheDir + ")\n";
+  ASSERT_NE(coldRest.find(coldCacheLine), std::string::npos) << coldLog.str();
+  coldRest.replace(coldRest.find(coldCacheLine), coldCacheLine.size(), cacheLine);
+  EXPECT_EQ(rest, coldRest);
 }
 
 TEST(RunExperiment, ShardedRunsFillTheCacheForTheUnshardedRun) {

@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <latch>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "src/sim/config_canon.hpp"
@@ -390,6 +394,106 @@ TEST(ResultCache, TruncatedEntryIsAMiss) {
     out << full.substr(0, full.size() - 20);
   }
   EXPECT_FALSE(cache.lookup(cfg).has_value());
+}
+
+/// trickyResult with seed-dependent fields, so an entry read back under the
+/// wrong key cannot pass for the right one.
+SimResult resultFor(std::uint64_t seed) {
+  SimResult r = trickyResult();
+  r.cycles = seed;
+  r.meanLatency = 1.0 / static_cast<double>(seed + 3);
+  return r;
+}
+
+SimConfig seededConfig(std::uint64_t seed) {
+  SimConfig cfg;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// Runs `body(t)` on `threads` threads that all start together.
+void runTogether(int threads, const std::function<void(int)>& body) {
+  std::latch start(threads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      body(t);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+}
+
+TEST(ResultCache, ConcurrentLookupsCountExactly) {
+  ResultCache cache(freshDir("concurrent_lookup"));
+  constexpr std::uint64_t kStored = 24;
+  constexpr std::uint64_t kAbsent = 8;
+  constexpr int kThreads = 4;
+  for (std::uint64_t seed = 0; seed < kStored; ++seed) {
+    ASSERT_TRUE(cache.store(seededConfig(seed), resultFor(seed)));
+  }
+
+  std::vector<std::vector<std::optional<SimResult>>> seen(kThreads);
+  runTogether(kThreads, [&](int t) {
+    for (std::uint64_t seed = 0; seed < kStored + kAbsent; ++seed) {
+      seen[static_cast<std::size_t>(t)].push_back(cache.lookup(seededConfig(seed)));
+    }
+  });
+
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, kStored * kThreads);
+  EXPECT_EQ(s.misses, kAbsent * kThreads);
+  EXPECT_EQ(s.inserts, kStored);
+  for (const auto& results : seen) {
+    ASSERT_EQ(results.size(), kStored + kAbsent);
+    for (std::uint64_t seed = 0; seed < kStored + kAbsent; ++seed) {
+      const std::optional<SimResult>& r = results[seed];
+      if (seed < kStored) {
+        ASSERT_TRUE(r.has_value()) << "seed " << seed;
+        expectBitIdentical(resultFor(seed), *r);
+      } else {
+        EXPECT_FALSE(r.has_value()) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(ResultCache, ConcurrentStoresPublishIntactEntries) {
+  const std::string dir = freshDir("concurrent_store");
+  ResultCache cache(dir);
+  constexpr std::uint64_t kPerThread = 12;
+  constexpr int kThreads = 4;
+  constexpr int kSharedRepeats = 5;
+  constexpr std::uint64_t kShared = 1000;
+  std::atomic<int> failed{0};
+  runTogether(kThreads, [&](int t) {
+    for (std::uint64_t j = 0; j < kPerThread; ++j) {
+      // Distinct keys per thread, interleaved with stores of one shared key.
+      const std::uint64_t seed = static_cast<std::uint64_t>(t) * kPerThread + j;
+      if (!cache.store(seededConfig(seed), resultFor(seed))) ++failed;
+      if (j < kSharedRepeats && !cache.store(seededConfig(kShared), resultFor(kShared))) {
+        ++failed;
+      }
+    }
+  });
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(cache.stats().inserts, kThreads * (kPerThread + kSharedRepeats));
+  for (std::uint64_t seed = 0; seed < kThreads * kPerThread; ++seed) {
+    const auto hit = cache.lookup(seededConfig(seed));
+    ASSERT_TRUE(hit.has_value()) << "seed " << seed;
+    expectBitIdentical(resultFor(seed), *hit);
+  }
+  const auto shared = cache.lookup(seededConfig(kShared));
+  ASSERT_TRUE(shared.has_value());
+  expectBitIdentical(resultFor(kShared), *shared);
+  // Every temp file was renamed into place: the directory holds entries only.
+  std::size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().extension(), ".result") << e.path();
+    ++files;
+  }
+  EXPECT_EQ(files, kThreads * kPerThread + 1);
 }
 
 TEST(ResultCache, SemanticsVersionBumpInvalidatesEverything) {

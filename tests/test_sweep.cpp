@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "tests/naming.hpp"
 
 namespace swft {
@@ -107,6 +115,62 @@ TEST(Sweep, FaultPlacementErrorThrowsToCallerFromThreadedPool) {
                               [&](const SweepRow&) { ++done; }),
                std::runtime_error);
   EXPECT_LE(done, 2);
+}
+
+TEST(Sweep, ParallelForRunsEachIndexOnceAndRethrowsFirstFailure) {
+  int calls = 0;
+  parallelFor(0, 4, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0) << "n = 0 runs nothing";
+
+  // Every index exactly once: inline, narrower than n, wider than n, and at
+  // hardware concurrency (threads <= 0). The pool is never wider than n, and
+  // width 1 runs on the calling thread.
+  constexpr std::size_t kN = 5;
+  for (const int threads : {1, 3, 64, 0, -2}) {
+    std::vector<std::atomic<int>> runs(kN);
+    std::mutex idsMutex;
+    std::set<std::thread::id> ids;
+    parallelFor(kN, threads, [&](std::size_t i) {
+      runs[i].fetch_add(1);
+      const std::lock_guard<std::mutex> lock(idsMutex);
+      ids.insert(std::this_thread::get_id());
+    });
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads;
+    EXPECT_LE(ids.size(), kN) << "threads=" << threads;
+    if (threads == 1) {
+      EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+    }
+  }
+
+  // A throwing index stops the pool; the exception reaches the caller only
+  // after every index already running has finished.
+  constexpr std::size_t kLong = 1000;
+  std::vector<std::atomic<int>> runs(kLong);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  try {
+    parallelFor(kLong, 4, [&](std::size_t i) {
+      runs[i].fetch_add(1);
+      started.fetch_add(1);
+      if (i == 5) throw std::runtime_error("index 5");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      finished.fetch_add(1);
+    });
+    ADD_FAILURE() << "parallelFor must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 5");
+    EXPECT_EQ(finished.load() + 1, started.load()) << "rethrown before the join";
+  }
+  EXPECT_LT(started.load(), static_cast<int>(kLong)) << "the pool kept taking indices";
+  for (std::size_t i = 0; i < kLong; ++i) EXPECT_LE(runs[i].load(), 1) << "index " << i;
+
+  // Of several failures, the first one thrown is the one rethrown.
+  try {
+    parallelFor(3, 1, [](std::size_t i) { throw std::runtime_error(std::to_string(i)); });
+    ADD_FAILURE() << "parallelFor must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "0");
+  }
 }
 
 TEST(Sweep, RateGridSpansToMaximum) {
