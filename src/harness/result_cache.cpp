@@ -21,54 +21,19 @@ namespace {
 constexpr std::string_view kEntryMagic = "swft-cache-entry-v1";
 constexpr std::string_view kResultMagic = "swft-result-v1";
 
-void putName(std::string& out, std::string_view name) {
-  out += name;
-  out += ' ';
-}
-
-void putDouble(std::string& out, std::string_view name, double v) {
-  putName(out, name);
-  appendHex16(out, std::bit_cast<std::uint64_t>(v));
-  out += '\n';
-}
-
-void putU64(std::string& out, std::string_view name, std::uint64_t v) {
-  putName(out, name);
-  appendDecimal(out, v);
-  out += '\n';
-}
-
-void putBool(std::string& out, std::string_view name, bool v) {
-  putName(out, name);
-  out += v ? '1' : '0';
-  out += '\n';
-}
+void put(std::string& out, double v) { appendHex16(out, std::bit_cast<std::uint64_t>(v)); }
+void put(std::string& out, std::uint64_t v) { appendDecimal(out, v); }
+void put(std::string& out, bool v) { out += v ? '1' : '0'; }
 
 void appendResult(std::string& out, const SimResult& r) {
   out += kResultMagic;
   out += '\n';
-  putDouble(out, "mean_latency", r.meanLatency);
-  putDouble(out, "latency_stddev", r.latencyStddev);
-  putDouble(out, "max_latency", r.maxLatency);
-  putDouble(out, "latency_p50", r.latencyP50);
-  putDouble(out, "latency_p95", r.latencyP95);
-  putDouble(out, "latency_p99", r.latencyP99);
-  putDouble(out, "latency_ci95", r.latencyCi95);
-  putDouble(out, "mean_hops", r.meanHops);
-  putU64(out, "cycles", r.cycles);
-  putU64(out, "generated_total", r.generatedTotal);
-  putU64(out, "delivered_total", r.deliveredTotal);
-  putU64(out, "delivered_measured", r.deliveredMeasured);
-  putDouble(out, "throughput", r.throughput);
-  putDouble(out, "offered_load", r.offeredLoad);
-  putU64(out, "messages_queued", r.messagesQueued);
-  putU64(out, "absorbed_messages", r.absorbedMessages);
-  putU64(out, "reversals", r.reversals);
-  putU64(out, "detours", r.detours);
-  putU64(out, "escalations", r.escalations);
-  putBool(out, "saturated", r.saturated);
-  putBool(out, "deadlock_suspected", r.deadlockSuspected);
-  putBool(out, "completed", r.completed);
+  forEachResultField(r, [&out](std::string_view name, const auto& v) {
+    out += name;
+    out += ' ';
+    put(out, v);
+    out += '\n';
+  });
 }
 
 /// Consumes one '\n'-terminated line from the front of `text`; false (and
@@ -99,11 +64,11 @@ struct FieldReader {
     return line.substr(name.size() + 1);
   }
 
-  double readDouble(std::string_view name) {
+  void read(std::string_view name, double& out) {
     const std::string_view v = value(name);
     if (!ok || v.size() != 16) {
       ok = false;
-      return 0.0;
+      return;
     }
     std::uint64_t bits = 0;
     for (const char c : v) {
@@ -114,32 +79,27 @@ struct FieldReader {
         digit = c - 'a' + 10;
       } else {
         ok = false;
-        return 0.0;
+        return;
       }
       bits = (bits << 4) | static_cast<std::uint64_t>(digit);
     }
-    return std::bit_cast<double>(bits);
+    out = std::bit_cast<double>(bits);
   }
 
-  std::uint64_t readU64(std::string_view name) {
+  void read(std::string_view name, std::uint64_t& out) {
     const std::string_view v = value(name);
-    if (!ok) return 0;
-    std::uint64_t out = 0;
+    if (!ok) return;
     const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-    if (ec != std::errc{} || ptr != v.data() + v.size()) {
-      ok = false;
-      return 0;
-    }
-    return out;
+    if (ec != std::errc{} || ptr != v.data() + v.size()) ok = false;
   }
 
-  bool readBool(std::string_view name) {
+  void read(std::string_view name, bool& out) {
     const std::string_view v = value(name);
     if (!ok || (v != "0" && v != "1")) {
       ok = false;
-      return false;
+      return;
     }
-    return v == "1";
+    out = v == "1";
   }
 };
 
@@ -169,30 +129,9 @@ std::optional<SimResult> deserializeResult(std::string_view text) {
   if (!takeLine(text, magic) || magic != kResultMagic) return std::nullopt;
   FieldReader f{text};
   SimResult r;
-  r.meanLatency = f.readDouble("mean_latency");
-  r.latencyStddev = f.readDouble("latency_stddev");
-  r.maxLatency = f.readDouble("max_latency");
-  r.latencyP50 = f.readDouble("latency_p50");
-  r.latencyP95 = f.readDouble("latency_p95");
-  r.latencyP99 = f.readDouble("latency_p99");
-  r.latencyCi95 = f.readDouble("latency_ci95");
-  r.meanHops = f.readDouble("mean_hops");
-  r.cycles = f.readU64("cycles");
-  r.generatedTotal = f.readU64("generated_total");
-  r.deliveredTotal = f.readU64("delivered_total");
-  r.deliveredMeasured = f.readU64("delivered_measured");
-  r.throughput = f.readDouble("throughput");
-  r.offeredLoad = f.readDouble("offered_load");
-  r.messagesQueued = f.readU64("messages_queued");
-  r.absorbedMessages = f.readU64("absorbed_messages");
-  r.reversals = f.readU64("reversals");
-  r.detours = f.readU64("detours");
-  r.escalations = f.readU64("escalations");
-  r.saturated = f.readBool("saturated");
-  r.deadlockSuspected = f.readBool("deadlock_suspected");
-  r.completed = f.readBool("completed");
-  // The block ends exactly after `completed`'s line: anything further is a
-  // format this reader does not know.
+  forEachResultField(r, [&f](std::string_view name, auto& v) { f.read(name, v); });
+  // The block ends exactly after the last field's line: anything further is
+  // a format this reader does not know.
   if (!f.ok || !f.rest.empty()) return std::nullopt;
   return r;
 }

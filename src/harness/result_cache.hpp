@@ -30,9 +30,10 @@
 
 namespace swft {
 
-/// Exact serialization of every SimResult field: doubles as IEEE-754 bit
-/// patterns (16 hex digits), counters as decimal u64, flags as 0/1. The
-/// format is versioned and strictly ordered; deserializeResult returns
+/// Exact serialization of every SimResult field, one "<name> <value>" line
+/// each in forEachResultField's order: doubles as IEEE-754 bit patterns (16
+/// hex digits), counters as decimal u64, flags as 0/1. The format is
+/// versioned and strictly ordered; deserializeResult returns
 /// nullopt on any deviation (missing/reordered/garbled field, bad magic).
 [[nodiscard]] std::string serializeResult(const SimResult& r);
 [[nodiscard]] std::optional<SimResult> deserializeResult(std::string_view text);

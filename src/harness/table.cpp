@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
-#include <filesystem>
 #include <stdexcept>
 #include <string_view>
 
@@ -95,10 +94,7 @@ CsvWriter toCsv(const std::vector<SweepRow>& rows) {
 
 std::string resultsDir() {
   const char* env = std::getenv("SWFT_RESULTS_DIR");
-  std::string dir = env != nullptr ? env : "results";
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  return dir;
+  return env != nullptr && *env != '\0' ? env : "results";
 }
 
 }  // namespace swft

@@ -21,7 +21,8 @@ namespace swft {
 /// Look up one result field by name (used by both emitters).
 [[nodiscard]] double resultField(const SimResult& r, const std::string& name);
 
-/// Results directory honouring SWFT_RESULTS_DIR (default "results/").
+/// Results directory: $SWFT_RESULTS_DIR, else (unset or empty) "results".
+/// Only names it: whoever writes there creates it.
 [[nodiscard]] std::string resultsDir();
 
 }  // namespace swft

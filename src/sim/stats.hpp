@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace swft {
 
@@ -203,5 +205,43 @@ struct SimResult {
   bool deadlockSuspected = false;  // watchdog fired (must never happen)
   bool completed = false;          // reached the measured-message target
 };
+
+/// The one list of SimResult's fields: calls `f(name, member)` once per
+/// field, in declaration order, with the field's result-cache name. `R` is
+/// SimResult or const SimResult. The structured binding names every member,
+/// so a field added to or removed from the struct without this list changing
+/// is a compile error, not a field that silently goes unserialized or
+/// uncompared.
+template <class R, class F>
+void forEachResultField(R& r, F&& f) {
+  static_assert(std::is_same_v<std::remove_const_t<R>, SimResult>);
+  using namespace std::string_view_literals;
+  auto& [meanLatency, latencyStddev, maxLatency, latencyP50, latencyP95, latencyP99,
+         latencyCi95, meanHops, cycles, generatedTotal, deliveredTotal, deliveredMeasured,
+         throughput, offeredLoad, messagesQueued, absorbedMessages, reversals, detours,
+         escalations, saturated, deadlockSuspected, completed] = r;
+  f("mean_latency"sv, meanLatency);
+  f("latency_stddev"sv, latencyStddev);
+  f("max_latency"sv, maxLatency);
+  f("latency_p50"sv, latencyP50);
+  f("latency_p95"sv, latencyP95);
+  f("latency_p99"sv, latencyP99);
+  f("latency_ci95"sv, latencyCi95);
+  f("mean_hops"sv, meanHops);
+  f("cycles"sv, cycles);
+  f("generated_total"sv, generatedTotal);
+  f("delivered_total"sv, deliveredTotal);
+  f("delivered_measured"sv, deliveredMeasured);
+  f("throughput"sv, throughput);
+  f("offered_load"sv, offeredLoad);
+  f("messages_queued"sv, messagesQueued);
+  f("absorbed_messages"sv, absorbedMessages);
+  f("reversals"sv, reversals);
+  f("detours"sv, detours);
+  f("escalations"sv, escalations);
+  f("saturated"sv, saturated);
+  f("deadlock_suspected"sv, deadlockSuspected);
+  f("completed"sv, completed);
+}
 
 }  // namespace swft

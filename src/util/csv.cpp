@@ -14,24 +14,10 @@ CsvWriter::CsvWriter(const std::vector<std::string>& header) : columns_(header.s
   text_ += '\n';
 }
 
-void CsvWriter::addRow(const std::vector<std::string>& cells) {
-  checkWidth(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) text_ += ',';
-    appendEscaped(cells[i]);
-  }
-  endRow();
-}
-
 void CsvWriter::checkWidth(std::size_t cells) const {
   if (cells != columns_) {
     throw std::invalid_argument("CsvWriter: row width does not match header");
   }
-}
-
-void CsvWriter::endRow() {
-  text_ += '\n';
-  ++rows_;
 }
 
 void CsvWriter::appendEscaped(std::string_view cell) {

@@ -4,7 +4,6 @@
 
 #include <charconv>
 #include <concepts>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -21,8 +20,6 @@ class CsvWriter {
   explicit CsvWriter(const std::vector<std::string>& header);
 
   /// Append one row; the number of cells must match the header.
-  void addRow(const std::vector<std::string>& cells);
-
   template <typename... Ts>
   void addRowOf(const Ts&... values) {
     checkWidth(sizeof...(Ts));
@@ -33,7 +30,7 @@ class CsvWriter {
       appendCell(v);
     };
     (field(values), ...);
-    endRow();
+    text_ += '\n';
   }
 
   /// The CSV text so far: the header line and one line per row. The
@@ -42,14 +39,13 @@ class CsvWriter {
   /// Writes str() to `path`; throws std::runtime_error naming the path when
   /// the file cannot be created or any byte of it cannot be written.
   void writeFile(const std::string& path) const;
-  [[nodiscard]] std::size_t rowCount() const noexcept { return rows_; }
 
  private:
   /// A cell holds exactly what `std::ostream << v` prints with default
   /// flags. Numbers go through std::to_chars, which writes the same bytes
   /// (a floating-point value at the stream's default %g precision of 6)
-  /// without building a stream; they never need quoting. bool, the
-  /// character types and anything else streamable keep the stream.
+  /// without building a stream; they never need quoting. bool and the
+  /// character types are rejected at compile time.
   template <typename T>
   void appendCell(const T& v) {
     if constexpr (std::is_convertible_v<const T&, std::string_view>) {
@@ -61,17 +57,13 @@ class CsvWriter {
       const auto res = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
       text_.append(buf, res.ptr);
     } else {
-      std::ostringstream os;
-      os << v;
-      appendEscaped(os.str());
+      static_assert(sizeof(T) == 0, "a CSV cell is text, an integer or a floating-point number");
     }
   }
   void appendEscaped(std::string_view cell);
   void checkWidth(std::size_t cells) const;
-  void endRow();
 
   std::size_t columns_;
-  std::size_t rows_ = 0;
   std::string text_;
 };
 

@@ -89,4 +89,20 @@ foreach(args "--threads;2x" "--threads;abc" "--sim-threads;2" "--format;json" "-
   endif()
 endforeach()
 
+# Commands that only read the store or fail leave the results directory
+# alone: it is created only when a run writes to it.
+set(results_dir ${CMAKE_CURRENT_BINARY_DIR}/smoke_untouched_results)
+file(REMOVE_RECURSE ${results_dir})
+set(ENV{SWFT_RESULTS_DIR} ${results_dir})
+unset(ENV{SWFT_CACHE_DIR})
+foreach(args "--cache-stats" "--run;no_such" "")
+  execute_process(
+    COMMAND ${SWFT_BENCH} ${args}
+    RESULT_VARIABLE rc6
+    OUTPUT_QUIET ERROR_QUIET)
+  if(EXISTS ${results_dir})
+    message(FATAL_ERROR "swft_bench ${args} (exit ${rc6}) created ${results_dir}")
+  endif()
+endforeach()
+
 message(STATUS "swft_bench smoke OK (${count} experiments)")

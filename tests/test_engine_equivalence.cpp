@@ -6,7 +6,6 @@
 // may never reorder or change live work.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -16,6 +15,7 @@
 #include "src/sim/engine_dense.hpp"
 #include "src/util/fnv.hpp"
 #include "tests/naming.hpp"
+#include "tests/result_compare.hpp"
 
 namespace swft {
 
@@ -99,34 +99,6 @@ SimResult runWith(SimConfig cfg, EngineKind kind, int simThreads = 1) {
 // 8 (the tentpole's target width).
 constexpr int kThreadAxis[] = {1, 2, 3, 8};
 
-// Exact comparison, doubles included: the engines must draw the same RNG
-// sequences and deliver the same messages in the same cycles, so even the
-// floating-point accumulations are performed in the same order.
-void expectIdentical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.meanLatency, b.meanLatency);
-  EXPECT_EQ(a.latencyStddev, b.latencyStddev);
-  EXPECT_EQ(a.maxLatency, b.maxLatency);
-  EXPECT_EQ(a.latencyP50, b.latencyP50);
-  EXPECT_EQ(a.latencyP95, b.latencyP95);
-  EXPECT_EQ(a.latencyP99, b.latencyP99);
-  EXPECT_EQ(a.latencyCi95, b.latencyCi95);
-  EXPECT_EQ(a.meanHops, b.meanHops);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.generatedTotal, b.generatedTotal);
-  EXPECT_EQ(a.deliveredTotal, b.deliveredTotal);
-  EXPECT_EQ(a.deliveredMeasured, b.deliveredMeasured);
-  EXPECT_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.offeredLoad, b.offeredLoad);
-  EXPECT_EQ(a.messagesQueued, b.messagesQueued);
-  EXPECT_EQ(a.absorbedMessages, b.absorbedMessages);
-  EXPECT_EQ(a.reversals, b.reversals);
-  EXPECT_EQ(a.detours, b.detours);
-  EXPECT_EQ(a.escalations, b.escalations);
-  EXPECT_EQ(a.saturated, b.saturated);
-  EXPECT_EQ(a.deadlockSuspected, b.deadlockSuspected);
-  EXPECT_EQ(a.completed, b.completed);
-}
-
 class EngineEquivalence : public ::testing::TestWithParam<EngineCase> {};
 
 TEST_P(EngineEquivalence, SparseMatchesDenseBitForBit) {
@@ -134,7 +106,7 @@ TEST_P(EngineEquivalence, SparseMatchesDenseBitForBit) {
   const SimResult dense = DenseReference(cfg).run();
   const SimResult sparse = runWith(cfg, EngineKind::Sparse);
   EXPECT_TRUE(dense.completed) << "case must finish within maxCycles";
-  expectIdentical(dense, sparse);
+  expectSameResult(dense, sparse);
 }
 
 TEST_P(EngineEquivalence, SparseMtMatchesDenseAtEveryThreadCount) {
@@ -144,7 +116,7 @@ TEST_P(EngineEquivalence, SparseMtMatchesDenseAtEveryThreadCount) {
   for (const int threads : kThreadAxis) {
     const SimResult mt = runWith(cfg, EngineKind::SparseMt, threads);
     SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    expectIdentical(dense, mt);
+    expectSameResult(dense, mt);
   }
 }
 
@@ -202,10 +174,10 @@ TEST_P(EngineEquivalenceMultiWord, MultiWordRoutersMatchDenseAtEveryThreadCount)
   if (c.faults > 0) {
     EXPECT_GT(dense.messagesQueued, 0u) << "the faults must absorb traffic";
   }
-  expectIdentical(dense, runWith(cfg, EngineKind::Sparse));
+  expectSameResult(dense, runWith(cfg, EngineKind::Sparse));
   for (const int threads : kThreadAxis) {
     SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    expectIdentical(dense, runWith(cfg, EngineKind::SparseMt, threads));
+    expectSameResult(dense, runWith(cfg, EngineKind::SparseMt, threads));
   }
 }
 
@@ -661,7 +633,7 @@ TEST(EngineEquivalence, SweepDeterministicAcrossThreadCounts) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].point.label, parallel[i].point.label);
-    expectIdentical(serial[i].result, parallel[i].result);
+    expectSameResult(serial[i].result, parallel[i].result);
   }
 }
 

@@ -8,7 +8,7 @@
 // decision time, message lengths, injection rates) and runs each to
 // completion on the dense reference, sparse, and sparse-mt twice, with
 // simThreads axes cycling {1, 2, 3, 8} and {2, 5, 8} — requiring
-// bit-identical SimResults: exact double equality, no tolerance.
+// bit-identical SimResults: every field, doubles by bit pattern, no tolerance.
 //
 // On a mismatch the failing point is printed as a ready-to-paste
 // `swft_sim`-style key=value string (the config_parse.hpp grammar) so a
@@ -42,6 +42,7 @@
 #include "src/traffic/patterns.hpp"
 #include "src/util/fnv.hpp"
 #include "src/util/rng.hpp"
+#include "tests/result_compare.hpp"
 
 namespace swft {
 namespace {
@@ -128,36 +129,6 @@ SimConfig drawConfig(Rng& rng) {
   return cfg;
 }
 
-/// Exact comparison of every SimResult field; mirrors
-/// test_engine_equivalence.cpp. Any divergence means the sparse engine did
-/// (or skipped) work the dense sweep would not have.
-void expectIdentical(const SimResult& sparse, const SimResult& dense,
-                     const std::string& repro) {
-  EXPECT_EQ(sparse.cycles, dense.cycles) << repro;
-  EXPECT_EQ(sparse.generatedTotal, dense.generatedTotal) << repro;
-  EXPECT_EQ(sparse.deliveredTotal, dense.deliveredTotal) << repro;
-  EXPECT_EQ(sparse.deliveredMeasured, dense.deliveredMeasured) << repro;
-  EXPECT_EQ(sparse.messagesQueued, dense.messagesQueued) << repro;
-  EXPECT_EQ(sparse.absorbedMessages, dense.absorbedMessages) << repro;
-  EXPECT_EQ(sparse.reversals, dense.reversals) << repro;
-  EXPECT_EQ(sparse.detours, dense.detours) << repro;
-  EXPECT_EQ(sparse.escalations, dense.escalations) << repro;
-  EXPECT_EQ(sparse.saturated, dense.saturated) << repro;
-  EXPECT_EQ(sparse.deadlockSuspected, dense.deadlockSuspected) << repro;
-  EXPECT_EQ(sparse.completed, dense.completed) << repro;
-  // Exact double equality, not near: both engines must execute the same
-  // floating-point operations in the same order.
-  EXPECT_EQ(sparse.meanLatency, dense.meanLatency) << repro;
-  EXPECT_EQ(sparse.latencyStddev, dense.latencyStddev) << repro;
-  EXPECT_EQ(sparse.maxLatency, dense.maxLatency) << repro;
-  EXPECT_EQ(sparse.latencyP50, dense.latencyP50) << repro;
-  EXPECT_EQ(sparse.latencyP95, dense.latencyP95) << repro;
-  EXPECT_EQ(sparse.latencyP99, dense.latencyP99) << repro;
-  EXPECT_EQ(sparse.latencyCi95, dense.latencyCi95) << repro;
-  EXPECT_EQ(sparse.meanHops, dense.meanHops) << repro;
-  EXPECT_EQ(sparse.throughput, dense.throughput) << repro;
-}
-
 constexpr std::uint64_t kDefaultConfigs = 200;
 constexpr std::uint64_t kDefaultSeed = 20060425;
 
@@ -199,13 +170,13 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
       continue;
     }
     const SimResult sparse = runSimulation(cfg);
-    expectIdentical(sparse, dense, repro);
+    expectSameResult(sparse, dense, repro);
     digest = fnv1a64(serializeResult(sparse), digest);
     cfg.engine = EngineKind::SparseMt;
     cfg.simThreads = simThreads;
     const SimResult mt = runSimulation(cfg);
-    expectIdentical(mt, dense, repro + "  [sparse-mt, " + std::to_string(simThreads) +
-                                   " domain threads]");
+    expectSameResult(mt, dense, repro + "  [sparse-mt, " + std::to_string(simThreads) +
+                                    " domain threads]");
     // Fourth engine-config rotation: a second sparse-mt run on an offset
     // axis so every point also runs a genuinely multi-domain split — the
     // {2, 5, 8} axis has no single-domain slot and its prime 5-way partition
@@ -216,8 +187,8 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
         kThreadAxis2[i % (sizeof(kThreadAxis2) / sizeof(kThreadAxis2[0]))];
     cfg.simThreads = simThreads2;
     const SimResult mt2 = runSimulation(cfg);
-    expectIdentical(mt2, dense, repro + "  [sparse-mt, " + std::to_string(simThreads2) +
-                                    " domain threads]");
+    expectSameResult(mt2, dense, repro + "  [sparse-mt, " + std::to_string(simThreads2) +
+                                     " domain threads]");
     ++ran;
     totalDelivered += dense.deliveredMeasured;
     if (dense.completed) ++completedRuns;

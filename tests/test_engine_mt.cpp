@@ -12,6 +12,7 @@
 #include "src/sim/config.hpp"
 #include "src/sim/engine_mt.hpp"
 #include "src/sim/network.hpp"
+#include "tests/result_compare.hpp"
 
 namespace swft {
 namespace {
@@ -91,30 +92,11 @@ SimResult runMt(SimConfig cfg, int simThreads) {
   return runSimulation(cfg);
 }
 
-void expectIdentical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.generatedTotal, b.generatedTotal);
-  EXPECT_EQ(a.deliveredTotal, b.deliveredTotal);
-  EXPECT_EQ(a.deliveredMeasured, b.deliveredMeasured);
-  EXPECT_EQ(a.messagesQueued, b.messagesQueued);
-  EXPECT_EQ(a.absorbedMessages, b.absorbedMessages);
-  EXPECT_EQ(a.reversals, b.reversals);
-  EXPECT_EQ(a.detours, b.detours);
-  EXPECT_EQ(a.escalations, b.escalations);
-  EXPECT_EQ(a.completed, b.completed);
-  // Exact doubles: identical work in identical order.
-  EXPECT_EQ(a.meanLatency, b.meanLatency);
-  EXPECT_EQ(a.latencyStddev, b.latencyStddev);
-  EXPECT_EQ(a.latencyP99, b.latencyP99);
-  EXPECT_EQ(a.meanHops, b.meanHops);
-  EXPECT_EQ(a.throughput, b.throughput);
-}
-
 TEST(MtEdgeCases, SingleDomainFallbackMatchesSparse) {
   const SimResult sparse = runMt(smallTorus(), 0);
   const SimResult mt1 = runMt(smallTorus(), 1);
   EXPECT_TRUE(sparse.completed);
-  expectIdentical(sparse, mt1);
+  expectSameResult(sparse, mt1);
 }
 
 TEST(MtEdgeCases, NodeCountNotDivisibleByThreadCount) {
@@ -122,7 +104,7 @@ TEST(MtEdgeCases, NodeCountNotDivisibleByThreadCount) {
   const SimResult sparse = runMt(smallTorus(), 0);
   for (int t : {2, 4, 6}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
-    expectIdentical(sparse, runMt(smallTorus(), t));
+    expectSameResult(sparse, runMt(smallTorus(), t));
   }
 }
 
@@ -130,14 +112,14 @@ TEST(MtEdgeCases, OneNodeDomainsEveryLinkCrossesABoundary) {
   // sim_threads == nodes: all 9 domains are a single router wide, so every
   // hop and every credit is a cross-domain exchange.
   const SimResult sparse = runMt(smallTorus(), 0);
-  expectIdentical(sparse, runMt(smallTorus(), 9));
+  expectSameResult(sparse, runMt(smallTorus(), 9));
 }
 
 TEST(MtEdgeCases, ThreadCountExceedingNodesClampsToOnePerNode) {
   const SimResult nine = runMt(smallTorus(), 9);
   for (int t : {10, 64, 1 << 20}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
-    expectIdentical(nine, runMt(smallTorus(), t));
+    expectSameResult(nine, runMt(smallTorus(), t));
   }
 }
 
@@ -162,7 +144,7 @@ TEST(MtEdgeCases, DepthOneBuffersCreditFreedByEarlierRouterMidSweep) {
   EXPECT_TRUE(sparse.completed);
   for (int t : {2, 3, 9}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
-    expectIdentical(sparse, runMt(cfg, t));
+    expectSameResult(sparse, runMt(cfg, t));
   }
 }
 
@@ -180,7 +162,7 @@ TEST(MtEdgeCases, FreshHeadersLandingOnCardedRouterAtHighRate) {
   EXPECT_TRUE(sparse.completed);
   for (int t : {2, 4, 9}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
-    expectIdentical(sparse, runMt(cfg, t));
+    expectSameResult(sparse, runMt(cfg, t));
   }
 }
 
@@ -193,7 +175,7 @@ TEST(MtEdgeCases, OneWideDomainsAtSaturation) {
   cfg.injectionRate = 0.12;
   const SimResult sparse = runMt(cfg, 0);
   EXPECT_TRUE(sparse.completed);
-  expectIdentical(sparse, runMt(cfg, 9));
+  expectSameResult(sparse, runMt(cfg, 9));
 }
 
 TEST(MtEdgeCases, PhaseTimersDoNotPerturbResults) {
@@ -202,8 +184,8 @@ TEST(MtEdgeCases, PhaseTimersDoNotPerturbResults) {
   SimConfig plain = smallTorus();
   SimConfig timed = smallTorus();
   timed.phaseTimers = true;
-  expectIdentical(runMt(plain, 0), runMt(timed, 0));
-  expectIdentical(runMt(plain, 3), runMt(timed, 3));
+  expectSameResult(runMt(plain, 0), runMt(timed, 0));
+  expectSameResult(runMt(plain, 3), runMt(timed, 3));
 }
 
 TEST(MtEdgeCases, FaultyRingWithDecisionTime) {
@@ -228,7 +210,7 @@ TEST(MtEdgeCases, FaultyRingWithDecisionTime) {
   EXPECT_TRUE(sparse.completed);
   for (int t : {3, 5, 12}) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
-    expectIdentical(sparse, runMt(cfg, t));
+    expectSameResult(sparse, runMt(cfg, t));
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/network.hpp"
+#include "tests/result_compare.hpp"
 
 namespace swft {
 namespace {
@@ -25,10 +26,7 @@ TEST(EngineProperties, BitReproducibleForFixedSeed) {
   cfg.faults.randomNodes = 3;
   const SimResult a = runSimulation(cfg);
   const SimResult b = runSimulation(cfg);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.meanLatency, b.meanLatency);
-  EXPECT_EQ(a.messagesQueued, b.messagesQueued);
-  EXPECT_EQ(a.generatedTotal, b.generatedTotal);
+  expectSameResult(a, b);
 }
 
 TEST(EngineProperties, DifferentSeedsGiveDifferentButSaneRuns) {

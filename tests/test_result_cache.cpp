@@ -18,10 +18,13 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/config_canon.hpp"
+#include "tests/result_compare.hpp"
 
 namespace swft {
 namespace {
@@ -64,45 +67,68 @@ SimResult trickyResult() {
   return r;
 }
 
-void expectBitIdentical(const SimResult& a, const SimResult& b) {
-  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
-  EXPECT_EQ(bits(a.meanLatency), bits(b.meanLatency));
-  EXPECT_EQ(bits(a.latencyStddev), bits(b.latencyStddev));
-  EXPECT_EQ(bits(a.maxLatency), bits(b.maxLatency));
-  EXPECT_EQ(bits(a.latencyP50), bits(b.latencyP50));
-  EXPECT_EQ(bits(a.latencyP95), bits(b.latencyP95));
-  EXPECT_EQ(bits(a.latencyP99), bits(b.latencyP99));
-  EXPECT_EQ(bits(a.latencyCi95), bits(b.latencyCi95));
-  EXPECT_EQ(bits(a.meanHops), bits(b.meanHops));
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.generatedTotal, b.generatedTotal);
-  EXPECT_EQ(a.deliveredTotal, b.deliveredTotal);
-  EXPECT_EQ(a.deliveredMeasured, b.deliveredMeasured);
-  EXPECT_EQ(bits(a.throughput), bits(b.throughput));
-  EXPECT_EQ(bits(a.offeredLoad), bits(b.offeredLoad));
-  EXPECT_EQ(a.messagesQueued, b.messagesQueued);
-  EXPECT_EQ(a.absorbedMessages, b.absorbedMessages);
-  EXPECT_EQ(a.reversals, b.reversals);
-  EXPECT_EQ(a.detours, b.detours);
-  EXPECT_EQ(a.escalations, b.escalations);
-  EXPECT_EQ(a.saturated, b.saturated);
-  EXPECT_EQ(a.deadlockSuspected, b.deadlockSuspected);
-  EXPECT_EQ(a.completed, b.completed);
-}
-
 // ---- SimResult serialization ----------------------------------------------
 
 TEST(ResultSerialization, RoundTripIsExactForEveryField) {
   const SimResult r = trickyResult();
   const auto back = deserializeResult(serializeResult(r));
   ASSERT_TRUE(back.has_value());
-  expectBitIdentical(r, *back);
+  expectSameResult(r, *back);
 }
 
 TEST(ResultSerialization, DefaultResultRoundTrips) {
   const auto back = deserializeResult(serializeResult(SimResult{}));
   ASSERT_TRUE(back.has_value());
-  expectBitIdentical(SimResult{}, *back);
+  expectSameResult(SimResult{}, *back);
+}
+
+std::vector<std::string> textLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// Each field, alone off its default, changes exactly its own line of the
+// text and comes back from it: no field is left out of the format, and none
+// shares or shadows another's line.
+TEST(ResultSerialization, EveryFieldReachesTheText) {
+  const SimResult none;
+  std::vector<std::string> names;
+  forEachResultField(none, [&](std::string_view name, const auto&) { names.emplace_back(name); });
+  EXPECT_EQ(names.size(), 22u);
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), 22u);
+
+  const std::vector<std::string> base = textLines(serializeResult(none));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    SimResult r;
+    std::size_t at = 0;
+    forEachResultField(r, [&](std::string_view, auto& v) {
+      if (at++ != i) return;
+      using T = std::remove_reference_t<decltype(v)>;
+      if constexpr (std::is_same_v<T, double>) {
+        v = 1.5;
+      } else if constexpr (std::is_same_v<T, bool>) {
+        v = !v;
+      } else {
+        v = 7;
+      }
+    });
+    const std::string text = serializeResult(r);
+    const std::vector<std::string> lines = textLines(text);
+    ASSERT_EQ(lines.size(), base.size());
+    std::size_t changed = 0;
+    for (std::size_t j = 0; j < lines.size(); ++j) {
+      if (lines[j] == base[j]) continue;
+      ++changed;
+      EXPECT_TRUE(lines[j].starts_with(names[i] + ' ')) << lines[j];
+    }
+    EXPECT_EQ(changed, 1u);
+    const auto back = deserializeResult(text);
+    ASSERT_TRUE(back.has_value());
+    expectSameResult(r, *back);
+  }
 }
 
 TEST(ResultSerialization, InfinityAndNanSurvive) {
@@ -164,7 +190,7 @@ TEST(ResultSerialization, EveryPrefixAndByteFlipIsSafe) {
       if (!r) continue;
       const auto again = deserializeResult(serializeResult(*r));
       ASSERT_TRUE(again.has_value()) << "byte " << pos;
-      expectBitIdentical(*r, *again);
+      expectSameResult(*r, *again);
     }
   }
 }
@@ -307,7 +333,7 @@ TEST(ResultCache, StoreThenLookupIsExactHit) {
   EXPECT_TRUE(cache.store(cfg, r));
   const auto hit = cache.lookup(cfg);
   ASSERT_TRUE(hit.has_value());
-  expectBitIdentical(r, *hit);
+  expectSameResult(r, *hit);
 
   // A different seed is a different content address.
   SimConfig other = cfg;
@@ -352,7 +378,7 @@ TEST(ResultCache, CorruptEntryIsAMissAndRestorable) {
   EXPECT_TRUE(cache.store(cfg, r));
   const auto hit = cache.lookup(cfg);
   ASSERT_TRUE(hit.has_value());
-  expectBitIdentical(r, *hit);
+  expectSameResult(r, *hit);
 }
 
 TEST(ResultCache, TrailingLineEntryIsAMissAndRestorable) {
@@ -371,7 +397,7 @@ TEST(ResultCache, TrailingLineEntryIsAMissAndRestorable) {
   EXPECT_TRUE(cache.store(cfg, r));
   const auto hit = cache.lookup(cfg);
   ASSERT_TRUE(hit.has_value());
-  expectBitIdentical(r, *hit);
+  expectSameResult(r, *hit);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);
@@ -450,7 +476,7 @@ TEST(ResultCache, ConcurrentLookupsCountExactly) {
       const std::optional<SimResult>& r = results[seed];
       if (seed < kStored) {
         ASSERT_TRUE(r.has_value()) << "seed " << seed;
-        expectBitIdentical(resultFor(seed), *r);
+        expectSameResult(resultFor(seed), *r);
       } else {
         EXPECT_FALSE(r.has_value()) << "seed " << seed;
       }
@@ -482,11 +508,11 @@ TEST(ResultCache, ConcurrentStoresPublishIntactEntries) {
   for (std::uint64_t seed = 0; seed < kThreads * kPerThread; ++seed) {
     const auto hit = cache.lookup(seededConfig(seed));
     ASSERT_TRUE(hit.has_value()) << "seed " << seed;
-    expectBitIdentical(resultFor(seed), *hit);
+    expectSameResult(resultFor(seed), *hit);
   }
   const auto shared = cache.lookup(seededConfig(kShared));
   ASSERT_TRUE(shared.has_value());
-  expectBitIdentical(resultFor(kShared), *shared);
+  expectSameResult(resultFor(kShared), *shared);
   // Every temp file was renamed into place: the directory holds entries only.
   std::size_t files = 0;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {

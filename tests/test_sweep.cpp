@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "tests/naming.hpp"
+#include "tests/result_compare.hpp"
 
 namespace swft {
 namespace {
@@ -52,9 +53,7 @@ TEST(Sweep, ParallelAndSerialResultsIdentical) {
   const auto parallel = runSweep(points, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].result.meanLatency, parallel[i].result.meanLatency);
-    EXPECT_EQ(serial[i].result.cycles, parallel[i].result.cycles);
-    EXPECT_EQ(serial[i].result.messagesQueued, parallel[i].result.messagesQueued);
+    expectSameResult(serial[i].result, parallel[i].result);
   }
 }
 
@@ -83,9 +82,7 @@ TEST(Sweep, SparseMtPointsMatchDefaultEngineThroughThePool) {
   const auto mt = runSweep(mtPoints, 2);
   ASSERT_EQ(base.size(), mt.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(base[i].result.meanLatency, mt[i].result.meanLatency);
-    EXPECT_EQ(base[i].result.cycles, mt[i].result.cycles);
-    EXPECT_EQ(base[i].result.throughput, mt[i].result.throughput);
+    expectSameResult(base[i].result, mt[i].result);
   }
 }
 
