@@ -69,7 +69,7 @@ Network::Network(const SimConfig& cfg)
   nodeWork_.resize((static_cast<std::size_t>(topo_.nodeCount()) + 63) / 64, 0);
   const Rng nodeSeeder = Rng(cfg.seed).split(0x50DE);
   for (NodeId id = 0; id < topo_.nodeCount(); ++id) {
-    NodeState node;
+    NodeState& node = nodes_.emplace_back();
     node.rng = nodeSeeder.split(id);
     if (cfg.injectionRate > 0.0 && !faults_.nodeFaulty(id)) {
       node.nextGenCycle = node.rng.geometric(cfg.injectionRate);
@@ -77,7 +77,6 @@ Network::Network(const SimConfig& cfg)
     } else {
       node.nextGenCycle = ~std::uint64_t{0};
     }
-    nodes_.push_back(std::move(node));
   }
   healthyNodeCount_ = faults_.healthyNodes().size();
   networkPorts_ = topo_.networkPorts();

@@ -4,9 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "src/router/flit.hpp"
+#include "src/util/ring_queue.hpp"
 #include "src/util/rng.hpp"
 
 namespace swft {
@@ -17,11 +17,13 @@ struct PendingReinjection {
 };
 
 struct NodeState {
-  /// Locally generated messages waiting to enter the network.
-  std::deque<MsgId> sourceQueue;
+  /// Locally generated messages waiting to enter the network. Both queues
+  /// own no storage until their first push, so an idle node allocates
+  /// nothing.
+  RingQueue<MsgId> sourceQueue;
   /// Absorbed messages being held by the messaging layer for Δ cycles.
-  /// FIFO: Δ is constant, so the deque stays sorted by readyCycle.
-  std::deque<PendingReinjection> swQueue;
+  /// FIFO: Δ is constant, so the queue stays sorted by readyCycle.
+  RingQueue<PendingReinjection> swQueue;
 
   /// Message currently being streamed into an injection virtual channel.
   MsgId streaming = kInvalidMsg;
@@ -41,5 +43,6 @@ struct NodeState {
     return sourceQueue.size() + swQueue.size();
   }
 };
+static_assert(sizeof(NodeState) == 120);
 
 }  // namespace swft

@@ -28,11 +28,13 @@ RouterArena::RouterArena(int nodes, int totalPorts, int networkPorts, int vcs,
   const std::size_t units =
       static_cast<std::size_t>(nodes) * static_cast<std::size_t>(unitsPerRouter_);
   const std::size_t slots = units << strideLog2_;
-  flit_.resize(slots);
+  // Filled from one value: resize() would run Flit's and UnitMeta's member
+  // initialisers one element at a time.
+  flit_.assign(slots, Flit{});
   // One extra always-empty row of V units past the real ones: the credit
   // sink. The engine points the ejection port's "downstream" units here so a
   // credit probe of any port alike reads a never-full size.
-  meta_.resize(units + static_cast<std::size_t>(vcs));
+  meta_.assign(units + static_cast<std::size_t>(vcs), UnitMeta{});
   route_.resize(units, 0);
   routedMask_.resize(static_cast<std::size_t>(nodes) *
                          static_cast<std::size_t>(occWords_),
