@@ -23,7 +23,7 @@ int main() {
 
     Network net(cfg);
     std::printf("--- %s routing, 8-ary 2-cube, V=%d, M=%d, nf=%d, lambda=%.4f ---\n",
-                cfg.routingName().c_str(), cfg.vcs, cfg.messageLength,
+                std::string(routingModeName(cfg.routing)).c_str(), cfg.vcs, cfg.messageLength,
                 cfg.faults.randomNodes, cfg.injectionRate);
     const SimResult r = net.run();
     std::printf("  cycles           %llu\n", static_cast<unsigned long long>(r.cycles));

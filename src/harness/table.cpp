@@ -82,8 +82,8 @@ CsvWriter toCsv(const std::vector<SweepRow>& rows) {
   for (const auto& row : rows) {
     const SimConfig& c = row.point.cfg;
     const SimResult& r = row.result;
-    csv.addRowOf(row.point.label, c.routingName(), c.radix, c.dims, c.vcs, c.messageLength,
-                 c.injectionRate,
+    csv.addRowOf(row.point.label, routingModeName(c.routing), c.radix, c.dims, c.vcs,
+                 c.messageLength, c.injectionRate,
                  c.faults.randomNodes + static_cast<int>(c.faults.explicitNodes.size()),
                  r.meanLatency, r.latencyStddev, r.throughput, r.messagesQueued,
                  r.absorbedMessages, r.meanHops, r.cycles, r.deliveredMeasured,

@@ -3,7 +3,8 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/fault/regions.hpp"
@@ -27,6 +28,11 @@ namespace swft {
 /// `kernel_microbench`'s scaling sweep and the test suites, which set it in
 /// code; it goes once the benchmark stops measuring it.
 enum class EngineKind : std::uint8_t { Sparse = 0, SparseMt = 1 };
+
+/// Name of a routing mode in the CSV column and the canonical config key.
+[[nodiscard]] constexpr std::string_view routingModeName(RoutingMode m) noexcept {
+  return m == RoutingMode::Deterministic ? "deterministic" : "adaptive";
+}
 
 /// Declarative fault pattern: applied to a fresh FaultSet at network build.
 struct FaultSpec {
@@ -68,8 +74,6 @@ struct SimConfig {
   std::uint64_t deadlockWindow = 20'000;  // watchdog: cycles without any flit movement
   std::uint64_t seed = 1;
   // --- engine ----------------------------------------------------------
-  // `engine` and `simThreads` are set only in code (see EngineKind): no
-  // config key reaches them.
   EngineKind engine = EngineKind::Sparse;
   // Worker threads for EngineKind::SparseMt (ignored by the other engines).
   // Clamped to the node count at network build; results are bit-identical
@@ -78,14 +82,52 @@ struct SimConfig {
   // Collect per-phase wall-clock timers during the run (`phase_timers=1`,
   // `swft_bench --phase-timers`). runSimulation prints one line per engine
   // thread to stderr; Network::phaseShards() exposes them programmatically.
-  // Diagnostic only — never affects simulated results, and (like engine /
-  // simThreads) it is excluded from the canonical result-cache key.
+  // Diagnostic only — never affects simulated results.
   bool phaseTimers = false;
-
-  [[nodiscard]] std::string routingName() const {
-    return routing == RoutingMode::Deterministic ? "deterministic" : "adaptive";
-  }
 };
+
+/// The one list of SimConfig's fields: calls `f(parseKey, keyTag, member)`
+/// for each member of SimConfig and its FaultSpec, in declaration order, with
+/// the field's `key=value` name (config_parse.hpp) and the `|tag=` that
+/// precedes its value in the canonical cache key (config_canon.hpp), or
+/// nullptr for a name the field lacks. `C` is SimConfig or const SimConfig. The structured bindings name every
+/// member, so a member added without a line here does not compile.
+template <class C, class F>
+void forEachConfigField(C& cfg, F&& f) {
+  static_assert(std::is_same_v<std::remove_const_t<C>, SimConfig>);
+  using namespace std::string_view_literals;
+  auto& [radix, dims, vcs, escapeVcs, bufferDepth, routerDecisionTime, messageLength,
+         injectionRate, pattern, hotspotFraction, routing, reinjectDelay, livelockThreshold,
+         faults, warmupMessages, measuredMessages, maxCycles, deadlockWindow, seed, engine,
+         simThreads, phaseTimers] = cfg;
+  auto& [randomNodes, regions, explicitNodes, explicitLinks] = faults;
+  f("k"sv, "|k="sv, radix);
+  f("n"sv, "|n="sv, dims);
+  f("vcs"sv, "|V="sv, vcs);
+  f("escape_vcs"sv, "|eV="sv, escapeVcs);
+  f("buffer_depth"sv, "|depth="sv, bufferDepth);
+  f("td"sv, "|td="sv, routerDecisionTime);
+  f("msg_length"sv, "|M="sv, messageLength);
+  f("rate"sv, "|rate="sv, injectionRate);
+  f("traffic"sv, "|traffic="sv, pattern);
+  f("hotspot_fraction"sv, "|hsf="sv, hotspotFraction);
+  f("routing"sv, "|routing="sv, routing);
+  f("delta"sv, "|delta="sv, reinjectDelay);
+  f("livelock_threshold"sv, "|llt="sv, livelockThreshold);
+  f("nf"sv, "|nf="sv, randomNodes);
+  f("region"sv, "|rg="sv, regions);
+  f(nullptr, "|xn="sv, explicitNodes);
+  f(nullptr, "|xl="sv, explicitLinks);
+  f("warmup"sv, "|warmup="sv, warmupMessages);
+  f("measured"sv, "|measured="sv, measuredMessages);
+  f("max_cycles"sv, "|maxcyc="sv, maxCycles);
+  f(nullptr, "|dlwin="sv, deadlockWindow);
+  f("seed"sv, "|seed="sv, seed);
+  // Unkeyed: bit-identical engines share results, and timers never change one.
+  f(nullptr, nullptr, engine);
+  f(nullptr, nullptr, simThreads);
+  f("phase_timers"sv, nullptr, phaseTimers);
+}
 
 /// Scale presets: the paper simulates 100k messages with 10k warm-up per
 /// point; `Reduced` preserves the curve shapes at ~1/10 the cost (default on

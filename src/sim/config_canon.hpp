@@ -2,21 +2,19 @@
 //
 // Two configurations that must produce bit-identical SimResults map to the
 // same canonical key; any configuration change that can alter a result maps
-// to a different key. Concretely: every semantic field (topology, router
-// shape, workload, routing, faults, measurement protocol, seed) is written
-// in a fixed order with exact value encodings, while the engine selector and
-// its `simThreads` are deliberately EXCLUDED — the sparse and sparse-mt engines
-// are proven bit-identical to each other at every thread count and to the
-// test-only dense reference (DESIGN.md §4/§6), so a result simulated by
-// either satisfies a lookup from the other.
+// to a different key. Concretely: every field with a key tag in
+// forEachConfigField (config.hpp) is written in its order with an exact value
+// encoding, even at its default. The engine selector and its `simThreads`
+// have no tag — the sparse and sparse-mt engines are proven bit-identical to
+// each other at every thread count and to the test-only dense reference
+// (DESIGN.md §4/§6), so a result simulated by either satisfies a lookup from
+// the other — nor has `phaseTimers`, which only adds wall-clock timers.
 //
 // The key embeds kEngineSemanticsVersion. Any PR that changes what a
 // simulation computes for a fixed config — RNG draw order, arbitration
 // order, statistics definitions, default semantics of an existing field —
-// MUST bump the constant, which invalidates every cached result at once.
-// Adding a new config field requires writing it into canonicalConfigKey
-// (give it a token even at its default value) and counts as a semantics
-// bump only if the default changes behaviour of old configs.
+// MUST bump the constant, which invalidates every cached result at once. A
+// new field counts as a bump only if its default changes old configs.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +34,8 @@ inline constexpr std::uint32_t kEngineSemanticsVersion = 1;
 /// identically at any decimal precision — encode distinctly.
 [[nodiscard]] std::string exactDoubleToken(double v);
 
-/// Single-line canonical serialization of every semantic field of `cfg`,
-/// in fixed order, prefixed with the format tag and `semanticsVersion`.
-/// Excludes cfg.engine and cfg.simThreads (see header comment).
+/// The format tag and `semanticsVersion`, then the `|tag=` forEachConfigField
+/// gives each keyed field followed by its value.
 [[nodiscard]] std::string canonicalConfigKey(
     const SimConfig& cfg, std::uint32_t semanticsVersion = kEngineSemanticsVersion);
 

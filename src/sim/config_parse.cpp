@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/router/flit.hpp"
 #include "src/router/message.hpp"
@@ -15,48 +16,39 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw std::invalid_argument(what); }
 
-/// Parse `value` as an integer of the destination field's type T. A value
-/// outside T's range (a negative one for an unsigned field included) is
-/// rejected rather than wrapped by a narrowing cast.
+// One parseValue per SimConfig member type; `key` names the field in errors.
+// A number parses whole as the field's type T with std::from_chars: no
+// leading whitespace or '+', no hex, no locale. An integer outside T's range
+// (a negative one for an unsigned field included) is rejected, not wrapped.
 template <typename T>
-T parseInt(const std::string& key, const std::string& value) {
-  T out{};
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
+  requires std::is_arithmetic_v<T>
+void parseValue(const std::string& key, const std::string& value, T& out) {
+  T parsed{};  // from_chars writes a parsed prefix; `out` changes only on success
+  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), parsed);
   if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    fail("config: '" + key + "' expects an integer in [" +
-         std::to_string(std::numeric_limits<T>::min()) + ", " +
-         std::to_string(std::numeric_limits<T>::max()) + "], got '" + value + "'");
+    if constexpr (std::is_floating_point_v<T>) {
+      fail("config: '" + key + "' expects a number, got '" + value + "'");
+    } else {
+      fail("config: '" + key + "' expects an integer in [" +
+           std::to_string(std::numeric_limits<T>::min()) + ", " +
+           std::to_string(std::numeric_limits<T>::max()) + "], got '" + value + "'");
+    }
   }
-  return out;
+  out = parsed;
 }
 
-double parseDouble(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double out = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return out;
-  } catch (const std::exception&) {
-    fail("config: '" + key + "' expects a number, got '" + value + "'");
-  }
-}
-
+/// The shape whose regionShapeName is `name`; H is the last RegionShape.
 RegionShape parseShape(const std::string& name) {
-  if (name == "I") return RegionShape::I;
-  if (name == "II") return RegionShape::II;
-  if (name == "rect") return RegionShape::Rect;
-  if (name == "L") return RegionShape::L;
-  if (name == "U") return RegionShape::U;
-  if (name == "plus") return RegionShape::Plus;
-  if (name == "T") return RegionShape::T;
-  if (name == "H") return RegionShape::H;
+  for (int s = 0; s <= static_cast<int>(RegionShape::H); ++s) {
+    if (regionShapeName(static_cast<RegionShape>(s)) == name) return static_cast<RegionShape>(s);
+  }
   fail("config: unknown region shape '" + name + "'");
 }
 
-/// region value syntax: shape:E0xE1[@x,y], e.g. "U:4x3@2,2" or "rect:3x3".
-/// The anchor keeps only the digits given; sizeRegionAnchors pads it to the
-/// final `n` once every assignment is applied.
-RegionSpec parseRegion(const std::string& value) {
+/// Each `region=` assignment adds one region. Value syntax: shape:E0xE1[@x,y],
+/// e.g. "U:4x3@2,2" or "rect:3x3". The anchor keeps only the digits given;
+/// sizeRegionAnchors pads it to the final `n` once every assignment is applied.
+void parseValue(const std::string&, const std::string& value, std::vector<RegionSpec>& regions) {
   const auto colon = value.find(':');
   if (colon == std::string::npos) fail("config: region needs 'shape:E0xE1[@x,y]'");
   RegionSpec spec;
@@ -69,8 +61,8 @@ RegionSpec parseRegion(const std::string& value) {
   }
   const auto x = rest.find('x');
   if (x == std::string::npos) fail("config: region extents need 'E0xE1'");
-  spec.extent0 = parseInt<int>("region", rest.substr(0, x));
-  spec.extent1 = parseInt<int>("region", rest.substr(x + 1));
+  parseValue("region", rest.substr(0, x), spec.extent0);
+  parseValue("region", rest.substr(x + 1), spec.extent1);
   if (!anchorPart.empty()) {
     std::stringstream ss(anchorPart);
     std::string digit;
@@ -79,10 +71,35 @@ RegionSpec parseRegion(const std::string& value) {
         fail("config: region anchor '" + anchorPart + "' has more than " +
              std::to_string(kMaxDims) + " digits");
       }
-      spec.anchor.digit.push_back(parseInt<std::int16_t>("region anchor", digit));
+      spec.anchor.digit.push_back(0);
+      parseValue("region anchor", digit, spec.anchor.digit.back());
     }
   }
-  return spec;
+  regions.push_back(spec);
+}
+
+/// A flag reads as the result cache writes one: exactly 0 or 1.
+void parseValue(const std::string& key, const std::string& value, bool& out) {
+  if (value != "0" && value != "1") {
+    fail("config: '" + key + "' expects 0 or 1, got '" + value + "'");
+  }
+  out = value == "1";
+}
+
+void parseValue(const std::string&, const std::string& value, RoutingMode& out) {
+  if (value == "det" || value == "deterministic") {
+    out = RoutingMode::Deterministic;
+  } else if (value == "adaptive" || value == "adp") {
+    out = RoutingMode::Adaptive;
+  } else {
+    fail("config: routing must be det|adaptive, got '" + value + "'");
+  }
+}
+
+void parseValue(const std::string&, const std::string& value, TrafficPattern& out) {
+  const std::optional<TrafficPattern> p = parseTrafficPattern(value);
+  if (!p) fail("config: unknown traffic pattern '" + value + "'");
+  out = *p;
 }
 
 /// Size every region anchor to the final `cfg.dims`: missing trailing digits
@@ -110,58 +127,16 @@ void applyConfigAssignment(SimConfig& cfg, const std::string& assignment) {
   }
   const std::string key = assignment.substr(0, eq);
   const std::string value = assignment.substr(eq + 1);
-
-  if (key == "k") {
-    cfg.radix = parseInt<int>(key, value);
-  } else if (key == "n") {
-    cfg.dims = parseInt<int>(key, value);
-  } else if (key == "vcs") {
-    cfg.vcs = parseInt<int>(key, value);
-  } else if (key == "escape_vcs") {
-    cfg.escapeVcs = parseInt<int>(key, value);
-  } else if (key == "buffer_depth") {
-    cfg.bufferDepth = parseInt<int>(key, value);
-  } else if (key == "msg_length") {
-    cfg.messageLength = parseInt<int>(key, value);
-  } else if (key == "rate") {
-    cfg.injectionRate = parseDouble(key, value);
-  } else if (key == "delta") {
-    cfg.reinjectDelay = parseInt<int>(key, value);
-  } else if (key == "td") {
-    cfg.routerDecisionTime = parseInt<int>(key, value);
-  } else if (key == "nf") {
-    cfg.faults.randomNodes = parseInt<int>(key, value);
-  } else if (key == "warmup") {
-    cfg.warmupMessages = parseInt<std::uint32_t>(key, value);
-  } else if (key == "measured") {
-    cfg.measuredMessages = parseInt<std::uint32_t>(key, value);
-  } else if (key == "max_cycles") {
-    cfg.maxCycles = parseInt<std::uint64_t>(key, value);
-  } else if (key == "seed") {
-    cfg.seed = parseInt<std::uint64_t>(key, value);
-  } else if (key == "livelock_threshold") {
-    cfg.livelockThreshold = parseInt<int>(key, value);
-  } else if (key == "routing") {
-    if (value == "det" || value == "deterministic") {
-      cfg.routing = RoutingMode::Deterministic;
-    } else if (value == "adaptive" || value == "adp") {
-      cfg.routing = RoutingMode::Adaptive;
-    } else {
-      fail("config: routing must be det|adaptive, got '" + value + "'");
+  bool known = false;
+  forEachConfigField(cfg, [&](auto parseKey, auto, auto& member) {
+    if constexpr (!std::is_null_pointer_v<decltype(parseKey)>) {
+      if (parseKey == key) {
+        parseValue(key, value, member);
+        known = true;
+      }
     }
-  } else if (key == "traffic") {
-    const std::optional<TrafficPattern> p = parseTrafficPattern(value);
-    if (!p) fail("config: unknown traffic pattern '" + value + "'");
-    cfg.pattern = *p;
-  } else if (key == "hotspot_fraction") {
-    cfg.hotspotFraction = parseDouble(key, value);
-  } else if (key == "phase_timers") {
-    cfg.phaseTimers = parseInt<int>(key, value) != 0;
-  } else if (key == "region") {
-    cfg.faults.regions.push_back(parseRegion(value));
-  } else {
-    fail("config: unknown key '" + key + "'");
-  }
+  });
+  if (!known) fail("config: unknown key '" + key + "'");
 }
 
 SimConfig parseConfig(std::span<const std::string> assignments, const SimConfig& defaults) {
@@ -288,7 +263,7 @@ void validateConfig(const SimConfig& cfg) {
 
 std::string describeConfig(const SimConfig& cfg) {
   std::ostringstream os;
-  os << cfg.radix << "-ary " << cfg.dims << "-cube, " << cfg.routingName()
+  os << cfg.radix << "-ary " << cfg.dims << "-cube, " << routingModeName(cfg.routing)
      << " routing, V=" << cfg.vcs << ", M=" << cfg.messageLength
      << ", lambda=" << cfg.injectionRate << ", traffic=" << trafficPatternName(cfg.pattern);
   if (cfg.pattern == TrafficPattern::Hotspot) {

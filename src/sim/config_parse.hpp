@@ -1,12 +1,9 @@
 // key=value configuration parsing for the CLI front-end and scripted runs.
 //
-// Accepted keys (all optional, defaults from SimConfig):
-//   k, n, vcs, escape_vcs, buffer_depth, msg_length, rate, routing
-//   (det|adaptive), traffic (uniform|transpose|bitcomp|bitrev|shuffle|
-//   tornado|hotspot), hotspot_fraction,
-//   delta, td, nf (random node faults), region (shape:e0xe1[@x,y] —
-//   repeatable), warmup, measured, max_cycles, seed, livelock_threshold,
-//   phase_timers
+// The accepted keys are the parse keys forEachConfigField (config.hpp) lists;
+// all are optional, defaults from SimConfig. Values: integers and numbers in
+// full (std::from_chars), routing det|adaptive, traffic a pattern name
+// (patterns.hpp), phase_timers 0|1, region shape:e0xe1[@x,y] (repeatable).
 #pragma once
 
 #include <span>

@@ -102,4 +102,38 @@ foreach(input "nf=15" "4 region faults" "seed=1")
   endif()
 endforeach()
 
+# --help prints the parse keys of the one config field list
+# (forEachConfigField). It must name every key below, and the parser must
+# accept every key it names: an empty value is rejected for the value, not
+# as an unknown key.
+execute_process(
+  COMMAND ${SWFT_SIM} --help
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE help
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "swft_sim --help exited with ${rc}\nstderr: ${err}")
+endif()
+string(REGEX MATCH "keys:[^\n]*(\n +[^\n]*)*" keysText "${help}")
+string(REPLACE "keys:" "" keysText "${keysText}")
+string(REGEX MATCHALL "[a-z_]+" helpKeys "${keysText}")
+foreach(key k n vcs escape_vcs buffer_depth td msg_length rate traffic
+        hotspot_fraction routing delta livelock_threshold nf region warmup
+        measured max_cycles seed phase_timers)
+  list(FIND helpKeys "${key}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "swft_sim --help does not name the key ${key}:\n${help}")
+  endif()
+endforeach()
+foreach(key IN LISTS helpKeys)
+  execute_process(
+    COMMAND ${SWFT_SIM} ${key}=
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR err MATCHES "unknown key")
+    message(FATAL_ERROR "swft_sim --help names ${key}, but '${key}=' exits ${rc}:\n${err}")
+  endif()
+endforeach()
+
 message(STATUS "swft_sim smoke OK: ${row}")

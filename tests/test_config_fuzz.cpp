@@ -21,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/config_parse.hpp"
@@ -67,6 +69,19 @@ const std::vector<KeyValues> kKeys = {
     {"phase_timers", {"0", "1", "yes"}},
     {"region", {}},  // drawn by regionValue
 };
+
+TEST(ConfigFuzz, KeyTableCoversEveryParseKey) {
+  // kKeys is written by hand as an independent check on the parser; it
+  // must still draw every key the field list parses.
+  const SimConfig cfg;
+  forEachConfigField(cfg, [](auto parseKey, auto, const auto&) {
+    if constexpr (!std::is_null_pointer_v<decltype(parseKey)>) {
+      const bool listed = std::any_of(kKeys.begin(), kKeys.end(),
+                                      [&](const KeyValues& kv) { return parseKey == kv.key; });
+      EXPECT_TRUE(listed) << "kKeys does not draw '" << parseKey << "'";
+    }
+  });
+}
 
 // Integer keys take kIntJunk besides their own values.
 bool isIntKey(const std::string& key) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <clocale>
 #include <limits>
 #include <utility>
 
@@ -108,7 +109,12 @@ TEST(ConfigParse, EngineThreadsAndPhaseTimers) {
   EXPECT_FALSE(parse({}).phaseTimers);
   EXPECT_TRUE(parse({"phase_timers=1"}).phaseTimers);
   EXPECT_FALSE(parse({"phase_timers=0"}).phaseTimers);
-  EXPECT_THROW(parse({"phase_timers=yes"}), std::invalid_argument);
+  // A flag takes exactly what the result cache writes for one.
+  for (const char* value : {"yes", "7", "-1", "01", ""}) {
+    EXPECT_EQ(parseError(std::string("phase_timers=") + value),
+              "config: 'phase_timers' expects 0 or 1, got '" + std::string(value) + "'")
+        << value;
+  }
   // No config string selects an engine or its thread count: the dense
   // reference is a test oracle and sparse-mt is set only in code.
   for (const char* value : {"sparse", "sparse-mt", "dense", "turbo"}) {
@@ -120,6 +126,34 @@ TEST(ConfigParse, EngineThreadsAndPhaseTimers) {
               "config: unknown key 'sim_threads'")
         << value;
   }
+}
+
+TEST(ConfigParse, NumbersParseWholeWithoutWhitespaceHexOrLocale) {
+  // Doubles parse as integers do: std::from_chars over the whole value.
+  for (const char* bad : {"rate= 0.005", "rate=0.005 ", "rate=0x1p-4", "rate=0X10",
+                          "rate=+0.005", "rate=0,005", "hotspot_fraction= 0.5", "k= 8"}) {
+    const std::string a = bad;
+    const std::string key = a.substr(0, a.find('='));
+    EXPECT_EQ(parseError(a).find("config: '" + key + "' expects"), 0u) << a;
+  }
+  // A rejected number leaves its field as it was.
+  SimConfig cfg;
+  EXPECT_THROW(applyConfigAssignment(cfg, "k=16x"), std::invalid_argument);
+  EXPECT_THROW(applyConfigAssignment(cfg, "rate=0.5x"), std::invalid_argument);
+  EXPECT_EQ(cfg.radix, SimConfig{}.radix);
+  EXPECT_EQ(cfg.injectionRate, SimConfig{}.injectionRate);
+  // LC_NUMERIC does not move the decimal point. Where a locale with a
+  // decimal comma is installed, parse under it.
+  const std::string saved = std::setlocale(LC_NUMERIC, nullptr);
+  for (const char* name : {"de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"}) {
+    if (std::setlocale(LC_NUMERIC, name) != nullptr) break;
+  }
+  const std::string point = parseError("rate=0.005");
+  const std::string comma = parseError("rate=0,005");
+  std::setlocale(LC_NUMERIC, saved.c_str());
+  EXPECT_EQ(point, "");
+  EXPECT_NE(comma, "");
+  EXPECT_EQ(parse({"rate=0.005"}).injectionRate, 0.005);
 }
 
 TEST(ConfigParse, RegionWithAnchor) {

@@ -13,8 +13,11 @@
 // On a mismatch the failing point is printed as a ready-to-paste
 // `swft_sim`-style key=value string (the config_parse.hpp grammar) so a
 // failure in CI can be reproduced in one command without re-running the
-// fuzzer. A sparse-mt mismatch names its domain thread count beside that
-// string; no config key selects sparse-mt, so it is not pasteable.
+// fuzzer. The string is exact: it names every parse key and writes doubles
+// in shortest round-trip form, and ReproParsesBackToTheDrawnConfig checks
+// that it parses back to each draw's canonical key. A sparse-mt mismatch
+// names its domain thread count beside that string; no config key selects
+// sparse-mt, so it is not pasteable.
 //
 // At the default knobs the suite also pins a digest of every sparse result
 // beside kEngineSemanticsVersion: a change to routing, the software layer or
@@ -30,18 +33,23 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdlib>
-#include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
+#include "src/fault/regions.hpp"
 #include "src/harness/result_cache.hpp"
 #include "src/sim/config.hpp"
 #include "src/sim/config_canon.hpp"
+#include "src/sim/config_parse.hpp"
 #include "src/sim/engine_dense.hpp"
 #include "src/sim/stats.hpp"
 #include "src/traffic/patterns.hpp"
 #include "src/util/fnv.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/text.hpp"
 #include "tests/result_compare.hpp"
 
 namespace swft {
@@ -55,26 +63,69 @@ std::uint64_t envU64(const char* name, std::uint64_t fallback) {
   return (end == v) ? fallback : parsed;
 }
 
-/// Render `cfg` in the config_parse.hpp key=value grammar, ready to paste
-/// onto a swft_sim command line (or feed back through parseConfig).
+// One repro value per SimConfig member type, in the config_parse.hpp
+// grammar. Doubles are written in shortest round-trip form, so the value
+// parses back to the same bits.
+template <DecimalInteger T>
+void appendReproValue(std::string& out, T v) {
+  appendDecimal(out, v);
+}
+
+void appendReproValue(std::string& out, double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+void appendReproValue(std::string& out, bool v) { out += v ? '1' : '0'; }
+
+void appendReproValue(std::string& out, TrafficPattern p) { out += trafficPatternName(p); }
+
+void appendReproValue(std::string& out, RoutingMode m) { out += routingModeName(m); }
+
+void appendReproValue(std::string& out, const RegionSpec& r) {
+  out += regionShapeName(r.shape);
+  out += ':';
+  appendDecimal(out, r.extent0);
+  out += 'x';
+  appendDecimal(out, r.extent1);
+  for (int d = 0; d < r.anchor.dims(); ++d) {
+    out += d == 0 ? '@' : ',';
+    appendDecimal(out, r.anchor[d]);
+  }
+}
+
+/// `cfg` as one `key=value` assignment per parse key of forEachConfigField
+/// (one per region), ready to paste onto a swft_sim command line or to feed
+/// back through parseConfig.
+std::vector<std::string> reproAssignments(const SimConfig& cfg) {
+  std::vector<std::string> out;
+  forEachConfigField(cfg, [&out](auto parseKey, auto, const auto& member) {
+    if constexpr (!std::is_null_pointer_v<decltype(parseKey)>) {
+      const auto assign = [&](const auto& value) {
+        std::string a(parseKey);
+        a += '=';
+        appendReproValue(a, value);
+        out.push_back(std::move(a));
+      };
+      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(member)>,
+                                   std::vector<RegionSpec>>) {
+        for (const RegionSpec& r : member) assign(r);
+      } else {
+        assign(member);
+      }
+    }
+  });
+  return out;
+}
+
 std::string reproString(const SimConfig& cfg) {
-  std::ostringstream os;
-  os << "k=" << cfg.radix << " n=" << cfg.dims << " vcs=" << cfg.vcs
-     << " escape_vcs=" << cfg.escapeVcs << " buffer_depth=" << cfg.bufferDepth
-     << " td=" << cfg.routerDecisionTime << " msg_length=" << cfg.messageLength
-     << " rate=" << cfg.injectionRate
-     << " traffic=" << trafficPatternName(cfg.pattern);
-  if (cfg.pattern == TrafficPattern::Hotspot) {
-    os << " hotspot_fraction=" << cfg.hotspotFraction;
+  std::string line;
+  for (const std::string& a : reproAssignments(cfg)) {
+    if (!line.empty()) line += ' ';
+    line += a;
   }
-  os << " routing=" << (cfg.routing == RoutingMode::Adaptive ? "adaptive" : "det");
-  if (cfg.faults.randomNodes > 0) {
-    os << " nf=" << cfg.faults.randomNodes << " delta=" << cfg.reinjectDelay;
-  }
-  os << " livelock_threshold=" << cfg.livelockThreshold
-     << " warmup=" << cfg.warmupMessages << " measured=" << cfg.measuredMessages
-     << " max_cycles=" << cfg.maxCycles << " seed=" << cfg.seed;
-  return os.str();
+  return line;
 }
 
 /// Draw one random-but-bounded configuration. Node counts stay <= ~256 and
@@ -87,7 +138,8 @@ std::string reproString(const SimConfig& cfg) {
 /// (V <= 6 and at most 9 ports give at most 54 input units); the multi-word
 /// path (more than 64 units) is covered by
 /// EngineEquivalence.MultiWordRoutersMatchDenseAtEveryThreadCount.
-SimConfig drawConfig(Rng& rng) {
+SimConfig drawConfig(std::uint64_t baseSeed, std::uint64_t index) {
+  Rng rng = Rng(baseSeed).split(index);
   SimConfig cfg;
   cfg.dims = 1 + static_cast<int>(rng.uniform(4));  // n in [1, 4]
   switch (cfg.dims) {
@@ -132,6 +184,19 @@ SimConfig drawConfig(Rng& rng) {
 constexpr std::uint64_t kDefaultConfigs = 200;
 constexpr std::uint64_t kDefaultSeed = 20060425;
 
+TEST(EngineFuzz, ReproParsesBackToTheDrawnConfig) {
+  // A repro line is only useful if it is the failing config: fed back
+  // through parseConfig, every draw's line gives the draw's canonical key.
+  // Runs no simulation.
+  const std::uint64_t configs = envU64("SWFT_FUZZ_CONFIGS", kDefaultConfigs);
+  const std::uint64_t baseSeed = envU64("SWFT_FUZZ_SEED", kDefaultSeed);
+  for (std::uint64_t i = 0; i < configs; ++i) {
+    const SimConfig cfg = drawConfig(baseSeed, i);
+    EXPECT_EQ(canonicalConfigKey(parseConfig(reproAssignments(cfg))), canonicalConfigKey(cfg))
+        << "fuzz index " << i << ": " << reproString(cfg);
+  }
+}
+
 TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   const std::uint64_t configs = envU64("SWFT_FUZZ_CONFIGS", kDefaultConfigs);
   const std::uint64_t baseSeed = envU64("SWFT_FUZZ_SEED", kDefaultSeed);
@@ -142,9 +207,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   std::uint64_t ran = 0, skippedDisconnected = 0;
   std::uint64_t totalDelivered = 0, completedRuns = 0;
   for (std::uint64_t i = 0; i < configs; ++i) {
-    Rng rng(baseSeed);
-    rng = rng.split(i);
-    SimConfig cfg = drawConfig(rng);
+    SimConfig cfg = drawConfig(baseSeed, i);
     const std::string repro =
         "repro: " + reproString(cfg) + "  (fuzz index " + std::to_string(i) +
         ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) + ")";

@@ -15,6 +15,7 @@
 #include <functional>
 #include <latch>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -197,6 +198,19 @@ TEST(ResultSerialization, EveryPrefixAndByteFlipIsSafe) {
 
 // ---- canonical config keys -------------------------------------------------
 
+/// The `tag=value` tokens of a canonical key, by tag.
+std::map<std::string, std::string> keyTokens(const std::string& key) {
+  std::map<std::string, std::string> tokens;
+  for (std::size_t bar = key.find('|'); bar != std::string::npos;) {
+    const std::size_t next = key.find('|', bar + 1);
+    const std::string token = key.substr(bar + 1, next - bar - 1);
+    const std::size_t eq = token.find('=');
+    tokens[token.substr(0, eq)] = token.substr(eq + 1);
+    bar = next;
+  }
+  return tokens;
+}
+
 TEST(CanonicalKey, GoldenHashesArePinned) {
   // Cross-build cache contract: every machine and compiler must derive the
   // same content address for the same config, or shared stores stop
@@ -275,13 +289,26 @@ TEST(CanonicalKey, EverySemanticFieldSeparatesKeys) {
       [](SimConfig& c) { c.deadlockWindow = 1; },
       [](SimConfig& c) { c.seed = 2; },
   };
+  const std::map<std::string, std::string> baseTokens = keyTokens(canonicalConfigKey(base));
+  std::set<std::string> changedTags;
   for (std::size_t i = 0; i < mutators.size(); ++i) {
     SimConfig c = base;
     mutators[i](c);
     EXPECT_TRUE(hashes.insert(canonicalConfigHash(c)).second)
         << "mutator " << i << " did not change the canonical key";
+    for (const auto& [tag, value] : keyTokens(canonicalConfigKey(c))) {
+      if (baseTokens.at(tag) != value) changedTags.insert(tag);
+    }
   }
   EXPECT_EQ(hashes.size(), mutators.size() + 1);
+  // Taken together, the mutators change every tag the field list writes: a
+  // keyed field added to forEachConfigField without a mutator fails here.
+  forEachConfigField(base, [&changedTags](auto, auto keyTag, const auto&) {
+    if constexpr (!std::is_null_pointer_v<decltype(keyTag)>) {
+      const std::string tag(keyTag.substr(1, keyTag.size() - 2));  // "|tag=" -> "tag"
+      EXPECT_TRUE(changedTags.contains(tag)) << "no mutator changes " << keyTag;
+    }
+  });
 }
 
 TEST(CanonicalKey, RegionGeometrySeparatesKeys) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/harness/table.hpp"
@@ -20,11 +21,22 @@
 namespace {
 
 void printUsage() {
+  std::puts("usage: swft_sim [--csv] key=value...");
+  // The keys are the parse keys of forEachConfigField, wrapped to 72 columns.
+  std::string line = "keys:";
+  const swft::SimConfig defaults;
+  forEachConfigField(defaults, [&line](auto parseKey, auto, const auto&) {
+    if constexpr (!std::is_null_pointer_v<decltype(parseKey)>) {
+      if (line.size() + 1 + parseKey.size() > 72) {
+        std::puts(line.c_str());
+        line = "     ";
+      }
+      line += ' ';
+      line += parseKey;
+    }
+  });
+  std::puts(line.c_str());
   std::puts(
-      "usage: swft_sim [--csv] key=value...\n"
-      "keys: k n vcs escape_vcs buffer_depth msg_length rate routing traffic\n"
-      "      hotspot_fraction delta td nf region warmup measured max_cycles\n"
-      "      seed livelock_threshold phase_timers\n"
       "examples:\n"
       "  swft_sim k=8 n=3 vcs=10 rate=0.007 routing=adaptive nf=12\n"
       "  swft_sim k=8 n=2 region=U:4x3@2,2 routing=det rate=0.004\n"
