@@ -1,11 +1,15 @@
 #include "src/harness/result_cache.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
@@ -151,7 +155,14 @@ ResultCache::ResultCache(std::string dir, std::uint32_t semanticsVersion)
     throw std::runtime_error("result cache: cannot create directory '" + dir_ +
                              "': " + ec.message());
   }
+  dirFd_ = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dirFd_ < 0) {
+    throw std::runtime_error("result cache: cannot open directory '" + dir_ +
+                             "': " + std::strerror(errno));
+  }
 }
+
+ResultCache::~ResultCache() { ::close(dirFd_); }
 
 std::string ResultCache::keyFor(const SimConfig& cfg) const {
   std::string name;
@@ -159,19 +170,37 @@ std::string ResultCache::keyFor(const SimConfig& cfg) const {
   return name;
 }
 
-std::string ResultCache::entryPath(std::string_view key) const {
-  std::string path = dir_;
-  path += '/';
-  appendHex16(path, fnv1a64(key));
-  path += ".result";
-  return path;
+ResultCache::EntryName ResultCache::entryName(std::string_view key) {
+  static constexpr std::string_view kSuffix = ".result";
+  EntryName name{};  // zero-filled, so the last byte is the terminating NUL
+  writeHex16(name.data(), fnv1a64(key));
+  kSuffix.copy(name.data() + 16, kSuffix.size());
+  return name;
 }
 
 std::optional<SimResult> ResultCache::lookup(const SimConfig& cfg) {
   const std::string key = canonicalConfigKey(cfg, version_);
-  std::string entry;
   std::optional<SimResult> r;
-  if (readWholeFile(entryPath(key), entry)) r = parseEntry(entry, key);
+  const int fd = ::openat(dirFd_, entryName(key).data(), O_RDONLY | O_CLOEXEC);
+  if (fd >= 0) {
+    // Every entry store writes fits the stack buffer unless its key is very
+    // long (long explicit fault lists); only those and damaged entries
+    // spill to the heap.
+    char buf[kEntryStackBytes];
+    const std::ptrdiff_t n = readFill(fd, buf, sizeof buf);
+    std::string spill;
+    bool ok = n >= 0;
+    if (ok && static_cast<std::size_t>(n) == sizeof buf) {
+      spill.assign(buf, sizeof buf);
+      ok = readRest(fd, spill);
+    }
+    ::close(fd);
+    if (ok) {
+      r = parseEntry(spill.empty() ? std::string_view(buf, static_cast<std::size_t>(n))
+                                   : std::string_view(spill),
+                     key);
+    }
+  }
   (r ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return r;
 }
@@ -179,12 +208,16 @@ std::optional<SimResult> ResultCache::lookup(const SimConfig& cfg) {
 bool ResultCache::store(const SimConfig& cfg, const SimResult& r) {
   static std::atomic<std::uint64_t> seq{0};
   const std::string key = canonicalConfigKey(cfg, version_);
-  const std::string final = entryPath(key);
-  std::string tmp = final;
-  tmp += ".tmp.";
-  appendDecimal(tmp, ::getpid());
-  tmp += '.';
-  appendDecimal(tmp, seq.fetch_add(1, std::memory_order_relaxed));
+  const EntryName final = entryName(key);
+  // "<final>.tmp.<pid>.<seq>": unique across the processes and threads that
+  // share the store.
+  char tmp[96];
+  char* end = std::copy_n(final.data(), final.size() - 1, tmp);
+  end = std::copy_n(".tmp.", 5, end);
+  end = std::to_chars(end, tmp + sizeof tmp - 2, ::getpid()).ptr;
+  *end++ = '.';
+  end = std::to_chars(end, tmp + sizeof tmp - 1, seq.fetch_add(1, std::memory_order_relaxed)).ptr;
+  *end = '\0';
 
   std::string entry;
   entry.reserve(key.size() + 640);
@@ -193,16 +226,17 @@ bool ResultCache::store(const SimConfig& cfg, const SimResult& r) {
   entry += key;
   entry += '\n';
   appendResult(entry, r);
-  std::error_code ec;
-  if (!writeWholeFile(tmp, entry)) {
-    std::filesystem::remove(tmp, ec);
+  const int fd = ::openat(dirFd_, tmp, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  const bool written = writeAll(fd, entry);
+  if (::close(fd) != 0 || !written) {
+    ::unlinkat(dirFd_, tmp, 0);
     return false;
   }
   // Atomic publish: rename within one directory replaces any existing entry
   // in a single step, so concurrent readers never observe a partial file.
-  std::filesystem::rename(tmp, final, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+  if (::renameat(dirFd_, tmp, dirFd_, final.data()) != 0) {
+    ::unlinkat(dirFd_, tmp, 0);
     return false;
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);

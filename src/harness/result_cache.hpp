@@ -17,9 +17,19 @@
 // calls share no other mutable state. Corrupt or truncated entries (key
 // mismatch, bad magic, parse failure) are treated as misses and silently
 // re-stored, never trusted.
+//
+// I/O: the constructor opens the store directory once, and every lookup and
+// store names its entry relative to that descriptor (openat, renameat,
+// unlinkat) from a stack buffer, so no path string is built and the kernel
+// resolves one name, not the whole path. A lookup reads the entry into a
+// stack buffer and falls back to the heap only for an entry longer than it.
+// The descriptor is only read after construction, so sharing it across
+// threads is safe.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -53,9 +63,12 @@ class ResultCache {
   /// Opens (creating, parents included) the store at `dir`. Keys embed
   /// `semanticsVersion`, so bumping kEngineSemanticsVersion orphans every
   /// existing entry (full miss) without touching the files. Throws
-  /// std::runtime_error when the directory cannot be created.
+  /// std::runtime_error when the directory cannot be created or opened.
   explicit ResultCache(std::string dir,
                        std::uint32_t semanticsVersion = kEngineSemanticsVersion);
+  ~ResultCache();
+  ResultCache(const ResultCache&) = delete;
+  ResultCache& operator=(const ResultCache&) = delete;
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
@@ -86,10 +99,17 @@ class ResultCache {
   [[nodiscard]] static StoreInfo scanDir(const std::string& dir);
 
  private:
-  /// Store path of the entry whose canonical key is `key`.
-  [[nodiscard]] std::string entryPath(std::string_view key) const;
+  /// "<16 hex digits>.result" plus a NUL: the file name, relative to the
+  /// store directory, of the entry whose canonical key is `key`.
+  using EntryName = std::array<char, 16 + 7 + 1>;
+  [[nodiscard]] static EntryName entryName(std::string_view key);
+
+  /// lookup reads an entry into a stack buffer of this size and moves to the
+  /// heap only for a longer one.
+  static constexpr std::size_t kEntryStackBytes = 4096;
 
   std::string dir_;
+  int dirFd_ = -1;  // the store directory, opened once; entries are named relative to it
   std::uint32_t version_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

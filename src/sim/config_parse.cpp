@@ -45,15 +45,26 @@ RegionShape parseShape(const std::string& name) {
   fail("config: unknown region shape '" + name + "'");
 }
 
-/// Each `region=` assignment adds one region. Value syntax: shape:E0xE1[@x,y],
-/// e.g. "U:4x3@2,2" or "rect:3x3". The anchor keeps only the digits given;
-/// sizeRegionAnchors pads it to the final `n` once every assignment is applied.
+/// Each `region=` assignment adds one region. Value syntax:
+/// shape:E0xE1[@x,y][/p,q], e.g. "U:4x3@2,2", "rect:3x3" or
+/// "rect:2x2@0,0,1/0,2". The anchor keeps only the digits given;
+/// sizeRegionAnchors pads it to the final `n` once every assignment is
+/// applied. `/p,q` names the plane's two dimensions (RegionSpec::dim0/dim1,
+/// default 0,1); validateRegion checks them against `n`.
 void parseValue(const std::string&, const std::string& value, std::vector<RegionSpec>& regions) {
   const auto colon = value.find(':');
-  if (colon == std::string::npos) fail("config: region needs 'shape:E0xE1[@x,y]'");
+  if (colon == std::string::npos) fail("config: region needs 'shape:E0xE1[@x,y][/p,q]'");
   RegionSpec spec;
   spec.shape = parseShape(value.substr(0, colon));
   std::string rest = value.substr(colon + 1);
+  if (const auto slash = rest.find('/'); slash != std::string::npos) {
+    const std::string plane = rest.substr(slash + 1);
+    rest = rest.substr(0, slash);
+    const auto comma = plane.find(',');
+    if (comma == std::string::npos) fail("config: region plane needs 'p,q', got '" + plane + "'");
+    parseValue("region plane", plane.substr(0, comma), spec.dim0);
+    parseValue("region plane", plane.substr(comma + 1), spec.dim1);
+  }
   std::string anchorPart;
   if (const auto at = rest.find('@'); at != std::string::npos) {
     anchorPart = rest.substr(at + 1);

@@ -3,7 +3,8 @@
 // The accepted keys are the parse keys forEachConfigField (config.hpp) lists;
 // all are optional, defaults from SimConfig. Values: integers and numbers in
 // full (std::from_chars), routing det|adaptive, traffic a pattern name
-// (patterns.hpp), phase_timers 0|1, region shape:e0xe1[@x,y] (repeatable).
+// (patterns.hpp), phase_timers 0|1, region shape:e0xe1[@x,y][/p,q]
+// (repeatable; `/p,q` is the region's plane, default 0,1).
 #pragma once
 
 #include <span>
@@ -33,9 +34,10 @@ SimConfig parseConfig(std::span<const std::string> assignments,
 /// [1, 65535], negative delta, td or livelock_threshold, a delta or td at
 /// or above the deadlock watchdog window, a rate or hotspot_fraction that
 /// is NaN or outside [0, 1], a rate in (0, 1e-15), nf outside [0, nodes),
-/// and regions whose anchor digits leave [0, k) or whose extents leave
-/// [1, k]. Throws std::invalid_argument naming the key. parseConfig and the
-/// Network constructor (before it builds anything) both call it.
+/// and regions whose anchor digits leave [0, k), whose extents leave
+/// [1, k] or whose plane is not two distinct dimensions below n. Throws
+/// std::invalid_argument naming the key. parseConfig and the Network
+/// constructor (before it builds anything) both call it.
 void validateConfig(const SimConfig& cfg);
 
 /// One-line human-readable summary of a configuration.

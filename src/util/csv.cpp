@@ -34,6 +34,7 @@ void CsvWriter::appendEscaped(std::string_view cell) {
 }
 
 void CsvWriter::writeFile(const std::string& path) const {
+  if (fileHoldsExactly(path, text_)) return;
   if (!writeWholeFile(path, text_)) throw std::runtime_error("CsvWriter: cannot write " + path);
 }
 

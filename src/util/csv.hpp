@@ -37,7 +37,10 @@ class CsvWriter {
   /// reference is into this writer and lives as long as it does.
   [[nodiscard]] const std::string& str() const noexcept { return text_; }
   /// Writes str() to `path`; throws std::runtime_error naming the path when
-  /// the file cannot be created or any byte of it cannot be written.
+  /// the file cannot be created or any byte of it cannot be written. A
+  /// regular file that already holds exactly str() is left untouched (its
+  /// mtime and inode too): a warm figure replay rewrites the same bytes, and
+  /// truncating a file costs ext4 a forced writeback on close.
   void writeFile(const std::string& path) const;
 
  private:

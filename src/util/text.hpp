@@ -30,11 +30,17 @@ void appendDecimal(std::string& out, T v) {
   out.append(buf, res.ptr);
 }
 
+/// Writes `v` as exactly 16 lowercase hex digits, most significant first,
+/// to out[0..16).
+inline void writeHex16(char* out, std::uint64_t v) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int i = 0; i < 16; ++i) out[i] = kHex[(v >> (60 - 4 * i)) & 0xF];
+}
+
 /// `v` as exactly 16 lowercase hex digits, most significant first.
 inline void appendHex16(std::string& out, std::uint64_t v) {
-  static constexpr char kHex[] = "0123456789abcdef";
   char buf[16];
-  for (int i = 0; i < 16; ++i) buf[i] = kHex[(v >> (60 - 4 * i)) & 0xF];
+  writeHex16(buf, v);
   out.append(buf, sizeof buf);
 }
 

@@ -70,6 +70,23 @@ foreach(bad engine=dense engine=sparse-mt engine=sparse sim_threads=2 msg_length
   endif()
 endforeach()
 
+# After a bad argument the usage text goes to stderr with the error: a
+# script reading --csv output must get no usage lines as data.
+execute_process(
+  COMMAND ${SWFT_SIM} --csv k=abc
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "swft_sim --csv k=abc should exit 2, got ${rc}\nstderr: ${err}")
+endif()
+if(NOT out STREQUAL "")
+  message(FATAL_ERROR "swft_sim --csv k=abc must print nothing on stdout, got:\n${out}")
+endif()
+if(NOT err MATCHES "usage: swft_sim")
+  message(FATAL_ERROR "swft_sim --csv k=abc: stderr lacks the usage text:\n${err}")
+endif()
+
 # A region anchor outside the torus is rejected before any fault is placed
 # (an out-of-range out-of-plane digit used to index past the fault set).
 execute_process(

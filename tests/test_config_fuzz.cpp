@@ -111,6 +111,12 @@ std::string regionValue(Rng& rng) {
       v += pick(kNums, rng);
     }
   }
+  if (rng.uniform(4) == 0) {
+    v += '/';
+    v += pick(kNums, rng);
+    if (rng.uniform(10) != 0) v += ',';
+    v += pick(kNums, rng);
+  }
   return v;
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <utility>
 
+#include "src/sim/config_canon.hpp"
 #include "src/sim/network.hpp"
 
 namespace swft {
@@ -171,6 +172,45 @@ TEST(ConfigParse, RegionWithoutAnchorDefaultsInside) {
   const SimConfig cfg = parse({"region=rect:3x3"});
   ASSERT_EQ(cfg.faults.regions.size(), 1u);
   EXPECT_EQ(cfg.faults.regions[0].anchor[0], 1);
+}
+
+TEST(ConfigParse, RegionPlaneSuffix) {
+  // `/p,q` sets the plane a region lies in; the config it parses to has the
+  // cache key of the same config built in code.
+  SimConfig built;
+  built.dims = 3;
+  RegionSpec r;
+  r.shape = RegionShape::Rect;
+  r.extent0 = 2;
+  r.extent1 = 2;
+  r.anchor.digit = {0, 0, 1};
+  r.dim0 = 0;
+  r.dim1 = 2;
+  built.faults.regions.push_back(r);
+  const SimConfig parsed = parse({"n=3", "region=rect:2x2@0,0,1/0,2"});
+  ASSERT_EQ(parsed.faults.regions.size(), 1u);
+  EXPECT_EQ(parsed.faults.regions[0].dim0, 0);
+  EXPECT_EQ(parsed.faults.regions[0].dim1, 2);
+  EXPECT_EQ(canonicalConfigKey(parsed), canonicalConfigKey(built));
+  EXPECT_NE(canonicalConfigKey(parse({"n=3", "region=rect:2x2@0,0,1"})),
+            canonicalConfigKey(built));
+  // The default plane may be spelled out, and the suffix needs no anchor.
+  EXPECT_EQ(canonicalConfigKey(parse({"n=3", "region=rect:2x2@0,0,1/0,1"})),
+            canonicalConfigKey(parse({"n=3", "region=rect:2x2@0,0,1"})));
+  EXPECT_EQ(parse({"n=3", "region=rect:2x2/1,2"}).faults.regions[0].dim1, 2);
+
+  // A plane that is not two distinct dimensions below n, or is not 'p,q',
+  // is rejected naming `region`.
+  for (const char* bad : {"region=rect:2x2@0,0,1/1,1", "region=rect:2x2@0,0,1/0,3",
+                          "region=rect:2x2@0,0,1/0", "region=rect:2x2@0,0,1/a,1",
+                          "region=rect:2x2/-1,1"}) {
+    try {
+      (void)parse({"n=3", bad});
+      ADD_FAILURE() << bad << ": expected a throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("region"), std::string::npos) << bad << ": " << e.what();
+    }
+  }
 }
 
 TEST(ConfigParse, RegionsAccumulate) {

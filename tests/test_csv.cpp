@@ -1,11 +1,15 @@
 #include "src/util/csv.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -54,6 +58,74 @@ TEST(Csv, WriteFileRoundTrip) {
   std::string content((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "a\n1\n");
   std::remove(path.c_str());
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+/// Sets the file's access and modification times to `sec` seconds after
+/// the epoch.
+void setTimes(const std::string& path, std::time_t sec) {
+  const timespec times[2] = {{sec, 0}, {sec, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
+}
+
+struct stat statOf(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st;
+}
+
+TEST(Csv, WriteFileSkipsARegularFileAlreadyHoldingTheBytes) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() / "swft_csv_skip";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir / "a.csv";
+  constexpr std::time_t kOld = 1'000'000'000;
+
+  CsvWriter csv({"a", "b"});
+  csv.addRowOf(1, 2);
+  csv.writeFile(path);
+  setTimes(path, kOld);
+  const struct stat first = statOf(path);
+
+  // The same bytes again: the file is not touched, neither mtime nor inode.
+  csv.writeFile(path);
+  const struct stat same = statOf(path);
+  EXPECT_EQ(same.st_ino, first.st_ino);
+  EXPECT_EQ(same.st_mtim.tv_sec, kOld);
+  EXPECT_EQ(slurp(path), csv.str());
+
+  // The same size with different bytes is rewritten.
+  CsvWriter changed({"a", "b"});
+  changed.addRowOf(1, 3);
+  ASSERT_EQ(changed.str().size(), csv.str().size());
+  changed.writeFile(path);
+  EXPECT_EQ(slurp(path), changed.str());
+  EXPECT_NE(statOf(path).st_mtim.tv_sec, kOld);
+
+  // A shorter text is rewritten (the file is truncated to it), and so is
+  // a longer one.
+  setTimes(path, kOld);
+  CsvWriter shorter({"a"});
+  shorter.writeFile(path);
+  EXPECT_EQ(slurp(path), "a\n");
+  EXPECT_NE(statOf(path).st_mtim.tv_sec, kOld);
+  csv.writeFile(path);
+  EXPECT_EQ(slurp(path), csv.str());
+
+  // A directory at the path still fails, naming it.
+  const std::string sub = dir / "sub";
+  std::filesystem::create_directory(sub);
+  try {
+    csv.writeFile(sub);
+    ADD_FAILURE() << "writing over a directory must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(sub), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 /// The one-cell CSV text of `v` and the bytes a default-formatted stream

@@ -93,6 +93,12 @@ void appendReproValue(std::string& out, const RegionSpec& r) {
     out += d == 0 ? '@' : ',';
     appendDecimal(out, r.anchor[d]);
   }
+  if (r.dim0 != 0 || r.dim1 != 1) {
+    out += '/';
+    appendDecimal(out, r.dim0);
+    out += ',';
+    appendDecimal(out, r.dim1);
+  }
 }
 
 /// `cfg` as one `key=value` assignment per parse key of forEachConfigField

@@ -20,27 +20,30 @@
 
 namespace {
 
-void printUsage() {
-  std::puts("usage: swft_sim [--csv] key=value...");
+/// The usage text on `out`: stdout when asked for (--help), stderr after a
+/// bad argument, so a script reading --csv output never gets it as data.
+void printUsage(std::FILE* out) {
+  std::fputs("usage: swft_sim [--csv] key=value...\n", out);
   // The keys are the parse keys of forEachConfigField, wrapped to 72 columns.
   std::string line = "keys:";
   const swft::SimConfig defaults;
-  forEachConfigField(defaults, [&line](auto parseKey, auto, const auto&) {
+  forEachConfigField(defaults, [&line, out](auto parseKey, auto, const auto&) {
     if constexpr (!std::is_null_pointer_v<decltype(parseKey)>) {
       if (line.size() + 1 + parseKey.size() > 72) {
-        std::puts(line.c_str());
+        std::fprintf(out, "%s\n", line.c_str());
         line = "     ";
       }
       line += ' ';
       line += parseKey;
     }
   });
-  std::puts(line.c_str());
-  std::puts(
+  std::fprintf(out, "%s\n", line.c_str());
+  std::fputs(
       "examples:\n"
       "  swft_sim k=8 n=3 vcs=10 rate=0.007 routing=adaptive nf=12\n"
       "  swft_sim k=8 n=2 region=U:4x3@2,2 routing=det rate=0.004\n"
-      "  swft_sim k=8 n=2 traffic=tornado rate=0.005");
+      "  swft_sim k=8 n=2 traffic=tornado rate=0.005\n",
+      out);
 }
 
 }  // namespace
@@ -52,7 +55,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--csv") == 0) {
       csv = true;
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      printUsage();
+      printUsage(stdout);
       return 0;
     } else {
       assignments.emplace_back(argv[i]);
@@ -64,7 +67,7 @@ int main(int argc, char** argv) {
     cfg = swft::parseConfig(assignments);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n\n", e.what());
-    printUsage();
+    printUsage(stderr);
     return 2;
   }
 
