@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -180,27 +179,9 @@ ResultCache::EntryName ResultCache::entryName(std::string_view key) {
 
 std::optional<SimResult> ResultCache::lookup(const SimConfig& cfg) {
   const std::string key = canonicalConfigKey(cfg, version_);
+  std::string entry;
   std::optional<SimResult> r;
-  const int fd = ::openat(dirFd_, entryName(key).data(), O_RDONLY | O_CLOEXEC);
-  if (fd >= 0) {
-    // Every entry store writes fits the stack buffer unless its key is very
-    // long (long explicit fault lists); only those and damaged entries
-    // spill to the heap.
-    char buf[kEntryStackBytes];
-    const std::ptrdiff_t n = readFill(fd, buf, sizeof buf);
-    std::string spill;
-    bool ok = n >= 0;
-    if (ok && static_cast<std::size_t>(n) == sizeof buf) {
-      spill.assign(buf, sizeof buf);
-      ok = readRest(fd, spill);
-    }
-    ::close(fd);
-    if (ok) {
-      r = parseEntry(spill.empty() ? std::string_view(buf, static_cast<std::size_t>(n))
-                                   : std::string_view(spill),
-                     key);
-    }
-  }
+  if (readWholeFile(dirFd_, entryName(key).data(), entry)) r = parseEntry(entry, key);
   (r ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return r;
 }
@@ -209,15 +190,11 @@ bool ResultCache::store(const SimConfig& cfg, const SimResult& r) {
   static std::atomic<std::uint64_t> seq{0};
   const std::string key = canonicalConfigKey(cfg, version_);
   const EntryName final = entryName(key);
-  // "<final>.tmp.<pid>.<seq>": unique across the processes and threads that
-  // share the store.
-  char tmp[96];
-  char* end = std::copy_n(final.data(), final.size() - 1, tmp);
-  end = std::copy_n(".tmp.", 5, end);
-  end = std::to_chars(end, tmp + sizeof tmp - 2, ::getpid()).ptr;
-  *end++ = '.';
-  end = std::to_chars(end, tmp + sizeof tmp - 1, seq.fetch_add(1, std::memory_order_relaxed)).ptr;
-  *end = '\0';
+  std::string tmp(final.data());
+  tmp += ".tmp.";
+  appendDecimal(tmp, ::getpid());
+  tmp += '.';
+  appendDecimal(tmp, seq.fetch_add(1, std::memory_order_relaxed));
 
   std::string entry;
   entry.reserve(key.size() + 640);
@@ -226,17 +203,14 @@ bool ResultCache::store(const SimConfig& cfg, const SimResult& r) {
   entry += key;
   entry += '\n';
   appendResult(entry, r);
-  const int fd = ::openat(dirFd_, tmp, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-  if (fd < 0) return false;
-  const bool written = writeAll(fd, entry);
-  if (::close(fd) != 0 || !written) {
-    ::unlinkat(dirFd_, tmp, 0);
+  if (!writeWholeFile(dirFd_, tmp.c_str(), entry)) {
+    ::unlinkat(dirFd_, tmp.c_str(), 0);
     return false;
   }
   // Atomic publish: rename within one directory replaces any existing entry
   // in a single step, so concurrent readers never observe a partial file.
-  if (::renameat(dirFd_, tmp, dirFd_, final.data()) != 0) {
-    ::unlinkat(dirFd_, tmp, 0);
+  if (::renameat(dirFd_, tmp.c_str(), dirFd_, final.data()) != 0) {
+    ::unlinkat(dirFd_, tmp.c_str(), 0);
     return false;
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);

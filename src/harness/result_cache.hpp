@@ -20,16 +20,13 @@
 //
 // I/O: the constructor opens the store directory once, and every lookup and
 // store names its entry relative to that descriptor (openat, renameat,
-// unlinkat) from a stack buffer, so no path string is built and the kernel
-// resolves one name, not the whole path. A lookup reads the entry into a
-// stack buffer and falls back to the heap only for an entry longer than it.
-// The descriptor is only read after construction, so sharing it across
-// threads is safe.
+// unlinkat), so the kernel resolves one name, not the whole path. The
+// descriptor is only read after construction, so sharing it across threads
+// is safe.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -103,10 +100,6 @@ class ResultCache {
   /// store directory, of the entry whose canonical key is `key`.
   using EntryName = std::array<char, 16 + 7 + 1>;
   [[nodiscard]] static EntryName entryName(std::string_view key);
-
-  /// lookup reads an entry into a stack buffer of this size and moves to the
-  /// heap only for a longer one.
-  static constexpr std::size_t kEntryStackBytes = 4096;
 
   std::string dir_;
   int dirFd_ = -1;  // the store directory, opened once; entries are named relative to it

@@ -1,5 +1,7 @@
 #include "src/util/csv.hpp"
 
+#include <fcntl.h>
+
 #include <stdexcept>
 
 #include "src/util/file_io.hpp"
@@ -34,8 +36,9 @@ void CsvWriter::appendEscaped(std::string_view cell) {
 }
 
 void CsvWriter::writeFile(const std::string& path) const {
-  if (fileHoldsExactly(path, text_)) return;
-  if (!writeWholeFile(path, text_)) throw std::runtime_error("CsvWriter: cannot write " + path);
+  if (!writeWholeFile(AT_FDCWD, path.c_str(), text_)) {
+    throw std::runtime_error("CsvWriter: cannot write " + path);
+  }
 }
 
 }  // namespace swft

@@ -37,10 +37,9 @@ class CsvWriter {
   /// reference is into this writer and lives as long as it does.
   [[nodiscard]] const std::string& str() const noexcept { return text_; }
   /// Writes str() to `path`; throws std::runtime_error naming the path when
-  /// the file cannot be created or any byte of it cannot be written. A
-  /// regular file that already holds exactly str() is left untouched (its
-  /// mtime and inode too): a warm figure replay rewrites the same bytes, and
-  /// truncating a file costs ext4 a forced writeback on close.
+  /// the file cannot be created or any byte of it cannot be written. An
+  /// existing file is overwritten in place and cut to str()'s length (see
+  /// writeWholeFile: truncating it first costs ext4 a forced writeback).
   void writeFile(const std::string& path) const;
 
  private:

@@ -1,89 +1,51 @@
 #include "src/util/file_io.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdint>
-#include <cstring>
 
 namespace swft {
 
-std::ptrdiff_t readFill(int fd, char* buf, std::size_t cap) {
-  std::size_t len = 0;
-  while (len < cap) {
-    const ssize_t n = ::read(fd, buf + len, cap - len);
-    if (n > 0) {
-      len += static_cast<std::size_t>(n);
-    } else if (n == 0) {
-      break;
-    } else if (errno != EINTR) {
-      return -1;
-    }
-  }
-  return static_cast<std::ptrdiff_t>(len);
-}
-
-bool readRest(int fd, std::string& out) {
+bool readWholeFile(int dirFd, const char* name, std::string& out) {
+  const int fd = ::openat(dirFd, name, O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
   char buf[4096];
+  bool ok = true;
   for (;;) {
     const ssize_t n = ::read(fd, buf, sizeof buf);
     if (n > 0) {
       out.append(buf, static_cast<std::size_t>(n));
     } else if (n == 0) {
-      return true;
+      break;
     } else if (errno != EINTR) {
-      return false;
+      ok = false;
+      break;
     }
   }
+  ::close(fd);
+  return ok;
 }
 
-bool writeAll(int fd, std::string_view bytes) {
-  while (!bytes.empty()) {
+bool writeWholeFile(int dirFd, const char* name, std::string_view bytes) {
+  const int fd = ::openat(dirFd, name, O_WRONLY | O_CREAT | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  const auto length = static_cast<off_t>(bytes.size());
+  bool ok = true;
+  while (ok && !bytes.empty()) {
     const ssize_t n = ::write(fd, bytes.data(), bytes.size());
     if (n > 0) {
       bytes.remove_prefix(static_cast<std::size_t>(n));
     } else if (n < 0 && errno == EINTR) {
       continue;
     } else {
-      return false;
+      ok = false;
     }
   }
-  return true;
-}
-
-bool writeWholeFile(const std::string& path, std::string_view bytes) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-  if (fd < 0) return false;
-  const bool ok = writeAll(fd, bytes);
+  // Cut what is left of a longer old file. What is not a regular file (a
+  // device, a FIFO) has no length to cut: ftruncate fails there with EINVAL.
+  if (ok && ::ftruncate(fd, length) != 0 && errno != EINVAL) ok = false;
   return ::close(fd) == 0 && ok;
-}
-
-bool fileHoldsExactly(const std::string& path, std::string_view bytes) {
-  // O_NONBLOCK: a FIFO at the path must not block the check (it is not a
-  // regular file, so the answer is false anyway); regular-file reads ignore it.
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
-  if (fd < 0) return false;
-  struct stat st {};
-  bool same = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) &&
-              static_cast<std::uint64_t>(st.st_size) == bytes.size();
-  char buf[16384];
-  while (same) {
-    // One byte more than is left: a file that grew since the fstat reads
-    // longer than `bytes` and is not the same.
-    const std::size_t want = bytes.size() < sizeof buf ? bytes.size() + 1 : sizeof buf;
-    const std::ptrdiff_t n = readFill(fd, buf, want);
-    if (n < 0 || static_cast<std::size_t>(n) > bytes.size() ||
-        std::memcmp(buf, bytes.data(), static_cast<std::size_t>(n)) != 0) {
-      same = false;
-    } else {
-      bytes.remove_prefix(static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < want) break;  // the file ended
-    }
-  }
-  ::close(fd);
-  return same && bytes.empty();
 }
 
 }  // namespace swft

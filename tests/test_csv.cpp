@@ -1,6 +1,5 @@
 #include "src/util/csv.hpp"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 
 #include <gtest/gtest.h>
@@ -9,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -65,58 +63,43 @@ std::string slurp(const std::string& path) {
   return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
 }
 
-/// Sets the file's access and modification times to `sec` seconds after
-/// the epoch.
-void setTimes(const std::string& path, std::time_t sec) {
-  const timespec times[2] = {{sec, 0}, {sec, 0}};
-  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
-}
-
 struct stat statOf(const std::string& path) {
   struct stat st {};
   EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
   return st;
 }
 
-TEST(Csv, WriteFileSkipsARegularFileAlreadyHoldingTheBytes) {
-  const std::filesystem::path dir = std::filesystem::temp_directory_path() / "swft_csv_skip";
+TEST(Csv, WriteFileOverwritesInPlaceAndCutsToLength) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() / "swft_csv_overwrite";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = dir / "a.csv";
-  constexpr std::time_t kOld = 1'000'000'000;
 
   CsvWriter csv({"a", "b"});
   csv.addRowOf(1, 2);
   csv.writeFile(path);
-  setTimes(path, kOld);
-  const struct stat first = statOf(path);
+  const ino_t inode = statOf(path).st_ino;
 
-  // The same bytes again: the file is not touched, neither mtime nor inode.
+  // The same bytes again, then the same size with different bytes: the
+  // file is overwritten in place, not replaced.
   csv.writeFile(path);
-  const struct stat same = statOf(path);
-  EXPECT_EQ(same.st_ino, first.st_ino);
-  EXPECT_EQ(same.st_mtim.tv_sec, kOld);
   EXPECT_EQ(slurp(path), csv.str());
-
-  // The same size with different bytes is rewritten.
   CsvWriter changed({"a", "b"});
   changed.addRowOf(1, 3);
   ASSERT_EQ(changed.str().size(), csv.str().size());
   changed.writeFile(path);
   EXPECT_EQ(slurp(path), changed.str());
-  EXPECT_NE(statOf(path).st_mtim.tv_sec, kOld);
+  EXPECT_EQ(statOf(path).st_ino, inode);
 
-  // A shorter text is rewritten (the file is truncated to it), and so is
-  // a longer one.
-  setTimes(path, kOld);
+  // A shorter text leaves nothing of the longer old one behind, and a
+  // longer text after it is whole.
   CsvWriter shorter({"a"});
   shorter.writeFile(path);
   EXPECT_EQ(slurp(path), "a\n");
-  EXPECT_NE(statOf(path).st_mtim.tv_sec, kOld);
   csv.writeFile(path);
   EXPECT_EQ(slurp(path), csv.str());
 
-  // A directory at the path still fails, naming it.
+  // A directory at the path fails, naming it.
   const std::string sub = dir / "sub";
   std::filesystem::create_directory(sub);
   try {

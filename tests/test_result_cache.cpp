@@ -431,48 +431,6 @@ TEST(ResultCache, TrailingLineEntryIsAMissAndRestorable) {
   EXPECT_EQ(s.inserts, 2u);
 }
 
-TEST(ResultCache, EntryLongerThanTheStackBufferIsAMissAndRestorable) {
-  // lookup reads into a 4 KiB stack buffer and spills to the heap past it:
-  // a valid entry followed by more than 4 KiB of trailing lines is read
-  // whole and rejected, and a store restores it.
-  const std::string dir = freshDir("long_trailing");
-  ResultCache cache(dir);
-  SimConfig cfg;
-  const SimResult r = trickyResult();
-  ASSERT_TRUE(cache.store(cfg, r));
-  const std::string path = dir + "/" + cache.keyFor(cfg) + ".result";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    for (int i = 0; i < 600; ++i) out << "extra_field " << i << "\n";
-  }
-  ASSERT_GT(fs::file_size(path), 2u * 4096u);
-  EXPECT_FALSE(cache.lookup(cfg).has_value()) << "an entry with trailing lines is a miss";
-
-  EXPECT_TRUE(cache.store(cfg, r));
-  const auto hit = cache.lookup(cfg);
-  ASSERT_TRUE(hit.has_value());
-  expectSameResult(r, *hit);
-  const CacheStats s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.inserts, 2u);
-}
-
-TEST(ResultCache, EntryWithAKeyLongerThanTheStackBufferHits) {
-  // A long explicit fault list makes a canonical key, and so a valid entry,
-  // longer than lookup's stack buffer: it is read whole from the heap.
-  ResultCache cache(freshDir("long_key"));
-  SimConfig cfg;
-  for (NodeId n = 0; n < 2000; ++n) cfg.faults.explicitNodes.push_back(n);
-  ASSERT_GT(canonicalConfigKey(cfg).size(), 4096u);
-  const SimResult r = trickyResult();
-  EXPECT_FALSE(cache.lookup(cfg).has_value());
-  ASSERT_TRUE(cache.store(cfg, r));
-  const auto hit = cache.lookup(cfg);
-  ASSERT_TRUE(hit.has_value());
-  expectSameResult(r, *hit);
-}
-
 TEST(ResultCache, TruncatedEntryIsAMiss) {
   const std::string dir = freshDir("truncated");
   ResultCache cache(dir);
