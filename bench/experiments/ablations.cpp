@@ -11,6 +11,7 @@ namespace {
 // random faults. More escape bandwidth helps downgraded (deterministic)
 // messages after absorption, at the cost of adaptive flexibility.
 std::vector<SweepPoint> buildVcPartition() {
+  const ScalePreset scale = scaleFromEnv();
   std::vector<SweepPoint> points;
   for (const int vcs : {6, 10}) {
     for (const int escape : {2, 4}) {
@@ -27,7 +28,7 @@ std::vector<SweepPoint> buildVcPartition() {
           cfg.routing = RoutingMode::Adaptive;
           cfg.faults.randomNodes = nf;
           cfg.seed = 6000 + static_cast<std::uint64_t>(nf);
-          bench::applyEnvScale(cfg);
+          applyScale(cfg, scale);
           cfg.maxCycles = 300'000;
           char label[64];
           std::snprintf(label, sizeof label, "V%d/esc%d/nf%d/l%.4f", vcs, escape, nf,
@@ -46,6 +47,7 @@ std::vector<SweepPoint> buildVcPartition() {
 // experiment quantifies how much latency a real messaging-layer delay would
 // add under faults, validating that assumption's impact.
 std::vector<SweepPoint> buildReinjection() {
+  const ScalePreset scale = scaleFromEnv();
   std::vector<SweepPoint> points;
   for (const RoutingMode mode : {RoutingMode::Deterministic, RoutingMode::Adaptive}) {
     for (const int delta : {0, 8, 16, 32, 64, 128}) {
@@ -60,7 +62,7 @@ std::vector<SweepPoint> buildReinjection() {
       cfg.reinjectDelay = delta;
       cfg.faults.randomNodes = 5;
       cfg.seed = 7000;
-      bench::applyEnvScale(cfg);
+      applyScale(cfg, scale);
       cfg.maxCycles = 300'000;
       char label[64];
       std::snprintf(label, sizeof label, "%s/delta%d",
@@ -76,6 +78,7 @@ std::vector<SweepPoint> buildReinjection() {
 // simulator parameters without reporting a sweep; this experiment fills that
 // gap and shows the latency/saturation sensitivity to buffering.
 std::vector<SweepPoint> buildBufferDepth() {
+  const ScalePreset scale = scaleFromEnv();
   std::vector<SweepPoint> points;
   for (const int depth : {1, 2, 4, 8, 16}) {
     for (const double rate : rateGrid(0.014, 4)) {
@@ -90,7 +93,7 @@ std::vector<SweepPoint> buildBufferDepth() {
       cfg.routing = RoutingMode::Deterministic;
       cfg.faults.randomNodes = 3;
       cfg.seed = 8000;
-      bench::applyEnvScale(cfg);
+      applyScale(cfg, scale);
       cfg.maxCycles = 300'000;
       char label[64];
       std::snprintf(label, sizeof label, "B%d/l%.4f", depth, rate);

@@ -5,7 +5,8 @@
 // directory, so registration is purely additive — no central list.
 //
 // Scale: SWFT_SCALE=paper reproduces the paper's 100k-message runs; the
-// default reduced scale preserves curve shapes at ~1/10 the cost.
+// default reduced scale preserves curve shapes at ~1/10 the cost. Each
+// builder reads it once per grid (scaleFromEnv) and passes it to applyScale.
 #pragma once
 
 #include "src/harness/experiment_registry.hpp"
@@ -13,8 +14,6 @@
 #include "src/sim/network.hpp"
 
 namespace swft::bench {
-
-inline void applyEnvScale(SimConfig& cfg) { applyScale(cfg, scaleFromEnv()); }
 
 /// Shorthand for a fixed-duration run (Fig. 6/7 protocol): the run length is
 /// bounded by cycles, not by a delivered-message target.

@@ -18,6 +18,8 @@ namespace {
 constexpr int kFaultGrid[] = {0, 4, 8, 12, 16};
 
 std::vector<SweepPoint> buildFaultscape() {
+  const ScalePreset scale = scaleFromEnv();
+  const std::uint64_t maxCycles = scale == ScalePreset::Paper ? 4'000'000 : 150'000;
   std::vector<SweepPoint> points;
   for (const int nf : kFaultGrid) {
     for (const TrafficPattern pattern : kAllTrafficPatterns) {
@@ -32,8 +34,8 @@ std::vector<SweepPoint> buildFaultscape() {
       cfg.routing = RoutingMode::Adaptive;
       cfg.faults.randomNodes = nf;
       cfg.seed = 12000 + static_cast<std::uint64_t>(nf);  // same faults across patterns
-      bench::applyEnvScale(cfg);
-      cfg.maxCycles = scaleFromEnv() == ScalePreset::Paper ? 4'000'000 : 150'000;
+      applyScale(cfg, scale);
+      cfg.maxCycles = maxCycles;
       char label[64];
       std::snprintf(label, sizeof label, "nf%02d/%s", nf,
                     std::string(trafficPatternName(pattern)).c_str());

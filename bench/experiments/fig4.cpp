@@ -9,6 +9,9 @@ namespace swft {
 namespace {
 
 std::vector<SweepPoint> buildFig4() {
+  const ScalePreset scale = scaleFromEnv();
+  // 512 nodes: latency convergence needs fewer cycles per message.
+  const std::uint64_t maxCycles = scale == ScalePreset::Paper ? 4'000'000 : 50'000;
   std::vector<SweepPoint> points;
   const double maxRateByV[] = {0.014, 0.018, 0.021};
   const int vcsGrid[] = {4, 6, 10};
@@ -28,9 +31,8 @@ std::vector<SweepPoint> buildFig4() {
             cfg.routing = mode;
             cfg.faults.randomNodes = nf;
             cfg.seed = 2000 + static_cast<std::uint64_t>(nf);
-            bench::applyEnvScale(cfg);
-            // 512 nodes: latency convergence needs fewer cycles per message.
-            cfg.maxCycles = scaleFromEnv() == ScalePreset::Paper ? 4'000'000 : 50'000;
+            applyScale(cfg, scale);
+            cfg.maxCycles = maxCycles;
             char label[96];
             std::snprintf(label, sizeof label, "%s/M%d/V%d/nf%d/l%.4f",
                           mode == RoutingMode::Adaptive ? "adp" : "det", msgLen,

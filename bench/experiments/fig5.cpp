@@ -10,6 +10,8 @@ namespace swft {
 namespace {
 
 std::vector<SweepPoint> buildFig5() {
+  const ScalePreset scale = scaleFromEnv();
+  const std::uint64_t maxCycles = scale == ScalePreset::Paper ? 8'000'000 : 150'000;
   const TorusTopology topo(8, 2);
   struct Entry {
     const char* name;
@@ -34,8 +36,8 @@ std::vector<SweepPoint> buildFig5() {
         cfg.routing = mode;
         cfg.faults.regions.push_back(region.spec);
         cfg.seed = 3000;
-        bench::applyEnvScale(cfg);
-        cfg.maxCycles = scaleFromEnv() == ScalePreset::Paper ? 8'000'000 : 150'000;
+        applyScale(cfg, scale);
+        cfg.maxCycles = maxCycles;
         char label[96];
         std::snprintf(label, sizeof label, "%s/%s/l%.4f",
                       mode == RoutingMode::Adaptive ? "adp" : "det", region.name, rate);

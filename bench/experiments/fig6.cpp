@@ -13,6 +13,7 @@ namespace swft {
 namespace {
 
 std::vector<SweepPoint> buildFig6() {
+  const std::uint64_t cycles = scaleFromEnv() == ScalePreset::Paper ? 400'000 : 60'000;
   std::vector<SweepPoint> points;
   for (const RoutingMode mode : {RoutingMode::Deterministic, RoutingMode::Adaptive}) {
     for (int nf = 0; nf <= 11; ++nf) {
@@ -26,8 +27,7 @@ std::vector<SweepPoint> buildFig6() {
       cfg.routing = mode;
       cfg.faults.randomNodes = nf;
       cfg.seed = 4000 + static_cast<std::uint64_t>(nf);
-      bench::makeFixedDuration(cfg,
-                               scaleFromEnv() == ScalePreset::Paper ? 400'000 : 60'000);
+      bench::makeFixedDuration(cfg, cycles);
       char label[64];
       std::snprintf(label, sizeof label, "%s/nf%d",
                     mode == RoutingMode::Adaptive ? "adp" : "det", nf);

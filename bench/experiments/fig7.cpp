@@ -14,6 +14,7 @@ namespace swft {
 namespace {
 
 std::vector<SweepPoint> buildFig7() {
+  const std::uint64_t cycles = scaleFromEnv() == ScalePreset::Paper ? 200'000 : 30'000;
   std::vector<SweepPoint> points;
   for (const RoutingMode mode : {RoutingMode::Deterministic, RoutingMode::Adaptive}) {
     for (const double rate : {0.0070, 0.0100}) {
@@ -28,8 +29,7 @@ std::vector<SweepPoint> buildFig7() {
         cfg.routing = mode;
         cfg.faults.randomNodes = nf;
         cfg.seed = 5000 + static_cast<std::uint64_t>(nf);
-        bench::makeFixedDuration(cfg,
-                                 scaleFromEnv() == ScalePreset::Paper ? 200'000 : 30'000);
+        bench::makeFixedDuration(cfg, cycles);
         char label[64];
         std::snprintf(label, sizeof label, "%s/rate%d/nf%d",
                       mode == RoutingMode::Adaptive ? "adp" : "det",

@@ -10,6 +10,7 @@ namespace swft {
 namespace {
 
 std::vector<SweepPoint> buildGrid() {
+  const ScalePreset scale = scaleFromEnv();
   std::vector<SweepPoint> points;
   for (const int nf : {0, 5}) {
     for (const double rate : rateGrid(0.010, 5)) {
@@ -22,7 +23,7 @@ std::vector<SweepPoint> buildGrid() {
       cfg.injectionRate = rate;
       cfg.faults.randomNodes = nf;
       cfg.seed = 9000 + static_cast<std::uint64_t>(nf);
-      bench::applyEnvScale(cfg);
+      applyScale(cfg, scale);
       cfg.maxCycles = 300'000;
       char label[64];
       std::snprintf(label, sizeof label, "nf%d/l%.4f", nf, rate);

@@ -12,6 +12,8 @@ namespace swft {
 namespace {
 
 std::vector<SweepPoint> buildScanRadix() {
+  const ScalePreset scale = scaleFromEnv();
+  const std::uint64_t maxCycles = scale == ScalePreset::Paper ? 2'000'000 : 200'000;
   struct Machine {
     int radix;
     int dims;
@@ -44,8 +46,8 @@ std::vector<SweepPoint> buildScanRadix() {
         cfg.pattern = pattern;
         cfg.routing = mode;
         cfg.seed = 11000 + static_cast<std::uint64_t>(m.radix * 10 + m.dims);
-        bench::applyEnvScale(cfg);
-        cfg.maxCycles = scaleFromEnv() == ScalePreset::Paper ? 2'000'000 : 200'000;
+        applyScale(cfg, scale);
+        cfg.maxCycles = maxCycles;
         char label[96];
         std::snprintf(label, sizeof label, "k%02d/n%d/%s/%s", m.radix, m.dims,
                       std::string(trafficPatternName(pattern)).c_str(),

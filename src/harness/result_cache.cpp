@@ -31,7 +31,7 @@ void put(std::string& out, bool v) { out += v ? '1' : '0'; }
 void appendResult(std::string& out, const SimResult& r) {
   out += kResultMagic;
   out += '\n';
-  forEachResultField(r, [&out](std::string_view name, const auto& v) {
+  forEachResultField(r, [&out](std::string_view name, std::string_view, const auto& v) {
     out += name;
     out += ' ';
     put(out, v);
@@ -132,7 +132,9 @@ std::optional<SimResult> deserializeResult(std::string_view text) {
   if (!takeLine(text, magic) || magic != kResultMagic) return std::nullopt;
   FieldReader f{text};
   SimResult r;
-  forEachResultField(r, [&f](std::string_view name, auto& v) { f.read(name, v); });
+  forEachResultField(r, [&f](std::string_view name, std::string_view, auto& v) {
+    f.read(name, v);
+  });
   // The block ends exactly after the last field's line: anything further is
   // a format this reader does not know.
   if (!f.ok || !f.rest.empty()) return std::nullopt;

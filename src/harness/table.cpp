@@ -6,28 +6,22 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "src/fault/fault_set.hpp"
+#include "src/fault/regions.hpp"
+
 namespace swft {
 
 double resultField(const SimResult& r, const std::string& name) {
-  if (name == "latency") return r.meanLatency;
-  if (name == "latency_stddev") return r.latencyStddev;
-  if (name == "latency_p50") return r.latencyP50;
-  if (name == "latency_p95") return r.latencyP95;
-  if (name == "latency_p99") return r.latencyP99;
-  if (name == "latency_ci95") return r.latencyCi95;
-  if (name == "throughput") return r.throughput;
-  if (name == "queued") return static_cast<double>(r.messagesQueued);
-  if (name == "hops") return r.meanHops;
-  if (name == "generated") return static_cast<double>(r.generatedTotal);
-  if (name == "delivered") return static_cast<double>(r.deliveredTotal);
-  if (name == "absorbed") return static_cast<double>(r.absorbedMessages);
-  if (name == "reversals") return static_cast<double>(r.reversals);
-  if (name == "detours") return static_cast<double>(r.detours);
-  if (name == "escalations") return static_cast<double>(r.escalations);
-  if (name == "cycles") return static_cast<double>(r.cycles);
-  if (name == "saturated") return r.saturated ? 1.0 : 0.0;
-  if (name == "offered") return r.offeredLoad;
-  throw std::invalid_argument("resultField: unknown column " + name);
+  double value = 0.0;
+  bool found = false;
+  forEachResultField(r, [&](std::string_view, std::string_view column, const auto& v) {
+    if (!column.empty() && column == name) {
+      value = static_cast<double>(v);
+      found = true;
+    }
+  });
+  if (!found) throw std::invalid_argument("resultField: unknown column " + name);
+  return value;
 }
 
 namespace {
@@ -42,6 +36,18 @@ void appendPadded(std::string& out, std::string_view text, std::size_t width, bo
 }
 
 constexpr std::size_t kCellWidth = 14;
+
+/// The distinct faulty nodes of `c`: its explicit and region nodes, plus its
+/// random faults, which are drawn among the nodes still healthy.
+int faultyNodeCount(const SimConfig& c) {
+  const FaultSpec& f = c.faults;
+  if (f.regions.empty() && f.explicitNodes.empty()) return f.randomNodes;
+  const TorusTopology topo(c.radix, c.dims);
+  FaultSet faults(topo);
+  for (const NodeId id : f.explicitNodes) faults.failNode(id);
+  for (const RegionSpec& region : f.regions) applyRegion(faults, region);
+  return faults.faultyNodeCount() + f.randomNodes;
+}
 
 }  // namespace
 
@@ -83,8 +89,7 @@ CsvWriter toCsv(const std::vector<SweepRow>& rows) {
     const SimConfig& c = row.point.cfg;
     const SimResult& r = row.result;
     csv.addRowOf(row.point.label, routingModeName(c.routing), c.radix, c.dims, c.vcs,
-                 c.messageLength, c.injectionRate,
-                 c.faults.randomNodes + static_cast<int>(c.faults.explicitNodes.size()),
+                 c.messageLength, c.injectionRate, faultyNodeCount(c),
                  r.meanLatency, r.latencyStddev, r.throughput, r.messagesQueued,
                  r.absorbedMessages, r.meanHops, r.cycles, r.deliveredMeasured,
                  r.saturated ? 1 : 0, r.deadlockSuspected ? 1 : 0);

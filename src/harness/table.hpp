@@ -10,15 +10,17 @@
 namespace swft {
 
 /// Render sweep rows as an aligned text table. `columns` selects result
-/// fields by name: latency, throughput, queued, hops, generated, delivered,
-/// absorbed, reversals, detours, escalations, cycles, saturated.
+/// fields by the table column forEachResultField (stats.hpp) gives them:
+/// latency, throughput, queued, hops, generated, delivered, absorbed, ...
 [[nodiscard]] std::string formatTable(const std::vector<SweepRow>& rows,
                                       const std::vector<std::string>& columns);
 
-/// Convert sweep rows into a CSV with the standard column set.
+/// Convert sweep rows into a CSV with the standard column set. Its
+/// faulty_nodes cell counts each distinct explicit, region and random fault.
 [[nodiscard]] CsvWriter toCsv(const std::vector<SweepRow>& rows);
 
-/// Look up one result field by name (used by both emitters).
+/// The result field whose table column is `name`, as a double; throws
+/// std::invalid_argument for a name no field has.
 [[nodiscard]] double resultField(const SimResult& r, const std::string& name);
 
 /// Results directory: $SWFT_RESULTS_DIR, else (unset or empty) "results".

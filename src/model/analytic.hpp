@@ -24,8 +24,13 @@
 //      and each absorption adds an ejection + messaging-layer + re-injection
 //      epoch of roughly (M + Delta + r) cycles, r = mean re-route detour.
 //
-// The model is a *first-order* design tool: tests validate it against the
-// simulator to ~25% below ~60% of saturation and qualitatively beyond.
+// The model is a *first-order* design tool. Fault-free (nf=0), tests
+// validate it against the simulator to ~25% below ~60% of saturation and
+// qualitatively beyond. Under faults it runs low, because it lacks repeat
+// absorptions, detour hops and the load that concentrates around the faults:
+// on the 8-ary 2-cube (V=4, M=32) with nf=5 it reads 19% low at rate 0.002
+// and 25% low at 0.004, and it estimates saturation at 0.027 where the
+// simulator saturates between 0.008 and 0.010. test_model pins these gaps.
 #pragma once
 
 #include "src/sim/config.hpp"

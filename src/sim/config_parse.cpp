@@ -9,6 +9,7 @@
 #include "src/router/flit.hpp"
 #include "src/router/message.hpp"
 #include "src/routing/vc_partition.hpp"
+#include "src/util/text.hpp"
 
 namespace swft {
 
@@ -272,20 +273,67 @@ void validateConfig(const SimConfig& cfg) {
   for (const RegionSpec& r : cfg.faults.regions) validateRegion(cfg, r);
 }
 
+namespace {
+
+// One appendValue per SimConfig member type, in the grammar parseValue
+// reads. Doubles are written in shortest round-trip form, so the value
+// parses back to the same bits.
+template <DecimalInteger T>
+void appendValue(std::string& out, T v) {
+  appendDecimal(out, v);
+}
+
+void appendValue(std::string& out, double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+void appendValue(std::string& out, bool v) { out += v ? '1' : '0'; }
+
+void appendValue(std::string& out, TrafficPattern p) { out += trafficPatternName(p); }
+
+void appendValue(std::string& out, RoutingMode m) { out += routingModeName(m); }
+
+void appendValue(std::string& out, const RegionSpec& r) {
+  out += regionShapeName(r.shape);
+  out += ':';
+  appendDecimal(out, r.extent0);
+  out += 'x';
+  appendDecimal(out, r.extent1);
+  for (int d = 0; d < r.anchor.dims(); ++d) {
+    out += d == 0 ? '@' : ',';
+    appendDecimal(out, r.anchor[d]);
+  }
+  if (r.dim0 != 0 || r.dim1 != 1) {
+    out += '/';
+    appendDecimal(out, r.dim0);
+    out += ',';
+    appendDecimal(out, r.dim1);
+  }
+}
+
+}  // namespace
+
 std::string describeConfig(const SimConfig& cfg) {
-  std::ostringstream os;
-  os << cfg.radix << "-ary " << cfg.dims << "-cube, " << routingModeName(cfg.routing)
-     << " routing, V=" << cfg.vcs << ", M=" << cfg.messageLength
-     << ", lambda=" << cfg.injectionRate << ", traffic=" << trafficPatternName(cfg.pattern);
-  if (cfg.pattern == TrafficPattern::Hotspot) {
-    os << " (fraction " << cfg.hotspotFraction << ")";
-  }
-  os << ", nf=" << cfg.faults.randomNodes;
-  if (!cfg.faults.regions.empty()) {
-    os << ", regions=" << cfg.faults.regions.size();
-  }
-  os << ", Delta=" << cfg.reinjectDelay << ", seed=" << cfg.seed;
-  return os.str();
+  std::string line;
+  forEachConfigField(cfg, [&line](auto parseKey, auto, const auto& member) {
+    if constexpr (!std::is_null_pointer_v<decltype(parseKey)>) {
+      const auto assign = [&](const auto& value) {
+        if (!line.empty()) line += ' ';
+        line += parseKey;
+        line += '=';
+        appendValue(line, value);
+      };
+      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(member)>,
+                                   std::vector<RegionSpec>>) {
+        for (const RegionSpec& r : member) assign(r);
+      } else {
+        assign(member);
+      }
+    }
+  });
+  return line;
 }
 
 }  // namespace swft

@@ -4,7 +4,8 @@
 // all are optional, defaults from SimConfig. Values: integers and numbers in
 // full (std::from_chars), routing det|adaptive, traffic a pattern name
 // (patterns.hpp), phase_timers 0|1, region shape:e0xe1[@x,y][/p,q]
-// (repeatable; `/p,q` is the region's plane, default 0,1).
+// (repeatable; `/p,q` is the region's plane, default 0,1). describeConfig
+// writes a config back in this grammar, every parse key included.
 #pragma once
 
 #include <span>
@@ -40,7 +41,13 @@ SimConfig parseConfig(std::span<const std::string> assignments,
 /// constructor (before it builds anything) both call it.
 void validateConfig(const SimConfig& cfg);
 
-/// One-line human-readable summary of a configuration.
+/// `cfg` as the command line that reproduces it: one `key=value` per parse
+/// key of forEachConfigField, in that order, separated by single spaces;
+/// doubles in shortest round-trip form; one `region=` per region, with the
+/// `/p,q` suffix only off the default plane. Fields without a parse key are
+/// left out: explicitNodes, explicitLinks, deadlockWindow, engine and
+/// simThreads. Where those hold their defaults, parseConfig of the line
+/// split on spaces has `cfg`'s canonical key (config_canon.hpp).
 [[nodiscard]] std::string describeConfig(const SimConfig& cfg);
 
 }  // namespace swft

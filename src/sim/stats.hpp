@@ -206,9 +206,10 @@ struct SimResult {
   bool completed = false;          // reached the measured-message target
 };
 
-/// The one list of SimResult's fields: calls `f(name, member)` once per
-/// field, in declaration order, with the field's result-cache name. `R` is
-/// SimResult or const SimResult. The structured binding names every member,
+/// The one list of SimResult's fields: calls `f(name, column, member)` once
+/// per field, in declaration order, with the field's result-cache name and
+/// its table column (resultField, table.hpp), empty for a field that has no
+/// column. `R` is SimResult or const SimResult. The structured binding names every member,
 /// so a field added to or removed from the struct without this list changing
 /// is a compile error, not a field that silently goes unserialized or
 /// uncompared.
@@ -220,28 +221,28 @@ void forEachResultField(R& r, F&& f) {
          latencyCi95, meanHops, cycles, generatedTotal, deliveredTotal, deliveredMeasured,
          throughput, offeredLoad, messagesQueued, absorbedMessages, reversals, detours,
          escalations, saturated, deadlockSuspected, completed] = r;
-  f("mean_latency"sv, meanLatency);
-  f("latency_stddev"sv, latencyStddev);
-  f("max_latency"sv, maxLatency);
-  f("latency_p50"sv, latencyP50);
-  f("latency_p95"sv, latencyP95);
-  f("latency_p99"sv, latencyP99);
-  f("latency_ci95"sv, latencyCi95);
-  f("mean_hops"sv, meanHops);
-  f("cycles"sv, cycles);
-  f("generated_total"sv, generatedTotal);
-  f("delivered_total"sv, deliveredTotal);
-  f("delivered_measured"sv, deliveredMeasured);
-  f("throughput"sv, throughput);
-  f("offered_load"sv, offeredLoad);
-  f("messages_queued"sv, messagesQueued);
-  f("absorbed_messages"sv, absorbedMessages);
-  f("reversals"sv, reversals);
-  f("detours"sv, detours);
-  f("escalations"sv, escalations);
-  f("saturated"sv, saturated);
-  f("deadlock_suspected"sv, deadlockSuspected);
-  f("completed"sv, completed);
+  f("mean_latency"sv, "latency"sv, meanLatency);
+  f("latency_stddev"sv, "latency_stddev"sv, latencyStddev);
+  f("max_latency"sv, ""sv, maxLatency);
+  f("latency_p50"sv, "latency_p50"sv, latencyP50);
+  f("latency_p95"sv, "latency_p95"sv, latencyP95);
+  f("latency_p99"sv, "latency_p99"sv, latencyP99);
+  f("latency_ci95"sv, "latency_ci95"sv, latencyCi95);
+  f("mean_hops"sv, "hops"sv, meanHops);
+  f("cycles"sv, "cycles"sv, cycles);
+  f("generated_total"sv, "generated"sv, generatedTotal);
+  f("delivered_total"sv, "delivered"sv, deliveredTotal);
+  f("delivered_measured"sv, ""sv, deliveredMeasured);
+  f("throughput"sv, "throughput"sv, throughput);
+  f("offered_load"sv, "offered"sv, offeredLoad);
+  f("messages_queued"sv, "queued"sv, messagesQueued);
+  f("absorbed_messages"sv, "absorbed"sv, absorbedMessages);
+  f("reversals"sv, "reversals"sv, reversals);
+  f("detours"sv, "detours"sv, detours);
+  f("escalations"sv, "escalations"sv, escalations);
+  f("saturated"sv, "saturated"sv, saturated);
+  f("deadlock_suspected"sv, ""sv, deadlockSuspected);
+  f("completed"sv, ""sv, completed);
 }
 
 }  // namespace swft

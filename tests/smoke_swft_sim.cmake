@@ -46,6 +46,45 @@ if(NOT row MATCHES ",0$")
   message(FATAL_ERROR "deadlock column should be 0 on a clean run: ${row}")
 endif()
 
+# The human report's `config:` line is a command line that reproduces the
+# run: fed back to swft_sim --csv, it gives the original arguments' CSV row
+# byte for byte. The region lies off the default plane, and the rate needs
+# all 17 significant digits to parse back to the same double.
+set(roundTripArgs k=4 n=3 vcs=4 msg_length=8 buffer_depth=2
+    rate=0.0023333333333333335 routing=adaptive region=rect:2x2@1,1,1/0,2 nf=1
+    warmup=50 measured=300 seed=7)
+execute_process(
+  COMMAND ${SWFT_SIM} ${roundTripArgs}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE report
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "swft_sim ${roundTripArgs} exited with ${rc}\nstderr: ${err}")
+endif()
+if(NOT report MATCHES "config: ([^\n]*)")
+  message(FATAL_ERROR "swft_sim report has no config: line:\n${report}")
+endif()
+set(configLine "${CMAKE_MATCH_1}")
+string(REPLACE " " ";" configArgs "${configLine}")
+set(roundTripRows "")
+foreach(argsVar roundTripArgs configArgs)
+  execute_process(
+    COMMAND ${SWFT_SIM} --csv ${${argsVar}}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE csvOut
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "swft_sim --csv ${${argsVar}} exited with ${rc}\nstderr: ${err}")
+  endif()
+  list(APPEND roundTripRows "${csvOut}")
+endforeach()
+list(GET roundTripRows 0 originalRow)
+list(GET roundTripRows 1 replayedRow)
+if(NOT originalRow STREQUAL replayedRow)
+  message(FATAL_ERROR "the config: line does not reproduce the run\n"
+          "config: ${configLine}\noriginal:\n${originalRow}\nreplayed:\n${replayedRow}")
+endif()
+
 # Rejected configurations exit 2 before simulating, naming the bad key on
 # stderr. No key selects an engine or its thread count, a router decision
 # time Td and a Delta must both stay below the deadlock watchdog window (a

@@ -13,6 +13,7 @@
 //
 // Anything else — an exception of another type, invalid_argument escaping
 // the constructor (a range validateConfig missed), a crash, a hang — fails.
+// Every accepted list's describeConfig line must also parse back to it.
 // Valid draws stay small (k <= 6 when drawn, n <= 3) so each case builds in
 // milliseconds. The seed is fixed; a failure prints the list so it can be
 // pasted onto a swft_sim command line.
@@ -30,6 +31,7 @@
 #include "src/sim/config_parse.hpp"
 #include "src/sim/network.hpp"
 #include "src/util/rng.hpp"
+#include "tests/config_round_trip.hpp"
 
 namespace swft {
 namespace {
@@ -175,6 +177,9 @@ TEST(ConfigFuzz, EveryListIsRejectedOrRuns) {
     }
     // Parse-accepted configs also pass validateConfig when built in code.
     ASSERT_NO_THROW(validateConfig(cfg)) << repro;
+    // And describeConfig writes each one back as a command line that parses
+    // to it, regions off the default plane included.
+    expectDescribeRoundTrips(cfg, repro);
     try {
       Network net(cfg);
       net.step(kCycles);

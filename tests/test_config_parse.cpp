@@ -8,6 +8,7 @@
 
 #include "src/sim/config_canon.hpp"
 #include "src/sim/network.hpp"
+#include "tests/config_round_trip.hpp"
 
 namespace swft {
 namespace {
@@ -352,12 +353,19 @@ TEST(ConfigParse, NetworkValidatesBeforeBuildingFaults) {
   }
 }
 
-TEST(ConfigParse, DescribeMentionsKeyFacts) {
-  const SimConfig cfg = parse({"k=8", "n=3", "routing=adaptive", "nf=12"});
-  const std::string desc = describeConfig(cfg);
-  EXPECT_NE(desc.find("8-ary 3-cube"), std::string::npos);
-  EXPECT_NE(desc.find("adaptive"), std::string::npos);
-  EXPECT_NE(desc.find("nf=12"), std::string::npos);
+TEST(ConfigParse, DescribeIsTheCommandLine) {
+  // Every parse key in forEachConfigField's order, the rate in shortest
+  // round-trip form, one region= per region with its plane off (0,1).
+  const SimConfig cfg = parse({"k=8", "n=3", "routing=adaptive", "nf=12", "buffer_depth=2",
+                               "rate=0.0023333333333333335", "region=rect:2x2@1,1,1",
+                               "region=U:4x3@2,2,0/0,2"});
+  EXPECT_EQ(describeConfig(cfg),
+            "k=8 n=3 vcs=4 escape_vcs=2 buffer_depth=2 td=0 msg_length=32 "
+            "rate=0.0023333333333333335 traffic=uniform hotspot_fraction=0.1 "
+            "routing=adaptive delta=0 livelock_threshold=96 nf=12 region=rect:2x2@1,1,1 "
+            "region=U:4x3@2,2,0/0,2 warmup=2000 measured=8000 max_cycles=1500000 seed=1 "
+            "phase_timers=0");
+  expectDescribeRoundTrips(cfg);
 }
 
 TEST(ConfigParse, ParsedConfigRunsEndToEnd) {

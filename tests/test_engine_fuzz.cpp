@@ -11,12 +11,12 @@
 // bit-identical SimResults: every field, doubles by bit pattern, no tolerance.
 //
 // On a mismatch the failing point is printed as a ready-to-paste
-// `swft_sim`-style key=value string (the config_parse.hpp grammar) so a
-// failure in CI can be reproduced in one command without re-running the
-// fuzzer. The string is exact: it names every parse key and writes doubles
-// in shortest round-trip form, and ReproParsesBackToTheDrawnConfig checks
-// that it parses back to each draw's canonical key. A sparse-mt mismatch
-// names its domain thread count beside that string; no config key selects
+// `swft_sim` command line (describeConfig, config_parse.hpp) so a failure in
+// CI can be reproduced in one command without re-running the fuzzer. The
+// line is exact: it names every parse key and writes doubles in shortest
+// round-trip form, and ReproParsesBackToTheDrawnConfig checks that it
+// parses back to each draw's canonical key. A sparse-mt mismatch
+// names its domain thread count beside that line; no config key selects
 // sparse-mt, so it is not pasteable.
 //
 // At the default knobs the suite also pins a digest of every sparse result
@@ -33,13 +33,9 @@
 
 #include <gtest/gtest.h>
 
-#include <charconv>
 #include <cstdlib>
 #include <string>
-#include <type_traits>
-#include <vector>
 
-#include "src/fault/regions.hpp"
 #include "src/harness/result_cache.hpp"
 #include "src/sim/config.hpp"
 #include "src/sim/config_canon.hpp"
@@ -49,7 +45,7 @@
 #include "src/traffic/patterns.hpp"
 #include "src/util/fnv.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/text.hpp"
+#include "tests/config_round_trip.hpp"
 #include "tests/result_compare.hpp"
 
 namespace swft {
@@ -61,77 +57,6 @@ std::uint64_t envU64(const char* name, std::uint64_t fallback) {
   char* end = nullptr;
   const std::uint64_t parsed = std::strtoull(v, &end, 10);
   return (end == v) ? fallback : parsed;
-}
-
-// One repro value per SimConfig member type, in the config_parse.hpp
-// grammar. Doubles are written in shortest round-trip form, so the value
-// parses back to the same bits.
-template <DecimalInteger T>
-void appendReproValue(std::string& out, T v) {
-  appendDecimal(out, v);
-}
-
-void appendReproValue(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void appendReproValue(std::string& out, bool v) { out += v ? '1' : '0'; }
-
-void appendReproValue(std::string& out, TrafficPattern p) { out += trafficPatternName(p); }
-
-void appendReproValue(std::string& out, RoutingMode m) { out += routingModeName(m); }
-
-void appendReproValue(std::string& out, const RegionSpec& r) {
-  out += regionShapeName(r.shape);
-  out += ':';
-  appendDecimal(out, r.extent0);
-  out += 'x';
-  appendDecimal(out, r.extent1);
-  for (int d = 0; d < r.anchor.dims(); ++d) {
-    out += d == 0 ? '@' : ',';
-    appendDecimal(out, r.anchor[d]);
-  }
-  if (r.dim0 != 0 || r.dim1 != 1) {
-    out += '/';
-    appendDecimal(out, r.dim0);
-    out += ',';
-    appendDecimal(out, r.dim1);
-  }
-}
-
-/// `cfg` as one `key=value` assignment per parse key of forEachConfigField
-/// (one per region), ready to paste onto a swft_sim command line or to feed
-/// back through parseConfig.
-std::vector<std::string> reproAssignments(const SimConfig& cfg) {
-  std::vector<std::string> out;
-  forEachConfigField(cfg, [&out](auto parseKey, auto, const auto& member) {
-    if constexpr (!std::is_null_pointer_v<decltype(parseKey)>) {
-      const auto assign = [&](const auto& value) {
-        std::string a(parseKey);
-        a += '=';
-        appendReproValue(a, value);
-        out.push_back(std::move(a));
-      };
-      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(member)>,
-                                   std::vector<RegionSpec>>) {
-        for (const RegionSpec& r : member) assign(r);
-      } else {
-        assign(member);
-      }
-    }
-  });
-  return out;
-}
-
-std::string reproString(const SimConfig& cfg) {
-  std::string line;
-  for (const std::string& a : reproAssignments(cfg)) {
-    if (!line.empty()) line += ' ';
-    line += a;
-  }
-  return line;
 }
 
 /// Draw one random-but-bounded configuration. Node counts stay <= ~256 and
@@ -197,9 +122,7 @@ TEST(EngineFuzz, ReproParsesBackToTheDrawnConfig) {
   const std::uint64_t configs = envU64("SWFT_FUZZ_CONFIGS", kDefaultConfigs);
   const std::uint64_t baseSeed = envU64("SWFT_FUZZ_SEED", kDefaultSeed);
   for (std::uint64_t i = 0; i < configs; ++i) {
-    const SimConfig cfg = drawConfig(baseSeed, i);
-    EXPECT_EQ(canonicalConfigKey(parseConfig(reproAssignments(cfg))), canonicalConfigKey(cfg))
-        << "fuzz index " << i << ": " << reproString(cfg);
+    expectDescribeRoundTrips(drawConfig(baseSeed, i), "fuzz index " + std::to_string(i));
   }
 }
 
@@ -215,7 +138,7 @@ TEST(EngineFuzz, SparseMatchesDenseOnRandomConfigs) {
   for (std::uint64_t i = 0; i < configs; ++i) {
     SimConfig cfg = drawConfig(baseSeed, i);
     const std::string repro =
-        "repro: " + reproString(cfg) + "  (fuzz index " + std::to_string(i) +
+        "repro: " + describeConfig(cfg) + "  (fuzz index " + std::to_string(i) +
         ", SWFT_FUZZ_SEED=" + std::to_string(baseSeed) + ")";
 
     // simThreads axis for the sparse-mt run: rotate through single-domain,

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include "src/harness/table.hpp"
 #include "src/sim/config_canon.hpp"
 #include "src/util/fnv.hpp"
+#include "tests/config_round_trip.hpp"
 #include "tests/naming.hpp"
 
 namespace swft {
@@ -102,6 +105,49 @@ TEST(ExperimentRegistry, SmokeScaleRowsPinnedToSemanticsVersion) {
       << "the smoke-scale experiment rows changed (digest 0x" << std::hex << digest
       << "): re-record this digest AND bump kEngineSemanticsVersion "
          "(src/sim/config_canon.hpp)";
+}
+
+// Every registered grid point's label and canonical config key, at the
+// default scale and at SWFT_SCALE=paper. The smoke-scale digest above
+// overwrites the scale fields before it hashes, so only this test notices a
+// builder change that moves a point's warm-up, measured count or cycle cap.
+TEST(ExperimentRegistry, GridConfigsPinned) {
+  const char* before = std::getenv("SWFT_SCALE");
+  const std::optional<std::string> saved =
+      before != nullptr ? std::optional<std::string>(before) : std::nullopt;
+  const auto gridDigest = [] {
+    std::uint64_t digest = kFnv1a64OffsetBasis;
+    for (const ExperimentSpec* spec : ExperimentRegistry::instance().all()) {
+      for (const SweepPoint& p : spec->build()) {
+        digest = fnv1a64(p.label + canonicalConfigKey(p.cfg), digest);
+      }
+    }
+    return digest;
+  };
+  ::unsetenv("SWFT_SCALE");
+  const std::uint64_t reduced = gridDigest();
+  ::setenv("SWFT_SCALE", "paper", 1);
+  const std::uint64_t paper = gridDigest();
+  if (saved) {
+    ::setenv("SWFT_SCALE", saved->c_str(), 1);
+  } else {
+    ::unsetenv("SWFT_SCALE");
+  }
+  EXPECT_EQ(reduced, 0x2b9738f723f89234ULL)
+      << "default-scale grids changed (digest 0x" << std::hex << reduced << ")";
+  EXPECT_EQ(paper, 0xd7d64366a877c0e4ULL)
+      << "paper-scale grids changed (digest 0x" << std::hex << paper << ")";
+}
+
+// The sibling of EngineFuzz.ReproParsesBackToTheDrawnConfig: every grid
+// point's describeConfig line (the command line swft_sim prints) parses
+// back to the point's canonical key. fig5 brings regions.
+TEST(ExperimentRegistry, DescribeConfigParsesBackForEveryGridPoint) {
+  for (const ExperimentSpec* spec : ExperimentRegistry::instance().all()) {
+    for (const SweepPoint& p : spec->build()) {
+      expectDescribeRoundTrips(p.cfg, spec->name + "/" + p.label);
+    }
+  }
 }
 
 // ---- sharding -------------------------------------------------------------

@@ -143,5 +143,52 @@ INSTANTIATE_TEST_SUITE_P(
                       std::to_string(static_cast<int>(p.rate * 10000))});
     });
 
+// Under faults the model runs low: it has no repeat absorptions, no detour
+// hops and no load that concentrates around the faults. These checks pin its
+// error at the model_vs_sim grid's nf=5 points (that grid's seed and the
+// default scale), so a change on either side shows here.
+SimConfig fiveFaultPoint(double rate) {
+  SimConfig cfg;
+  cfg.radix = 8;
+  cfg.dims = 2;
+  cfg.vcs = 4;
+  cfg.messageLength = 32;
+  cfg.injectionRate = rate;
+  cfg.faults.randomNodes = 5;
+  cfg.seed = 9005;
+  applyScale(cfg, ScalePreset::Reduced);
+  cfg.maxCycles = 300'000;
+  return cfg;
+}
+
+TEST(ModelVsSimFaulted, SignedErrorPinnedAtFiveFaults) {
+  struct Band {
+    double rate, minError, maxError;  // (model - sim) / sim
+  };
+  for (const Band& b : {Band{0.002, -0.24, -0.14}, Band{0.004, -0.30, -0.20}}) {
+    const SimConfig cfg = fiveFaultPoint(b.rate);
+    const SimResult sim = runSimulation(cfg);
+    ASSERT_TRUE(sim.completed);
+    const ModelResult model = analyticLatency(cfg);
+    ASSERT_FALSE(model.saturated);
+    const double error = (model.meanLatency - sim.meanLatency) / sim.meanLatency;
+    EXPECT_GE(error, b.minError) << "rate " << b.rate << ": model " << model.meanLatency
+                                 << " vs sim " << sim.meanLatency;
+    EXPECT_LE(error, b.maxError) << "rate " << b.rate << ": model " << model.meanLatency
+                                 << " vs sim " << sim.meanLatency;
+  }
+}
+
+TEST(ModelVsSimFaulted, SaturationEstimateAtLeastTwiceASaturatedRate) {
+  // The simulator's knee lies between 0.008 and 0.010; the model puts it
+  // near 0.027, because the load around the faults is not in it.
+  const SimConfig cfg = fiveFaultPoint(0.012);
+  const SimResult sim = runSimulation(cfg);
+  EXPECT_TRUE(sim.saturated) << "accepted " << sim.throughput;
+  const ModelResult model = analyticLatency(cfg);
+  EXPECT_FALSE(model.saturated);
+  EXPECT_GE(model.saturationRate, 2.0 * cfg.injectionRate) << model.saturationRate;
+}
+
 }  // namespace
 }  // namespace swft

@@ -96,7 +96,9 @@ std::vector<std::string> textLines(const std::string& text) {
 TEST(ResultSerialization, EveryFieldReachesTheText) {
   const SimResult none;
   std::vector<std::string> names;
-  forEachResultField(none, [&](std::string_view name, const auto&) { names.emplace_back(name); });
+  forEachResultField(none, [&](std::string_view name, std::string_view, const auto&) {
+    names.emplace_back(name);
+  });
   EXPECT_EQ(names.size(), 22u);
   EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), 22u);
 
@@ -105,7 +107,7 @@ TEST(ResultSerialization, EveryFieldReachesTheText) {
     SCOPED_TRACE(names[i]);
     SimResult r;
     std::size_t at = 0;
-    forEachResultField(r, [&](std::string_view, auto& v) {
+    forEachResultField(r, [&](std::string_view, std::string_view, auto& v) {
       if (at++ != i) return;
       using T = std::remove_reference_t<decltype(v)>;
       if constexpr (std::is_same_v<T, double>) {

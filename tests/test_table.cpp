@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/fault/regions.hpp"
 #include "src/util/fnv.hpp"
 
 namespace swft {
@@ -31,6 +32,44 @@ TEST(Table, ResultFieldLookup) {
   EXPECT_EQ(resultField(row.result, "saturated"), 0.0);
   EXPECT_THROW(static_cast<void>(resultField(row.result, "nonsense")),
                std::invalid_argument);
+}
+
+/// The faulty_nodes cell of `cfg`'s CSV row.
+std::string csvFaultyNodes(const SimConfig& cfg) {
+  SweepRow row;
+  row.point.label = "p";
+  row.point.cfg = cfg;
+  const std::string text = toCsv({row}).str();
+  std::string cell;
+  std::size_t at = text.find('\n') + 1;
+  for (int i = 0; i <= 7; ++i) {  // faulty_nodes is the eighth column
+    const std::size_t comma = text.find(',', at);
+    cell = text.substr(at, comma - at);
+    at = comma + 1;
+  }
+  return cell;
+}
+
+TEST(Table, CsvFaultyNodesCountsEveryDistinctFault) {
+  const TorusTopology topo(8, 2);
+  // A Fig. 5 point: one 16-node plus region, no random faults.
+  SimConfig fig5;
+  fig5.vcs = 10;
+  fig5.faults.regions.push_back(fig5Plus16(topo));
+  EXPECT_EQ(csvFaultyNodes(fig5), std::to_string(Network(fig5).faults().faultyNodeCount()));
+  EXPECT_EQ(csvFaultyNodes(fig5), "16");
+
+  // An explicit node inside a region counts once, one outside it counts, and
+  // the random faults land on nodes still healthy.
+  SimConfig overlap;
+  overlap.faults.regions.push_back(fig5U8(topo));
+  FaultSet region(topo);
+  const std::vector<NodeId> inside = applyRegion(region, overlap.faults.regions[0]);
+  overlap.faults.explicitNodes = {inside[0], region.healthyNodes()[0]};
+  overlap.faults.randomNodes = 3;
+  EXPECT_EQ(csvFaultyNodes(overlap),
+            std::to_string(Network(overlap).faults().faultyNodeCount()));
+  EXPECT_EQ(csvFaultyNodes(overlap), "12");
 }
 
 TEST(Table, FormatContainsLabelsAndValues) {
