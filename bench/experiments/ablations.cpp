@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "bench/experiments/experiment_common.hpp"
+#include "src/util/text.hpp"
 
 namespace swft {
 namespace {
@@ -16,26 +17,24 @@ std::vector<SweepPoint> buildVcPartition() {
   for (const int vcs : {6, 10}) {
     for (const int escape : {2, 4}) {
       for (const int nf : {0, 5}) {
-        for (const double rate : rateGrid(0.016, 4)) {
-          SweepPoint p;
-          SimConfig& cfg = p.cfg;
-          cfg.radix = 8;
-          cfg.dims = 2;
-          cfg.vcs = vcs;
-          cfg.escapeVcs = escape;
-          cfg.messageLength = 32;
-          cfg.injectionRate = rate;
-          cfg.routing = RoutingMode::Adaptive;
-          cfg.faults.randomNodes = nf;
-          cfg.seed = 6000 + static_cast<std::uint64_t>(nf);
-          applyScale(cfg, scale);
-          cfg.maxCycles = 300'000;
-          char label[64];
-          std::snprintf(label, sizeof label, "V%d/esc%d/nf%d/l%.4f", vcs, escape, nf,
-                        rate);
-          p.label = label;
-          points.push_back(std::move(p));
-        }
+        SimConfig cfg;
+        cfg.radix = 8;
+        cfg.dims = 2;
+        cfg.vcs = vcs;
+        cfg.escapeVcs = escape;
+        cfg.messageLength = 32;
+        cfg.routing = RoutingMode::Adaptive;
+        cfg.faults.randomNodes = nf;
+        cfg.seed = 6000 + static_cast<std::uint64_t>(nf);
+        applyScale(cfg, scale);
+        cfg.maxCycles = 300'000;
+        std::string prefix = "V";
+        appendDecimal(prefix, vcs);
+        prefix += "/esc";
+        appendDecimal(prefix, escape);
+        prefix += "/nf";
+        appendDecimal(prefix, nf);
+        bench::appendRateCurve(points, cfg, prefix, 0.016, 4);
       }
     }
   }
@@ -65,8 +64,7 @@ std::vector<SweepPoint> buildReinjection() {
       applyScale(cfg, scale);
       cfg.maxCycles = 300'000;
       char label[64];
-      std::snprintf(label, sizeof label, "%s/delta%d",
-                    mode == RoutingMode::Adaptive ? "adp" : "det", delta);
+      std::snprintf(label, sizeof label, "%s/delta%d", bench::modeTag(mode), delta);
       p.label = label;
       points.push_back(std::move(p));
     }
@@ -81,25 +79,20 @@ std::vector<SweepPoint> buildBufferDepth() {
   const ScalePreset scale = scaleFromEnv();
   std::vector<SweepPoint> points;
   for (const int depth : {1, 2, 4, 8, 16}) {
-    for (const double rate : rateGrid(0.014, 4)) {
-      SweepPoint p;
-      SimConfig& cfg = p.cfg;
-      cfg.radix = 8;
-      cfg.dims = 2;
-      cfg.vcs = 4;
-      cfg.bufferDepth = depth;
-      cfg.messageLength = 32;
-      cfg.injectionRate = rate;
-      cfg.routing = RoutingMode::Deterministic;
-      cfg.faults.randomNodes = 3;
-      cfg.seed = 8000;
-      applyScale(cfg, scale);
-      cfg.maxCycles = 300'000;
-      char label[64];
-      std::snprintf(label, sizeof label, "B%d/l%.4f", depth, rate);
-      p.label = label;
-      points.push_back(std::move(p));
-    }
+    SimConfig cfg;
+    cfg.radix = 8;
+    cfg.dims = 2;
+    cfg.vcs = 4;
+    cfg.bufferDepth = depth;
+    cfg.messageLength = 32;
+    cfg.routing = RoutingMode::Deterministic;
+    cfg.faults.randomNodes = 3;
+    cfg.seed = 8000;
+    applyScale(cfg, scale);
+    cfg.maxCycles = 300'000;
+    std::string prefix = "B";
+    appendDecimal(prefix, depth);
+    bench::appendRateCurve(points, cfg, prefix, 0.014, 4);
   }
   return points;
 }

@@ -9,6 +9,9 @@
 // builder reads it once per grid (scaleFromEnv) and passes it to applyScale.
 #pragma once
 
+#include <charconv>
+#include <string_view>
+
 #include "src/harness/experiment_registry.hpp"
 #include "src/harness/sweep.hpp"
 #include "src/sim/network.hpp"
@@ -21,6 +24,30 @@ inline void makeFixedDuration(SimConfig& cfg, std::uint64_t cycles) {
   cfg.warmupMessages = 0;
   cfg.measuredMessages = ~std::uint32_t{0};
   cfg.maxCycles = cycles;
+}
+
+/// The routing-mode tag that leads an experiment label.
+inline const char* modeTag(RoutingMode mode) {
+  return mode == RoutingMode::Adaptive ? "adp" : "det";
+}
+
+/// Appends one latency-vs-rate curve (Figs. 3–5 and the ablations): `base`
+/// at each rate of rateGrid(maxRate, steps), labelled `<prefix>/l<rate>`.
+/// The rate is written by to_chars in fixed form at precision 4, the bytes
+/// "%.4f" writes.
+inline void appendRateCurve(std::vector<SweepPoint>& points, const SimConfig& base,
+                            std::string_view prefix, double maxRate, int steps) {
+  for (const double rate : rateGrid(maxRate, steps)) {
+    SweepPoint& p = points.emplace_back();
+    p.cfg = base;
+    p.cfg.injectionRate = rate;
+    p.label.reserve(prefix.size() + 16);
+    p.label += prefix;
+    p.label += "/l";
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, rate, std::chars_format::fixed, 4);
+    p.label.append(buf, res.ptr);
+  }
 }
 
 }  // namespace swft::bench

@@ -17,6 +17,14 @@ namespace {
 
 constexpr int kFaultGrid[] = {0, 4, 8, 12, 16};
 
+/// A point's label; the epilogue finds each point's row by it.
+std::string faultscapeLabel(int nf, TrafficPattern pattern) {
+  char label[64];
+  std::snprintf(label, sizeof label, "nf%02d/%s", nf,
+                std::string(trafficPatternName(pattern)).c_str());
+  return label;
+}
+
 std::vector<SweepPoint> buildFaultscape() {
   const ScalePreset scale = scaleFromEnv();
   const std::uint64_t maxCycles = scale == ScalePreset::Paper ? 4'000'000 : 150'000;
@@ -36,10 +44,7 @@ std::vector<SweepPoint> buildFaultscape() {
       cfg.seed = 12000 + static_cast<std::uint64_t>(nf);  // same faults across patterns
       applyScale(cfg, scale);
       cfg.maxCycles = maxCycles;
-      char label[64];
-      std::snprintf(label, sizeof label, "nf%02d/%s", nf,
-                    std::string(trafficPatternName(pattern)).c_str());
-      p.label = label;
+      p.label = faultscapeLabel(nf, pattern);
       points.push_back(std::move(p));
     }
   }
@@ -64,9 +69,7 @@ std::string faultscapeEpilogue(const std::vector<SweepRow>& rows) {
     std::snprintf(head, sizeof head, "nf%02d  ", nf);
     os << head;
     for (const TrafficPattern pattern : kAllTrafficPatterns) {
-      char want[64];
-      std::snprintf(want, sizeof want, "nf%02d/%s", nf,
-                    std::string(trafficPatternName(pattern)).c_str());
+      const std::string want = faultscapeLabel(nf, pattern);
       double latency = -1.0;
       bool saturated = false;
       for (const SweepRow& row : rows) {
@@ -90,9 +93,8 @@ std::string faultscapeEpilogue(const std::vector<SweepRow>& rows) {
 
   // Spatial view of the heaviest fault population under uniform traffic.
   const SweepRow* heaviest = nullptr;
-  char want[64];
-  std::snprintf(want, sizeof want, "nf%02d/%s", kFaultGrid[std::size(kFaultGrid) - 1],
-                std::string(trafficPatternName(TrafficPattern::Uniform)).c_str());
+  const std::string want =
+      faultscapeLabel(kFaultGrid[std::size(kFaultGrid) - 1], TrafficPattern::Uniform);
   for (const SweepRow& row : rows) {
     if (row.point.label == want) heaviest = &row;
   }

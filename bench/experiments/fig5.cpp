@@ -2,8 +2,6 @@
 // 2-cube with the paper's five coalesced fault regions: rect (nf=20),
 // T (nf=10), plus (nf=16), L (nf=9), U (nf=8); M=32, V=10, deterministic
 // and adaptive routing.
-#include <cstdio>
-
 #include "bench/experiments/experiment_common.hpp"
 
 namespace swft {
@@ -25,25 +23,20 @@ std::vector<SweepPoint> buildFig5() {
   std::vector<SweepPoint> points;
   for (const RoutingMode mode : {RoutingMode::Deterministic, RoutingMode::Adaptive}) {
     for (const Entry& region : regions) {
-      for (const double rate : rateGrid(0.020, 6)) {
-        SweepPoint p;
-        SimConfig& cfg = p.cfg;
-        cfg.radix = 8;
-        cfg.dims = 2;
-        cfg.vcs = 10;
-        cfg.messageLength = 32;
-        cfg.injectionRate = rate;
-        cfg.routing = mode;
-        cfg.faults.regions.push_back(region.spec);
-        cfg.seed = 3000;
-        applyScale(cfg, scale);
-        cfg.maxCycles = maxCycles;
-        char label[96];
-        std::snprintf(label, sizeof label, "%s/%s/l%.4f",
-                      mode == RoutingMode::Adaptive ? "adp" : "det", region.name, rate);
-        p.label = label;
-        points.push_back(std::move(p));
-      }
+      SimConfig cfg;
+      cfg.radix = 8;
+      cfg.dims = 2;
+      cfg.vcs = 10;
+      cfg.messageLength = 32;
+      cfg.routing = mode;
+      cfg.faults.regions.push_back(region.spec);
+      cfg.seed = 3000;
+      applyScale(cfg, scale);
+      cfg.maxCycles = maxCycles;
+      std::string prefix = bench::modeTag(mode);
+      prefix += '/';
+      prefix += region.name;
+      bench::appendRateCurve(points, cfg, prefix, 0.020, 6);
     }
   }
   return points;

@@ -29,8 +29,7 @@ std::vector<SweepPoint> buildFig6() {
       cfg.seed = 4000 + static_cast<std::uint64_t>(nf);
       bench::makeFixedDuration(cfg, cycles);
       char label[64];
-      std::snprintf(label, sizeof label, "%s/nf%d",
-                    mode == RoutingMode::Adaptive ? "adp" : "det", nf);
+      std::snprintf(label, sizeof label, "%s/nf%d", bench::modeTag(mode), nf);
       p.label = label;
       points.push_back(std::move(p));
     }

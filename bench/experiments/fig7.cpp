@@ -31,8 +31,7 @@ std::vector<SweepPoint> buildFig7() {
         cfg.seed = 5000 + static_cast<std::uint64_t>(nf);
         bench::makeFixedDuration(cfg, cycles);
         char label[64];
-        std::snprintf(label, sizeof label, "%s/rate%d/nf%d",
-                      mode == RoutingMode::Adaptive ? "adp" : "det",
+        std::snprintf(label, sizeof label, "%s/rate%d/nf%d", bench::modeTag(mode),
                       static_cast<int>(rate * 10000), nf);
         p.label = label;
         points.push_back(std::move(p));

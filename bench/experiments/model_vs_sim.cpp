@@ -5,6 +5,7 @@
 
 #include "bench/experiments/experiment_common.hpp"
 #include "src/model/analytic.hpp"
+#include "src/util/text.hpp"
 
 namespace swft {
 namespace {
@@ -13,23 +14,18 @@ std::vector<SweepPoint> buildGrid() {
   const ScalePreset scale = scaleFromEnv();
   std::vector<SweepPoint> points;
   for (const int nf : {0, 5}) {
-    for (const double rate : rateGrid(0.010, 5)) {
-      SweepPoint p;
-      SimConfig& cfg = p.cfg;
-      cfg.radix = 8;
-      cfg.dims = 2;
-      cfg.vcs = 4;
-      cfg.messageLength = 32;
-      cfg.injectionRate = rate;
-      cfg.faults.randomNodes = nf;
-      cfg.seed = 9000 + static_cast<std::uint64_t>(nf);
-      applyScale(cfg, scale);
-      cfg.maxCycles = 300'000;
-      char label[64];
-      std::snprintf(label, sizeof label, "nf%d/l%.4f", nf, rate);
-      p.label = label;
-      points.push_back(std::move(p));
-    }
+    SimConfig cfg;
+    cfg.radix = 8;
+    cfg.dims = 2;
+    cfg.vcs = 4;
+    cfg.messageLength = 32;
+    cfg.faults.randomNodes = nf;
+    cfg.seed = 9000 + static_cast<std::uint64_t>(nf);
+    applyScale(cfg, scale);
+    cfg.maxCycles = 300'000;
+    std::string prefix = "nf";
+    appendDecimal(prefix, nf);
+    bench::appendRateCurve(points, cfg, prefix, 0.010, 5);
   }
   return points;
 }

@@ -50,8 +50,7 @@ std::vector<SweepPoint> buildScanRadix() {
         cfg.maxCycles = maxCycles;
         char label[96];
         std::snprintf(label, sizeof label, "k%02d/n%d/%s/%s", m.radix, m.dims,
-                      std::string(trafficPatternName(pattern)).c_str(),
-                      mode == RoutingMode::Adaptive ? "adp" : "det");
+                      std::string(trafficPatternName(pattern)).c_str(), bench::modeTag(mode));
         p.label = label;
         points.push_back(std::move(p));
       }

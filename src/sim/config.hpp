@@ -135,6 +135,8 @@ void forEachConfigField(C& cfg, F&& f) {
 enum class ScalePreset { Reduced, Paper };
 
 ScalePreset scaleFromEnv();
+/// Sets the preset's message budget (warm-up and measured messages, paper
+/// §5.2). The cycle cap is the caller's to set.
 void applyScale(SimConfig& cfg, ScalePreset scale);
 
 }  // namespace swft

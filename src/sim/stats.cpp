@@ -36,17 +36,16 @@ ScalePreset scaleFromEnv() {
   return ScalePreset::Reduced;
 }
 
+// Sets the message budget only: each caller sets its own cycle cap.
 void applyScale(SimConfig& cfg, ScalePreset scale) {
   if (scale == ScalePreset::Paper) {
     // Paper §5.2: 100,000 messages per generation rate, statistics inhibited
     // for the first 10,000.
     cfg.warmupMessages = 10'000;
     cfg.measuredMessages = 90'000;
-    cfg.maxCycles = 40'000'000;
   } else {
     cfg.warmupMessages = 2'000;
     cfg.measuredMessages = 8'000;
-    cfg.maxCycles = 1'500'000;
   }
 }
 
