@@ -23,6 +23,12 @@ MsgId MessagePool::allocate() {
   return static_cast<MsgId>(slots_.size() - 1);
 }
 
+std::vector<bool> MessagePool::liveSlots() const {
+  std::vector<bool> live(slots_.size(), true);
+  for (const MsgId id : freeList_) live[id] = false;
+  return live;
+}
+
 void MessagePool::release(MsgId id) {
   --live_;
   freeList_.push_back(id);

@@ -1,8 +1,10 @@
 // Slab allocator for in-flight messages.
 //
 // Flits reference messages by MsgId (an index into the slab); slots are
-// recycled through a free list once the tail flit is consumed, so the pool
-// size tracks the number of messages alive in the network + source queues.
+// recycled through a free list once the tail flit is consumed. A message gets
+// its slot when its injection starts (a queued one waits at its source as a
+// QueuedMessage record), so the pool size tracks the messages injecting, in
+// the network, or held by the messaging layer.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +31,9 @@ class MessagePool {
   [[nodiscard]] const Message& get(MsgId id) const noexcept { return slots_[id]; }
 
   [[nodiscard]] std::size_t liveCount() const noexcept { return live_; }
+  /// One flag per slot, set iff the slot is allocated. O(capacity); audits
+  /// only.
+  [[nodiscard]] std::vector<bool> liveSlots() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
  private:

@@ -21,6 +21,8 @@
 // change live work.
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/sim/engine_mt.hpp"
 #include "src/sim/link_qual.hpp"
@@ -46,7 +48,7 @@ void Network::endCycle() noexcept {
   }
 
   // Deadlock watchdog (invariant: must never fire; see tests).
-  if (pool_.liveCount() > 0 && cycle_ - lastMovementCycle_ > cfg_.deadlockWindow) {
+  if (inFlight() > 0 && cycle_ - lastMovementCycle_ > cfg_.deadlockWindow) {
     deadlockSuspected_ = true;
   }
 }
@@ -129,20 +131,35 @@ void Network::advanceCycleSparse() {
   clock.mark(PhaseBreakdown::kWalk);
 }
 
-MsgId Network::queueMessage(NodeId src, NodeId dest, int length, RoutingMode mode) {
-  const MsgId id = pool_.allocate();
-  Message& m = pool_.get(id);
-  m.src = src;
-  m.finalDest = dest;
-  m.curTarget = dest;
-  m.seq = genSeq_++;
-  m.genCycle = cycle_;
-  m.length = static_cast<std::uint16_t>(length);
-  m.mode = mode;
-  nodes_[src].sourceQueue.push_back(id);
+std::uint32_t Network::queueMessage(NodeId src, NodeId dest, int length,
+                                    RoutingMode mode) {
+  if (genSeq_ == kMaxMessages) {
+    throw std::runtime_error("Network: more than " + std::to_string(kMaxMessages) +
+                             " messages generated in one run (message sequence "
+                             "numbers are 32 bits; the limit is 2^32-1)");
+  }
+  const std::uint32_t seq = genSeq_++;
+  nodes_[src].sourceQueue.push_back(
+      QueuedMessage{cycle_, dest, seq, static_cast<std::uint16_t>(length), mode});
   markNodeWork(src);
   ++generatedTotal_;
-  return id;
+  return seq;
+}
+
+MsgId Network::takeQueuedMessage(NodeId id) {
+  RingQueue<QueuedMessage>& queue = nodes_[id].sourceQueue;
+  const QueuedMessage q = queue.front();
+  queue.pop_front();
+  const MsgId msgId = pool_.allocate();
+  Message& m = pool_.get(msgId);
+  m.src = id;
+  m.finalDest = q.dest;
+  m.curTarget = q.dest;
+  m.seq = q.seq;
+  m.genCycle = q.genCycle;
+  m.length = q.length;
+  m.mode = q.mode;
+  return msgId;
 }
 
 void Network::stepGeneration(NodeId id) {
@@ -167,16 +184,11 @@ void Network::stepInjection(NodeId id) {
   // new messages (paper §4, starvation prevention). Peek, don't pop — if
   // every injection VC turns out to be busy the message must stay exactly
   // where it is, keeping its readyCycle and its absorbed-over-new priority.
+  // A new message gets its pool slot only once a VC is chosen.
   if (node.streaming == kInvalidMsg) {
-    MsgId next = kInvalidMsg;
-    bool fromSwQueue = false;
-    if (!node.swQueue.empty() && node.swQueue.front().readyCycle <= cycle_) {
-      next = node.swQueue.front().msg;
-      fromSwQueue = true;
-    } else if (!node.sourceQueue.empty()) {
-      next = node.sourceQueue.front();
-    }
-    if (next == kInvalidMsg) return;
+    const bool fromSwQueue =
+        !node.swQueue.empty() && node.swQueue.front().readyCycle <= cycle_;
+    if (!fromSwQueue && node.sourceQueue.empty()) return;
     // Choose an injection VC whose buffer is empty; rotate the start index
     // (one RNG draw, unsigned arithmetic) to spread successive messages
     // over the V injection buffers.
@@ -192,10 +204,12 @@ void Network::stepInjection(NodeId id) {
       }
     }
     if (chosenVc < 0) return;  // all injection buffers busy: retry next cycle
+    MsgId next;
     if (fromSwQueue) {
+      next = node.swQueue.front().msg;
       node.swQueue.pop_front();
     } else {
-      node.sourceQueue.pop_front();
+      next = takeQueuedMessage(id);
     }
     node.streaming = next;
     node.streamVc = chosenVc;

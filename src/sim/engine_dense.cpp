@@ -6,9 +6,11 @@
 // the event-sparse engine (engine.cpp) bit-identical against it, and the
 // kernel_microbench harness uses it as the measured "before" side of the
 // perf baseline. Do not optimise this file; it is the yardstick. The only
-// deliberate divergences from the seed are the two ISSUE-2 injection fixes
-// (peek-don't-pop requeue, single unsigned VC-rotation draw), which both
-// engines must share to stay bit-identical.
+// deliberate divergences from the seed are on the injection side, which both
+// engines must share to stay bit-identical: the peek-don't-pop requeue, the
+// single unsigned VC-rotation draw, and a new message's pool slot being
+// allocated when its injection starts (Network::takeQueuedMessage) rather
+// than when it is generated.
 #include "src/sim/engine_dense.hpp"
 
 #include <bit>
@@ -52,15 +54,9 @@ void DenseReference::stepInjectionDense(NodeId id) {
   // new messages (paper §4, starvation prevention). Peek, don't pop — on a
   // busy-VC retreat the message must keep its queue position and readyCycle.
   if (node.streaming == kInvalidMsg) {
-    MsgId next = kInvalidMsg;
-    bool fromSwQueue = false;
-    if (!node.swQueue.empty() && node.swQueue.front().readyCycle <= net_.cycle_) {
-      next = node.swQueue.front().msg;
-      fromSwQueue = true;
-    } else if (!node.sourceQueue.empty()) {
-      next = node.sourceQueue.front();
-    }
-    if (next == kInvalidMsg) return;
+    const bool fromSwQueue =
+        !node.swQueue.empty() && node.swQueue.front().readyCycle <= net_.cycle_;
+    if (!fromSwQueue && node.sourceQueue.empty()) return;
     // Choose an injection VC whose buffer is empty; rotate the start index
     // to spread successive messages over the V injection buffers.
     const auto start = static_cast<std::uint32_t>(net_.engineRng_.next() >> 32);
@@ -74,10 +70,12 @@ void DenseReference::stepInjectionDense(NodeId id) {
       }
     }
     if (chosenVc < 0) return;  // all injection buffers busy: retry next cycle
+    MsgId next;
     if (fromSwQueue) {
+      next = node.swQueue.front().msg;
       node.swQueue.pop_front();
     } else {
-      node.sourceQueue.pop_front();
+      next = net_.takeQueuedMessage(id);  // both engines allocate here
     }
     node.streaming = next;
     node.streamVc = chosenVc;

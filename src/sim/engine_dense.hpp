@@ -17,7 +17,8 @@ class DenseReference {
   SimResult run() { return net_.runCycles([this] { advanceCycleDense(); }); }
   void step(std::uint64_t n) { net_.stepCycles(n, [this] { advanceCycleDense(); }); }
   void attachTrace(TraceRecorder* trace) noexcept { net_.attachTrace(trace); }
-  MsgId injectTestMessage(NodeId src, NodeId dest, int length, RoutingMode mode) {
+  std::uint32_t injectTestMessage(NodeId src, NodeId dest, int length,
+                                  RoutingMode mode) {
     return net_.injectTestMessage(src, dest, length, mode);
   }
 

@@ -118,7 +118,8 @@ Network::Network(const SimConfig& cfg)
 
 Network::~Network() = default;  // here: ~MtEngine needs the complete type
 
-MsgId Network::injectTestMessage(NodeId src, NodeId dest, int length, RoutingMode mode) {
+std::uint32_t Network::injectTestMessage(NodeId src, NodeId dest, int length,
+                                         RoutingMode mode) {
   if (faults_.nodeFaulty(src) || faults_.nodeFaulty(dest)) {
     throw std::invalid_argument("injectTestMessage: endpoint is faulty");
   }
@@ -194,11 +195,32 @@ SimResult runSimulation(Network& net) {
 }
 
 std::string Network::validateNodeState() const {
-  // Message accounting: pool live count covers queued + in-network flits.
-  std::size_t queued = 0;
-  for (const NodeState& n : nodes_) queued += n.queuedMessages();
-  if (queued > pool_.liveCount()) {
-    return "more queued messages than live pool slots";
+  // Message accounting: every message generated and not yet delivered is
+  // either a source-queue record or a live pool slot, never both, and every
+  // slot id a node holds (re-injection entries, the streaming message) is
+  // live.
+  std::size_t sourceQueued = 0;
+  for (const NodeState& n : nodes_) sourceQueued += n.sourceQueue.size();
+  if (inFlight() != pool_.liveCount() + sourceQueued) {
+    return "message accounting mismatch: " + std::to_string(generatedTotal_) +
+           " generated - " + std::to_string(deliveredTotal_) + " delivered != " +
+           std::to_string(pool_.liveCount()) + " live pool slots + " +
+           std::to_string(sourceQueued) + " source-queue records";
+  }
+  const std::vector<bool> live = pool_.liveSlots();
+  const auto dead = [&](MsgId msg) { return msg >= live.size() || !live[msg]; };
+  for (NodeId id = 0; id < topo_.nodeCount(); ++id) {
+    const NodeState& n = nodes_[id];
+    if (n.streaming != kInvalidMsg && dead(n.streaming)) {
+      return "node " + std::to_string(id) + " streams dead pool slot " +
+             std::to_string(n.streaming);
+    }
+    for (std::size_t i = 0; i < n.swQueue.size(); ++i) {
+      if (dead(n.swQueue[i].msg)) {
+        return "node " + std::to_string(id) + " re-injection queue holds dead pool slot " +
+               std::to_string(n.swQueue[i].msg);
+      }
+    }
   }
   // Injection-side work set covers every node with pending work (the
   // sparse engine never visits a node whose bit is clear, so a clear bit

@@ -65,13 +65,24 @@ class Network {
   [[nodiscard]] std::uint64_t now() const noexcept { return cycle_; }
   [[nodiscard]] std::uint64_t generated() const noexcept { return generatedTotal_; }
   [[nodiscard]] std::uint64_t delivered() const noexcept { return deliveredTotal_; }
-  [[nodiscard]] std::uint64_t inFlight() const noexcept { return pool_.liveCount(); }
+  /// Messages generated and not yet delivered: queued at their source as
+  /// records, or holding a pool slot (injecting, in the network, or held by
+  /// the messaging layer).
+  [[nodiscard]] std::uint64_t inFlight() const noexcept {
+    return generatedTotal_ - deliveredTotal_;
+  }
   [[nodiscard]] bool deadlockSuspected() const noexcept { return deadlockSuspected_; }
   [[nodiscard]] const RouterArena& arena() const noexcept { return arena_; }
   [[nodiscard]] const NodeState& node(NodeId id) const noexcept { return nodes_[id]; }
 
-  /// Inject a specific message immediately (testing hook). Returns its id.
-  MsgId injectTestMessage(NodeId src, NodeId dest, int length, RoutingMode mode);
+  /// The most messages one run may generate: Message::seq is 32 bits, and a
+  /// wrapped sequence number would count a measured message as warm-up.
+  static constexpr std::uint64_t kMaxMessages = ~std::uint32_t{0};  // 2^32 - 1
+
+  /// Queue a specific message at its source now (testing hook). Returns its
+  /// generation sequence number; it gets a pool slot when injection starts.
+  std::uint32_t injectTestMessage(NodeId src, NodeId dest, int length,
+                                  RoutingMode mode);
 
   /// Attach (or detach with nullptr) a per-message event recorder. The
   /// recorder must outlive the network. Intended for tests and debugging;
@@ -128,9 +139,15 @@ class Network {
   void advanceCycleSparse();
 
   void stepGeneration(NodeId id);
-  // Allocate a message generated now at `src` for `dest` and queue it at its
-  // source: the one place stepGeneration and injectTestMessage build one.
-  MsgId queueMessage(NodeId src, NodeId dest, int length, RoutingMode mode);
+  // Queue a record of a message generated now at `src` for `dest` and return
+  // its sequence number: the one place stepGeneration and injectTestMessage
+  // build one. Throws std::runtime_error past kMaxMessages.
+  std::uint32_t queueMessage(NodeId src, NodeId dest, int length, RoutingMode mode);
+  // Pop the node's front source-queue record into a fresh pool slot and
+  // return its id: the one place a message gets a slot. Both engines call it
+  // once the injection VC is chosen, so they hand out the same ids in the
+  // same order.
+  MsgId takeQueuedMessage(NodeId id);
   // Pick and stream at most one flit of the node's next message. The sparse
   // walk clears the node's work bit once nodeIdle holds afterwards; only
   // queueMessage and scheduleReinjection set it again.

@@ -5,11 +5,23 @@
 
 #include <cstdint>
 
-#include "src/router/flit.hpp"
+#include "src/router/message.hpp"
 #include "src/util/ring_queue.hpp"
 #include "src/util/rng.hpp"
 
 namespace swft {
+
+/// A generated message waiting at its source. It holds only what the
+/// message's pool slot is filled from when injection starts
+/// (Network::takeQueuedMessage); the source is the queue's own node.
+struct QueuedMessage {
+  std::uint64_t genCycle = 0;
+  NodeId dest = kInvalidNode;
+  std::uint32_t seq = 0;
+  std::uint16_t length = 1;
+  RoutingMode mode = RoutingMode::Deterministic;
+};
+static_assert(sizeof(QueuedMessage) <= 24);
 
 struct PendingReinjection {
   MsgId msg = kInvalidMsg;
@@ -17,10 +29,10 @@ struct PendingReinjection {
 };
 
 struct NodeState {
-  /// Locally generated messages waiting to enter the network. Both queues
-  /// own no storage until their first push, so an idle node allocates
-  /// nothing.
-  RingQueue<MsgId> sourceQueue;
+  /// Locally generated messages waiting to enter the network, as records:
+  /// none holds a pool slot yet. Both queues own no storage until their
+  /// first push, so an idle node allocates nothing.
+  RingQueue<QueuedMessage> sourceQueue;
   /// Absorbed messages being held by the messaging layer for Δ cycles.
   /// FIFO: Δ is constant, so the queue stays sorted by readyCycle.
   RingQueue<PendingReinjection> swQueue;

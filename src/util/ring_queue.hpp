@@ -43,6 +43,11 @@ class RingQueue {
     assert(size_ > 0);
     return buf_[head_];
   }
+  /// The i-th element from the front (audits walk a queue without popping).
+  const T& operator[](std::size_t i) const noexcept {
+    assert(i < size_);
+    return buf_[(head_ + i) & mask()];
+  }
 
  private:
   static constexpr std::uint32_t kFirstCapacity = 4;
@@ -61,8 +66,9 @@ class RingQueue {
   }
 
   std::vector<T> buf_;
-  // 32 bits suffice: no queue holds more than the message pool's 2^30 - 1
-  // live ids.
+  // 32 bits suffice: a source queue holds at most the 2^32 - 1 messages the
+  // generation sequence counter allows (Network::kMaxMessages), and a
+  // re-injection queue at most the message pool's 2^30 - 1 live ids.
   std::uint32_t head_ = 0;
   std::uint32_t size_ = 0;
 };

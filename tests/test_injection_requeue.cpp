@@ -14,6 +14,13 @@ struct NetworkTestAccess {
   static RouterArena& arena(Network& net) { return net.arena_; }
   static void runInjection(Network& net, NodeId id) { net.stepInjection(id); }
   static void setCycle(Network& net, std::uint64_t c) { net.cycle_ = c; }
+  // Queue a message at `src` and give it a pool slot at once, as injection
+  // does, without streaming it: the slot id a flit or the messaging layer
+  // would hold.
+  static MsgId slotMessage(Network& net, NodeId src, NodeId dest, int length) {
+    net.injectTestMessage(src, dest, length, RoutingMode::Deterministic);
+    return net.takeQueuedMessage(src);
+  }
 };
 
 namespace {
@@ -37,14 +44,13 @@ TEST(InjectionRequeue, BusyVcsLeaveAbsorbedMessageQueuedWithReadyCycle) {
 
   // An "absorbed" message waiting in the messaging-layer queue (readyCycle 5)
   // and a competing new message in the source queue.
-  const MsgId absorbed = net.injectTestMessage(0, 5, 4, RoutingMode::Deterministic);
-  node.sourceQueue.clear();
+  const MsgId absorbed = NetworkTestAccess::slotMessage(net, 0, 5, 4);
   node.swQueue.push_back(PendingReinjection{absorbed, 5});
-  const MsgId fresh = net.injectTestMessage(0, 6, 4, RoutingMode::Deterministic);
+  const std::uint32_t fresh = net.injectTestMessage(0, 6, 4, RoutingMode::Deterministic);
 
   // Both injection VCs hold flits of other messages: no VC is allocatable.
-  const MsgId fillerA = net.injectTestMessage(1, 2, 1, RoutingMode::Deterministic);
-  const MsgId fillerB = net.injectTestMessage(2, 3, 1, RoutingMode::Deterministic);
+  const MsgId fillerA = NetworkTestAccess::slotMessage(net, 1, 2, 1);
+  const MsgId fillerB = NetworkTestAccess::slotMessage(net, 2, 3, 1);
   arena.push(0, arena.unitIndex(0, injPort, 0), Flit{fillerA, FlitKind::Header}, 0);
   arena.push(0, arena.unitIndex(0, injPort, 1), Flit{fillerB, FlitKind::Header}, 0);
 
@@ -57,7 +63,7 @@ TEST(InjectionRequeue, BusyVcsLeaveAbsorbedMessageQueuedWithReadyCycle) {
   EXPECT_EQ(node.swQueue.front().msg, absorbed);
   EXPECT_EQ(node.swQueue.front().readyCycle, 5u) << "readyCycle must survive";
   ASSERT_EQ(node.sourceQueue.size(), 1u);
-  EXPECT_EQ(node.sourceQueue.front(), fresh)
+  EXPECT_EQ(node.sourceQueue.front().seq, fresh)
       << "the source queue must not receive the absorbed message";
 
   // Free one VC: the absorbed message must win over the queued new one.
@@ -66,21 +72,22 @@ TEST(InjectionRequeue, BusyVcsLeaveAbsorbedMessageQueuedWithReadyCycle) {
   EXPECT_EQ(node.streaming, absorbed);
   EXPECT_TRUE(node.swQueue.empty());
   ASSERT_EQ(node.sourceQueue.size(), 1u);
-  EXPECT_EQ(node.sourceQueue.front(), fresh);
+  EXPECT_EQ(node.sourceQueue.front().seq, fresh);
 }
 
 TEST(InjectionRequeue, NotReadyAbsorbedMessageDoesNotBlockNewOnes) {
   Network net(quietConfig());
   NodeState& node = NetworkTestAccess::node(net, 0);
 
-  const MsgId absorbed = net.injectTestMessage(0, 5, 4, RoutingMode::Deterministic);
-  node.sourceQueue.clear();
+  const MsgId absorbed = NetworkTestAccess::slotMessage(net, 0, 5, 4);
   node.swQueue.push_back(PendingReinjection{absorbed, 100});  // far future
-  const MsgId fresh = net.injectTestMessage(0, 6, 4, RoutingMode::Deterministic);
+  const std::uint32_t fresh = net.injectTestMessage(0, 6, 4, RoutingMode::Deterministic);
 
   NetworkTestAccess::setCycle(net, 10);
   NetworkTestAccess::runInjection(net, 0);
-  EXPECT_EQ(node.streaming, fresh) << "a not-yet-ready reinjection must not stall";
+  ASSERT_NE(node.streaming, kInvalidMsg) << "a not-yet-ready reinjection must not stall";
+  EXPECT_EQ(net.pool().get(node.streaming).seq, fresh);
+  EXPECT_TRUE(node.sourceQueue.empty());
   ASSERT_EQ(node.swQueue.size(), 1u);
   EXPECT_EQ(node.swQueue.front().readyCycle, 100u);
 }

@@ -18,6 +18,7 @@ struct NetworkTestAccess {
   static void clearWork(Network& net, NodeId id) {
     net.nodeWork_[static_cast<std::size_t>(id) >> 6] &= ~(1ULL << (id & 63));
   }
+  static NodeState& node(Network& net, NodeId id) { return net.nodes_[id]; }
 };
 
 namespace {
@@ -209,6 +210,47 @@ TEST(Invariants, CatchWorkBitClearedOnFullInjectionBuffer) {
   NetworkTestAccess::clearWork(net, blocked);
   EXPECT_EQ(net.validateInvariants(),
             "work-set bit clear for busy node " + std::to_string(blocked));
+}
+
+// Every message generated and not yet delivered is a source-queue record
+// or a live pool slot, and every slot id a node holds is live. Mid-run in a
+// saturated fault-free network (so no re-injection queue holds anything),
+// hand the messaging layer an id the pool never allocated, then (after
+// undoing that) queue a record that was never generated; the validator must
+// report each.
+TEST(Invariants, CatchMessageAccountingMismatch) {
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 2;
+  cfg.vcs = 2;
+  cfg.messageLength = 16;
+  cfg.injectionRate = 0.05;
+  cfg.seed = 5;
+  Network net(cfg);
+  net.step(300);
+  ASSERT_EQ(net.validateInvariants(), "");
+  NodeId busy = kInvalidNode;
+  for (NodeId id = 0; id < net.topology().nodeCount() && busy == kInvalidNode; ++id) {
+    if (!net.node(id).sourceQueue.empty()) busy = id;
+  }
+  ASSERT_NE(busy, kInvalidNode) << "the load must leave a source backlog";
+  NodeState& n = NetworkTestAccess::node(net, busy);
+  ASSERT_TRUE(n.swQueue.empty());
+
+  const auto neverAllocated = static_cast<MsgId>(net.pool().capacity());
+  n.swQueue.push_back(PendingReinjection{neverAllocated, net.now()});
+  EXPECT_EQ(net.validateInvariants(),
+            "node " + std::to_string(busy) + " re-injection queue holds dead pool slot " +
+                std::to_string(neverAllocated));
+  n.swQueue.pop_front();
+  ASSERT_EQ(net.validateInvariants(), "");
+
+  n.sourceQueue.push_back(n.sourceQueue.front());
+  const std::string stray = net.validateInvariants();
+  EXPECT_NE(stray.find("message accounting mismatch: " + std::to_string(net.generated()) +
+                       " generated"),
+            std::string::npos)
+      << stray;
 }
 
 TEST(Invariants, HoldThroughFaultRegionTraffic) {

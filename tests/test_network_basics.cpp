@@ -3,6 +3,11 @@
 #include "src/sim/network.hpp"
 
 namespace swft {
+
+struct NetworkTestAccess {
+  static void setGenSeq(Network& net, std::uint32_t seq) { net.genSeq_ = seq; }
+};
+
 namespace {
 
 NodeId at(const TorusTopology& topo, std::initializer_list<int> digits) {
@@ -78,9 +83,7 @@ TEST(NetworkBasics, MessageCrossingWrapUsesWrapClass) {
   Network net(cfg);
   const TorusTopology& topo = net.topology();
   // 6 -> 1 in dim 0: minimal route crosses the wrap (6,7,0,1).
-  const MsgId id = net.injectTestMessage(at(topo, {6, 0}), at(topo, {1, 0}), 2,
-                                         RoutingMode::Deterministic);
-  (void)id;
+  net.injectTestMessage(at(topo, {6, 0}), at(topo, {1, 0}), 2, RoutingMode::Deterministic);
   const SimResult r = net.run();
   EXPECT_EQ(r.deliveredTotal, 1u);
   EXPECT_EQ(r.meanHops, 3.0);
@@ -177,6 +180,58 @@ TEST(NetworkBasics, TdDelaysEveryHop) {
     latency[i] = net.run().meanLatency;
   }
   EXPECT_GT(latency[1], latency[0]);
+}
+
+// Message::seq is 32 bits, and statistics read `seq >= warmupMessages` as
+// "measured": a wrapped counter would silently count message 2^32 as
+// warm-up. The last sequence number is handed out; the next message throws
+// naming the limit.
+TEST(NetworkBasics, RefusesToWrapTheSequenceCounter) {
+  Network net(quietConfig(4, 2));
+  NetworkTestAccess::setGenSeq(net, static_cast<std::uint32_t>(Network::kMaxMessages - 1));
+  EXPECT_EQ(net.injectTestMessage(0, 5, 4, RoutingMode::Deterministic),
+            Network::kMaxMessages - 1);
+  try {
+    net.injectTestMessage(0, 5, 4, RoutingMode::Deterministic);
+    FAIL() << "message 2^32 must not get a wrapped sequence number";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("4294967295"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(net.generated(), 1u) << "the refused message is not counted";
+  EXPECT_EQ(net.node(0).sourceQueue.size(), 1u) << "nor queued";
+}
+
+// A saturated source backlog waits as QueuedMessage records: only messages
+// that are injecting (at most one per node), held by the messaging layer, or
+// have a flit in some buffer hold a pool slot. So the pool's high-water mark
+// stays under that bound while the backlog grows well past it. An 8-ary
+// 2-cube with V=4 and M=32 at rate 0.03 runs about 2.5x past its knee.
+TEST(NetworkBasics, SaturatedPoolHoldsOnlyInjectedMessages) {
+  SimConfig cfg = quietConfig(8, 2, 4);
+  cfg.messageLength = 32;
+  cfg.injectionRate = 0.03;
+  cfg.measuredMessages = ~std::uint32_t{0};
+  cfg.seed = 3;
+  Network net(cfg);
+  const RouterArena& a = net.arena();
+  const auto bufferSlots =
+      static_cast<std::size_t>(a.nodes() * a.unitsPerRouter() * a.depth());
+  std::size_t backlog = 0;
+  std::size_t bound = 0;
+  for (int window = 0; window < 10; ++window) {
+    net.step(2000);
+    backlog = 0;
+    std::size_t held = 0;
+    for (NodeId id = 0; id < net.topology().nodeCount(); ++id) {
+      backlog += net.node(id).sourceQueue.size();
+      held += net.node(id).swQueue.size();
+    }
+    bound = net.topology().nodeCount() + held + bufferSlots;
+    ASSERT_LE(net.pool().capacity(), bound) << "cycle " << net.now();
+  }
+  EXPECT_FALSE(net.deadlockSuspected());
+  EXPECT_GT(backlog, 3 * bound) << "the run must be saturated";
+  EXPECT_EQ(net.validateInvariants(), "");
 }
 
 }  // namespace

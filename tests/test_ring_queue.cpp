@@ -46,6 +46,9 @@ TEST(RingQueue, KeepsFifoOrderAcrossWrappedDoublings) {
     q.push_back(pushed++);
   }
   ASSERT_EQ(q.size(), static_cast<std::size_t>(pushed - popped));
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    ASSERT_EQ(q[i], popped + static_cast<int>(i)) << "indexed from the front";
+  }
   while (!q.empty()) {
     ASSERT_EQ(q.front(), popped++);
     q.pop_front();
