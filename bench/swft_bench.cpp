@@ -33,10 +33,10 @@ void printUsage() {
          "                     residue class i (0-based); outputs are merge-safe\n"
          "  --threads T        sweep thread-pool size: one simulation per thread\n"
          "                     (default, or T <= 0: hardware concurrency)\n"
-         "  --phase-timers     report each point's per-phase wall-clock breakdown\n"
-         "                     (gen/inj/walk) on stderr; cache hits skip simulation\n"
-         "                     and print nothing — combine with --no-cache to time\n"
-         "                     every point\n"
+         "  --phase-timers     end each simulated point's progress line with its\n"
+         "                     per-phase wall-clock times (gen/inj/walk), also under\n"
+         "                     --quiet; cache hits skip simulation and print nothing —\n"
+         "                     combine with --no-cache to time every point\n"
          "  --out DIR          artifact directory (default: $SWFT_RESULTS_DIR or results/)\n"
          "  --no-cache         simulate every point, touch no cache state (default: the\n"
          "                     content-addressed result cache serves stored points,\n"

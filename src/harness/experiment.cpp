@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <numeric>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -72,9 +72,6 @@ ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
   std::vector<SweepPoint> points = spec.build();
   run.totalPoints = points.size();
   points = shardPoints(std::move(points), opt.shard);
-  if (opt.phaseTimers) {
-    for (SweepPoint& p : points) p.cfg.phaseTimers = true;
-  }
 
   // Resolve and create the artifact directory (and the cache store) before
   // any point simulates: a bad --out/--cache-dir must fail in milliseconds,
@@ -97,52 +94,60 @@ ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
         << " of " << run.totalPoints << " points\n";
   }
 
-  // Cache pass, on the sweep pool's threads: hit rows short-circuit the pool
-  // entirely; only misses are submitted to runSweep. Rows stay in grid order
-  // in both paths, so the artifact bytes cannot depend on where a row came
-  // from or which thread looked it up.
-  std::vector<SweepRow> rows(points.size());
-  std::vector<std::size_t> missIdx;
+  // Rows stay in grid order whether a row came from the cache or the pool,
+  // and whichever thread looked it up or simulated it, so the artifact bytes
+  // cannot depend on either.
+  std::vector<SweepRow> rows;
+  rows.reserve(points.size());
+  for (SweepPoint& p : points) rows.push_back({std::move(p), {}});
+
+  // Cache pass, on the pool's threads: a hit fills its row and never
+  // simulates.
+  std::vector<char> hit(rows.size(), 0);
   if (cache) {
-    std::vector<char> hit(points.size(), 0);
-    parallelFor(points.size(), opt.threads, [&](std::size_t i) {
-      if (std::optional<SimResult> r = cache->lookup(points[i].cfg)) {
-        rows[i].point = std::move(points[i]);
+    parallelFor(rows.size(), opt.threads, [&](std::size_t i) {
+      if (std::optional<SimResult> r = cache->lookup(rows[i].point.cfg)) {
         rows[i].result = *r;
         hit[i] = 1;
       }
     });
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (!hit[i]) missIdx.push_back(i);
-    }
-  } else {
-    missIdx.resize(points.size());
-    std::iota(missIdx.begin(), missIdx.end(), std::size_t{0});
   }
-  std::vector<SweepPoint> missPoints;
-  missPoints.reserve(missIdx.size());
-  for (const std::size_t i : missIdx) missPoints.push_back(std::move(points[i]));
+  // Only the misses simulate, so only they are validated, all of them
+  // before the first simulation starts.
+  std::vector<std::size_t> missIdx;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (hit[i]) continue;
+    validatePoint(rows[i].point);
+    missIdx.push_back(i);
+  }
 
-  const std::size_t missCount = missPoints.size();
+  // Miss pass: one lock serialises the store, the counts and `log`; the
+  // store's rename keeps it safe across processes.
+  std::mutex doneMutex;
   std::size_t done = 0;
-  std::vector<SweepRow> missRows =
-      runSweep(std::move(missPoints), opt.threads, [&](const SweepRow& row) {
-        // onDone is serialised by the pool, so storing here is race-free
-        // within this process; cross-process safety is the store's rename.
-        if (cache) cache->store(row.point.cfg, row.result);
-        ++done;
-        if (opt.progress) {
-          log << "  [" << done << "/" << missCount << "] " << spec.name << "/"
-              << row.point.label << "\n";
-        }
-      });
-  for (std::size_t j = 0; j < missIdx.size(); ++j) rows[missIdx[j]] = std::move(missRows[j]);
+  std::size_t storeFailures = 0;
+  parallelFor(missIdx.size(), opt.threads, [&](std::size_t j) {
+    SweepRow& row = rows[missIdx[j]];
+    PhaseBreakdown phases;
+    row.result = simulatePoint(row.point, opt.phaseTimers ? &phases : nullptr);
+    const std::lock_guard<std::mutex> lock(doneMutex);
+    if (cache && !cache->store(row.point.cfg, row.result)) ++storeFailures;
+    ++done;
+    if (opt.progress || opt.phaseTimers) {
+      log << "  [" << done << "/" << missIdx.size() << "] " << spec.name << "/"
+          << row.point.label;
+      if (opt.phaseTimers) log << "  " << phases.toString();
+      log << "\n";
+    }
+  });
   run.rows = std::move(rows);
 
   if (cache) {
     run.cache = cache->stats();
     log << "cache: " << run.cache.hits << " hits, " << run.cache.misses
-        << " misses, " << run.cache.inserts << " inserts (" << cache->dir() << ")\n";
+        << " misses, " << run.cache.inserts << " inserts (" << cache->dir() << ")";
+    if (storeFailures > 0) log << ", " << storeFailures << " stores failed";
+    log << "\n";
   }
 
   log << formatTable(run.rows, spec.columns);

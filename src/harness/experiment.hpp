@@ -55,11 +55,10 @@ struct ShardSpec {
 struct RunOptions {
   ShardSpec shard;
   int threads = 0;  // <= 0: hardware concurrency (runSweep convention)
-  // Enable SimConfig::phaseTimers on every point: each simulation reports its
-  // per-phase wall-clock breakdown on stderr as it finishes. Points served
-  // from the result cache never simulate, so they print no timers (the flag
-  // is excluded from the canonical cache key on purpose — timers don't
-  // change results).
+  // Time every simulated point's phases (simulatePoint's sink) and end its
+  // progress line on `log` with them, "gen …s inj …s walk …s"; the line is
+  // printed even without `progress`. Points served from the result cache
+  // never simulate, so they print no timers (timers don't change results).
   bool phaseTimers = false;
   std::string outDir;    // empty: resultsDir()
   bool progress = true;  // per-point progress lines on `log`
@@ -84,9 +83,10 @@ struct ExperimentRun {
 /// merged by concatenation (drop the header of all but the first).
 [[nodiscard]] std::string artifactName(const ExperimentSpec& spec, const RunOptions& opt);
 
-/// Build the grid, apply the shard, run through the runSweep thread pool,
-/// print the paper-style table to `log`, and write the CSV artifact. Rows
-/// keep grid order, so a fixed seed reproduces byte-identical artifacts.
+/// Build the grid, apply the shard, serve cache hits, simulate the misses
+/// through simulatePoint on parallelFor's pool, print the paper-style table
+/// to `log`, and write the CSV artifact. Rows keep grid order, so a fixed
+/// seed reproduces byte-identical artifacts.
 ExperimentRun runExperiment(const ExperimentSpec& spec, const RunOptions& opt,
                             std::ostream& log);
 

@@ -67,32 +67,36 @@ void parallelFor(std::size_t n, int threads, const std::function<void(std::size_
   if (failure) std::rethrow_exception(failure);
 }
 
-std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads,
-                               const std::function<void(const SweepRow&)>& onDone) {
-  // Reject a bad point before any simulation starts.
-  for (const SweepPoint& p : points) {
-    try {
-      validateConfig(p.cfg);
-    } catch (...) {
-      rethrowLabelled(std::current_exception(), p.label);
-    }
+void validatePoint(const SweepPoint& point) {
+  try {
+    validateConfig(point.cfg);
+  } catch (...) {
+    rethrowLabelled(std::current_exception(), point.label);
   }
+}
+
+SimResult simulatePoint(const SweepPoint& point, PhaseBreakdown* phases) {
+  try {
+    if (phases == nullptr) return runSimulation(point.cfg);
+    SimConfig timed = point.cfg;
+    timed.phaseTimers = true;
+    Network net(timed);
+    SimResult result = net.run();
+    for (const PhaseBreakdown& shard : net.phaseShards()) *phases += shard;
+    return result;
+  } catch (...) {
+    rethrowLabelled(std::current_exception(), point.label);
+  }
+}
+
+std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads) {
+  // Reject a bad point before any simulation starts.
+  for (const SweepPoint& p : points) validatePoint(p);
 
   std::vector<SweepRow> rows(points.size());
-  std::mutex doneMutex;
   parallelFor(points.size(), threads, [&](std::size_t i) {
-    try {
-      SweepRow row;
-      row.point = points[i];
-      row.result = runSimulation(points[i].cfg);
-      if (onDone) {
-        const std::lock_guard<std::mutex> lock(doneMutex);
-        onDone(row);
-      }
-      rows[i] = std::move(row);
-    } catch (...) {
-      rethrowLabelled(std::current_exception(), points[i].label);
-    }
+    rows[i].result = simulatePoint(points[i]);
+    rows[i].point = std::move(points[i]);
   });
   return rows;
 }

@@ -32,15 +32,22 @@ struct SweepRow {
 /// concurrently for distinct indices.
 void parallelFor(std::size_t n, int threads, const std::function<void(std::size_t)>& fn);
 
-/// Run all points on parallelFor's pool. Points start in submission order
-/// but complete out of order; the returned rows are in the original order.
-/// `onDone` (optional) is invoked after each point completes (serialised),
-/// e.g. for progress output. Every point is validated (validateConfig)
-/// before the pool starts. A std::invalid_argument or std::runtime_error
-/// that a point throws is rethrown as the same type with the point's label
-/// prefixed to its message.
-std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads = 0,
-                               const std::function<void(const SweepRow&)>& onDone = {});
+/// Reject a point that validateConfig rejects, with the point's label
+/// prefixed to the std::invalid_argument's message.
+void validatePoint(const SweepPoint& point);
+
+/// Simulate one grid point: build its Network and run it to completion. A
+/// std::invalid_argument or std::runtime_error it throws is rethrown as the
+/// same type with the point's label prefixed to its message. Given a sink,
+/// the run collects its phase timers (SimConfig::phaseTimers) and adds every
+/// shard into `*phases`; a null sink times nothing.
+SimResult simulatePoint(const SweepPoint& point, PhaseBreakdown* phases = nullptr);
+
+/// Run all points through simulatePoint on parallelFor's pool. Points start
+/// in submission order but complete out of order; the returned rows are in
+/// the original order. Every point is validated (validatePoint) before the
+/// pool starts.
+std::vector<SweepRow> runSweep(std::vector<SweepPoint> points, int threads = 0);
 
 /// Standard λ grids used by the latency-vs-traffic figures: `maxRate` spread
 /// over `steps` points (excluding zero).

@@ -79,9 +79,9 @@ struct SimConfig {
   // Clamped to the node count at network build; results are bit-identical
   // at every value by construction.
   int simThreads = 1;
-  // Collect per-phase wall-clock timers during the run (`phase_timers=1`,
-  // `swft_bench --phase-timers`). runSimulation prints one line per engine
-  // thread to stderr; Network::phaseShards() exposes them programmatically.
+  // Collect per-phase wall-clock timers during the run into
+  // Network::phaseShards() (`phase_timers=1`, `swft_bench --phase-timers`).
+  // The library prints nothing; swft_sim and swft_bench print them.
   // Diagnostic only — never affects simulated results.
   bool phaseTimers = false;
 };

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "src/sim/config_parse.hpp"
@@ -171,28 +170,7 @@ double Network::sourceQueueMean() const {
   return static_cast<double>(total) / static_cast<double>(healthyNodeCount_);
 }
 
-SimResult runSimulation(const SimConfig& cfg) {
-  Network net(cfg);
-  return runSimulation(net);
-}
-
-SimResult runSimulation(Network& net) {
-  SimResult result = net.run();
-  if (net.config().phaseTimers) {
-    const std::vector<PhaseBreakdown>& shards = net.phaseShards();
-    PhaseBreakdown merged;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      merged += shards[i];
-      std::fprintf(stderr, "phase timers[%zu]: %s\n", i,
-                   shards[i].toString().c_str());
-    }
-    if (shards.size() > 1) {
-      std::fprintf(stderr, "phase timers[merged]: %s\n",
-                   merged.toString().c_str());
-    }
-  }
-  return result;
-}
+SimResult runSimulation(const SimConfig& cfg) { return Network(cfg).run(); }
 
 std::string Network::validateNodeState() const {
   // Message accounting: every message generated and not yet delivered is

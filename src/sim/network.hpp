@@ -272,8 +272,4 @@ class Network {
 /// Convenience wrapper: build the network from `cfg` and run to completion.
 SimResult runSimulation(const SimConfig& cfg);
 
-/// Run an already built network to completion; with `phase_timers=1` its
-/// per-slot phase breakdown goes to stderr.
-SimResult runSimulation(Network& net);
-
 }  // namespace swft

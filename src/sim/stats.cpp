@@ -8,26 +8,11 @@
 
 namespace swft {
 
-const char* PhaseBreakdown::phaseName(int p) noexcept {
-  switch (p) {
-    case kCards: return "cards";
-    case kGen: return "gen";
-    case kInj: return "inj";
-    case kWalk: return "walk";
-    case kBarrier: return "barrier";
-    default: return "?";
-  }
-}
-
 std::string PhaseBreakdown::toString() const {
-  std::string out;
-  char buf[48];
-  for (int p = 0; p < kPhaseCount; ++p) {
-    std::snprintf(buf, sizeof(buf), "%s%s %.3fs", p ? " " : "", phaseName(p),
-                  sec[p]);
-    out += buf;
-  }
-  return out;
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "gen %.3fs inj %.3fs walk %.3fs", sec[kGen], sec[kInj],
+                sec[kWalk]);
+  return buf;
 }
 
 ScalePreset scaleFromEnv() {

@@ -1,5 +1,6 @@
 # CTest smoke script: `swft_bench --list` must enumerate the experiment
-# registry and the canonical traffic-pattern names.
+# registry and the canonical traffic-pattern names, and a small real run
+# with --phase-timers must label every simulated point's timers.
 #
 #   cmake -DSWFT_BENCH=<path-to-binary> -P smoke_swft_bench.cmake
 if(NOT SWFT_BENCH)
@@ -88,6 +89,39 @@ foreach(args "--threads;2x" "--threads;abc" "--sim-threads;2" "--format;json" "-
     message(FATAL_ERROR "swft_bench ${args}: stderr does not name ${flag}:\n${err5}")
   endif()
 endforeach()
+
+# --phase-timers puts each simulated point's times on its own progress line,
+# also under --quiet: one labelled gen/inj/walk line per grid point on
+# stdout, nothing on stderr.
+if(NOT out MATCHES "  model_vs_sim +\\(([0-9]+) points\\)")
+  message(FATAL_ERROR "model_vs_sim missing its point count in --list:\n${out}")
+endif()
+set(mvsPoints ${CMAKE_MATCH_1})
+set(timers_dir ${CMAKE_CURRENT_BINARY_DIR}/smoke_phase_timers)
+file(REMOVE_RECURSE ${timers_dir})
+execute_process(
+  COMMAND ${SWFT_BENCH} --run model_vs_sim --phase-timers --quiet --no-cache --threads 4
+          --out ${timers_dir}
+  RESULT_VARIABLE rc7
+  OUTPUT_VARIABLE out7
+  ERROR_VARIABLE err7)
+if(NOT rc7 EQUAL 0)
+  message(FATAL_ERROR "swft_bench --run model_vs_sim --phase-timers exited with ${rc7}\n"
+          "stderr: ${err7}")
+endif()
+if(NOT err7 STREQUAL "")
+  message(FATAL_ERROR "swft_bench --phase-timers wrote to stderr:\n${err7}")
+endif()
+string(REGEX MATCHALL
+       "  \\[[0-9]+/${mvsPoints}\\] model_vs_sim/[^ \n]+  gen [0-9.]+s inj [0-9.]+s walk [0-9.]+s\n"
+       timedLines "${out7}")
+string(REGEX REPLACE "  \\[[0-9]+/[0-9]+\\] ([^ ]+)  [^;]*" "\\1" timedLabels "${timedLines}")
+list(REMOVE_DUPLICATES timedLabels)
+list(LENGTH timedLabels nTimed)
+if(NOT nTimed EQUAL mvsPoints)
+  message(FATAL_ERROR "expected ${mvsPoints} distinct labelled phase-timer lines, got "
+          "${nTimed}:\n${out7}")
+endif()
 
 # Commands that only read the store or fail leave the results directory
 # alone: it is created only when a run writes to it.

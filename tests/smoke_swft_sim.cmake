@@ -46,6 +46,34 @@ if(NOT row MATCHES ",0$")
   message(FATAL_ERROR "deadlock column should be 0 on a clean run: ${row}")
 endif()
 
+# phase_timers=1 adds exactly one stderr line, the run's gen/inj/walk
+# times, and leaves the CSV on stdout byte for byte as it is without it.
+set(timedRuns "")
+foreach(timers 0 1)
+  execute_process(
+    COMMAND ${SWFT_SIM} --csv k=4 n=2 vcs=4 msg_length=8 rate=0.004
+            routing=adaptive nf=2 warmup=50 measured=300 max_cycles=200000 seed=7
+            phase_timers=${timers}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE timedOut
+    ERROR_VARIABLE timedErr)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "swft_sim --csv phase_timers=${timers} exited with ${rc}\n"
+            "stderr: ${timedErr}")
+  endif()
+  list(APPEND timedRuns "${timedOut}")
+endforeach()
+list(GET timedRuns 0 untimedCsv)
+list(GET timedRuns 1 timedCsv)
+if(NOT timedCsv STREQUAL untimedCsv)
+  message(FATAL_ERROR "phase_timers=1 changed stdout\nphase_timers=0:\n${untimedCsv}\n"
+          "phase_timers=1:\n${timedCsv}")
+endif()
+if(NOT timedErr MATCHES "^phase timers: gen [0-9.]+s inj [0-9.]+s walk [0-9.]+s\n$")
+  message(FATAL_ERROR "phase_timers=1: expected one 'phase timers: gen/inj/walk' line on "
+          "stderr, got:\n${timedErr}")
+endif()
+
 # The human report's `config:` line is a command line that reproduces the
 # run: fed back to swft_sim --csv, it gives the original arguments' CSV row
 # byte for byte. The region lies off the default plane, and the rate needs

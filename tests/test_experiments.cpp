@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -444,9 +445,37 @@ std::pair<std::vector<std::string>, std::string> splitProgress(const std::string
   return {progress, rest};
 }
 
+/// The label a progress line "  [k/n] <spec>/<label>..." names.
+std::string progressLabel(const std::string& line) {
+  const std::size_t start = line.find('/', 6) + 1;
+  return line.substr(start, line.find(' ', start) - start);
+}
+
+struct ColdRun {
+  std::string log;
+  std::string artifact;
+};
+
+/// A cold run of `spec` into `opt`'s store, whose entries for points 1 and
+/// 4 are then spoiled: the next run has exactly those two misses.
+ColdRun runColdThenSpoilTwoEntries(const ExperimentSpec& spec, const RunOptions& opt) {
+  std::ostringstream log;
+  const ExperimentRun cold = runExperiment(spec, opt, log);
+  ColdRun out{log.str(), slurp(cold.artifactPath)};
+  const std::vector<SweepPoint> points = spec.build();
+  const ResultCache store(opt.cacheDir);
+  for (const std::size_t i : {1u, 4u}) {
+    std::ofstream spoil(opt.cacheDir + "/" + store.keyFor(points[i].cfg) + ".result",
+                        std::ios::binary | std::ios::trunc);
+    spoil << "garbage";
+  }
+  return out;
+}
+
 // The cache pass runs on the pool's threads; what the run prints and writes
-// must not show it: progress only for the simulated points, numbered over
-// the misses, the same cache line, and the cold run's table and artifact.
+// must not show it: progress only for the simulated points, once each and
+// numbered over the misses, the same cache line, and the cold run's table
+// and artifact.
 TEST(RunExperiment, PartlyWarmRunLogsOnlyItsMisses) {
   const std::string base =
       (std::filesystem::temp_directory_path() / "swft_experiment_partly_warm").string();
@@ -459,44 +488,123 @@ TEST(RunExperiment, PartlyWarmRunLogsOnlyItsMisses) {
   opt.cacheDir = base + "/cache";
   opt.threads = 4;
   opt.progress = true;
-  std::ostringstream coldLog;
-  const ExperimentRun cold = runExperiment(spec, opt, coldLog);
-  const std::string coldBytes = slurp(cold.artifactPath);
-  EXPECT_EQ(splitProgress(coldLog.str()).first.size(), 6u);
-
-  const std::vector<SweepPoint> points = spec.build();
-  const ResultCache store(opt.cacheDir);
-  for (const std::size_t i : {1u, 4u}) {
-    std::ofstream out(opt.cacheDir + "/" + store.keyFor(points[i].cfg) + ".result",
-                      std::ios::binary | std::ios::trunc);
-    out << "garbage";
+  const ColdRun cold = runColdThenSpoilTwoEntries(spec, opt);
+  std::multiset<std::string> coldLabels;
+  for (const std::string& line : splitProgress(cold.log).first) {
+    coldLabels.insert(progressLabel(line));
   }
+  EXPECT_EQ(coldLabels, (std::multiset<std::string>{"pt0", "pt1", "pt2", "pt3", "pt4", "pt5"}))
+      << cold.log;
 
   std::ostringstream log;
   const ExperimentRun run = runExperiment(spec, opt, log);
   EXPECT_EQ(run.cache.hits, 4u);
   EXPECT_EQ(run.cache.misses, 2u);
   EXPECT_EQ(run.cache.inserts, 2u);
-  EXPECT_EQ(slurp(run.artifactPath), coldBytes);
+  EXPECT_EQ(slurp(run.artifactPath), cold.artifact);
 
   const auto [progress, rest] = splitProgress(log.str());
   ASSERT_EQ(progress.size(), 2u) << log.str();
   EXPECT_TRUE(progress[0].starts_with("  [1/2] tiny_partly_warm/")) << progress[0];
   EXPECT_TRUE(progress[1].starts_with("  [2/2] tiny_partly_warm/")) << progress[1];
-  const std::set<std::string> simulated{progress[0].substr(progress[0].find('/', 6) + 1),
-                                        progress[1].substr(progress[1].find('/', 6) + 1)};
-  EXPECT_EQ(simulated, (std::set<std::string>{"pt1", "pt4"}));
+  const std::multiset<std::string> simulated{progressLabel(progress[0]),
+                                             progressLabel(progress[1])};
+  EXPECT_EQ(simulated, (std::multiset<std::string>{"pt1", "pt4"}));
   const std::string cacheLine =
       "cache: 4 hits, 2 misses, 2 inserts (" + opt.cacheDir + ")\n";
   EXPECT_NE(rest.find(cacheLine), std::string::npos) << log.str();
 
   // Apart from the progress and cache lines, the log is the cold run's.
-  std::string coldRest = splitProgress(coldLog.str()).second;
+  std::string coldRest = splitProgress(cold.log).second;
   const std::string coldCacheLine =
       "cache: 0 hits, 6 misses, 6 inserts (" + opt.cacheDir + ")\n";
-  ASSERT_NE(coldRest.find(coldCacheLine), std::string::npos) << coldLog.str();
+  ASSERT_NE(coldRest.find(coldCacheLine), std::string::npos) << cold.log;
   coldRest.replace(coldRest.find(coldCacheLine), coldCacheLine.size(), cacheLine);
   EXPECT_EQ(rest, coldRest);
+}
+
+// Phase timers end each simulated point's own progress line, under its
+// label, even without progress: one line per miss, only the three phases
+// the sparse cycle charges, and nothing for the cache hits.
+TEST(RunExperiment, PhaseTimersNameEverySimulatedPoint) {
+  const std::string base =
+      (std::filesystem::temp_directory_path() / "swft_experiment_phase_timers").string();
+  std::filesystem::remove_all(base);
+  const ExperimentSpec spec = tinySpec("tiny_phase_timers");
+
+  RunOptions opt;
+  opt.outDir = base + "/out";
+  opt.useCache = true;
+  opt.cacheDir = base + "/cache";
+  opt.threads = 4;
+  opt.progress = false;
+  const ColdRun cold = runColdThenSpoilTwoEntries(spec, opt);
+  EXPECT_TRUE(splitProgress(cold.log).first.empty()) << cold.log;
+
+  opt.phaseTimers = true;
+  std::ostringstream log;
+  const ExperimentRun run = runExperiment(spec, opt, log);
+  EXPECT_EQ(run.cache.misses, 2u);
+  EXPECT_EQ(slurp(run.artifactPath), cold.artifact);
+
+  const std::vector<std::string> progress = splitProgress(log.str()).first;
+  ASSERT_EQ(progress.size(), 2u) << log.str();
+  EXPECT_TRUE(progress[0].starts_with("  [1/2] tiny_phase_timers/")) << progress[0];
+  EXPECT_TRUE(progress[1].starts_with("  [2/2] tiny_phase_timers/")) << progress[1];
+  for (const std::string& line : progress) {
+    // The line ends "<label>  gen <s>s inj <s>s walk <s>s", and nothing else.
+    const std::size_t times = line.find("  gen ");
+    ASSERT_NE(times, std::string::npos) << line;
+    double gen = -1.0;
+    double inj = -1.0;
+    double walk = -1.0;
+    int end = 0;
+    EXPECT_EQ(std::sscanf(line.c_str() + times, "  gen %lfs inj %lfs walk %lfs%n", &gen, &inj,
+                          &walk, &end),
+              3)
+        << line;
+    EXPECT_EQ(times + static_cast<std::size_t>(end), line.size()) << line;
+    EXPECT_GE(std::min({gen, inj, walk}), 0.0) << line;
+  }
+  const std::multiset<std::string> timedLabels{progressLabel(progress[0]),
+                                               progressLabel(progress[1])};
+  EXPECT_EQ(timedLabels, (std::multiset<std::string>{"pt1", "pt4"}));
+  EXPECT_EQ(log.str().find("cards"), std::string::npos) << log.str();
+  EXPECT_EQ(log.str().find("barrier"), std::string::npos) << log.str();
+}
+
+// A store that fails (here a directory sits at the entry's name, so the
+// publishing rename fails) is counted on the cache line; the run still
+// writes the correct artifact.
+TEST(RunExperiment, FailedStoresAreCountedOnTheCacheLine) {
+  const std::string base =
+      (std::filesystem::temp_directory_path() / "swft_experiment_store_fails").string();
+  std::filesystem::remove_all(base);
+  const ExperimentSpec spec = tinySpec("tiny_store_fails");
+
+  RunOptions opt;
+  opt.outDir = base + "/out";
+  opt.threads = 2;
+  opt.progress = false;
+  std::ostringstream uncachedLog;
+  const std::string uncached = slurp(runExperiment(spec, opt, uncachedLog).artifactPath);
+
+  opt.useCache = true;
+  opt.cacheDir = base + "/cache";
+  const std::vector<SweepPoint> points = spec.build();
+  const ResultCache store(opt.cacheDir);
+  for (const std::size_t i : {0u, 3u, 5u}) {
+    std::filesystem::create_directory(opt.cacheDir + "/" + store.keyFor(points[i].cfg) +
+                                      ".result");
+  }
+  std::ostringstream log;
+  const ExperimentRun run = runExperiment(spec, opt, log);
+  EXPECT_EQ(run.cache.misses, 6u);
+  EXPECT_EQ(run.cache.inserts, 3u);
+  EXPECT_EQ(slurp(run.artifactPath), uncached);
+  const std::string cacheLine =
+      "cache: 0 hits, 6 misses, 3 inserts (" + opt.cacheDir + "), 3 stores failed\n";
+  EXPECT_NE(log.str().find(cacheLine), std::string::npos) << log.str();
 }
 
 TEST(RunExperiment, ShardedRunsFillTheCacheForTheUnshardedRun) {

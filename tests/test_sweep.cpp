@@ -7,6 +7,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -57,12 +58,13 @@ TEST(Sweep, ParallelAndSerialResultsIdentical) {
   }
 }
 
-TEST(Sweep, CallbackInvokedOncePerPoint) {
-  std::vector<SweepPoint> points;
-  for (int i = 0; i < 3; ++i) points.push_back(tinyPoint("x", 0.002, 30 + i));
-  int calls = 0;
-  runSweep(points, 2, [&](const SweepRow&) { ++calls; });
-  EXPECT_EQ(calls, 3);
+TEST(Sweep, SimulatePointTimesOnlyWithASink) {
+  const SweepPoint p = tinyPoint(pointLabel(0), 0.003, 30);
+  PhaseBreakdown phases;
+  const SimResult timed = simulatePoint(p, &phases);
+  expectSameResult(simulatePoint(p), timed);
+  EXPECT_GT(phases.serial(), 0.0);
+  EXPECT_EQ(phases.serial(), phases.total()) << "a sparse run charges gen, inj and walk only";
 }
 
 TEST(Sweep, EmptyInputYieldsEmptyOutput) {
@@ -107,11 +109,13 @@ TEST(Sweep, FaultPlacementErrorThrowsToCallerFromThreadedPool) {
   SweepPoint bad = tinyPoint(pointLabel(1), 0.002, 51);
   for (NodeId id = 0; id < 14; ++id) bad.cfg.faults.explicitNodes.push_back(id);
   bad.cfg.faults.randomNodes = 2;
-  int done = 0;
-  EXPECT_THROW((void)runSweep(gridWithBadMiddle(bad), 3,
-                              [&](const SweepRow&) { ++done; }),
-               std::runtime_error);
-  EXPECT_LE(done, 2);
+  try {
+    (void)runSweep(gridWithBadMiddle(bad), 3);
+    FAIL() << "runSweep should throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what.starts_with("sweep point '" + pointLabel(1) + "': ")) << what;
+  }
 }
 
 TEST(Sweep, ParallelForRunsEachIndexOnceAndRethrowsFirstFailure) {

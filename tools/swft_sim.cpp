@@ -82,9 +82,12 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // runSimulation (not a bare Network::run) so phase_timers=1 reports its
-    // per-slot breakdown on stderr.
-    const swft::SimResult r = swft::runSimulation(*net);
+    const swft::SimResult r = net->run();
+    if (cfg.phaseTimers) {
+      swft::PhaseBreakdown phases;
+      for (const swft::PhaseBreakdown& shard : net->phaseShards()) phases += shard;
+      std::fprintf(stderr, "phase timers: %s\n", phases.toString().c_str());
+    }
 
     if (csv) {
       swft::SweepRow row;
