@@ -2,9 +2,9 @@
 //
 // Flits reference messages by MsgId (an index into the slab); slots are
 // recycled through a free list once the tail flit is consumed. A message gets
-// its slot when its injection starts (a queued one waits at its source as a
-// QueuedMessage record), so the pool size tracks the messages injecting, in
-// the network, or held by the messaging layer.
+// its slot when its injection starts (a queued one waits at its source as its
+// sequence number), so the pool size tracks the messages injecting, in the
+// network, or held by the messaging layer.
 #pragma once
 
 #include <cstdint>

@@ -19,6 +19,7 @@
 // (enforced by tests/test_engine_equivalence.cpp). Invariant for future
 // edits: activity tracking may skip provably-dead work, never reorder or
 // change live work.
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -131,44 +132,73 @@ void Network::advanceCycleSparse() {
   clock.mark(PhaseBreakdown::kWalk);
 }
 
-std::uint32_t Network::queueMessage(NodeId src, NodeId dest, int length,
-                                    RoutingMode mode) {
+std::uint32_t Network::queueMessage(NodeId src) {
   if (genSeq_ == kMaxMessages) {
     throw std::runtime_error("Network: more than " + std::to_string(kMaxMessages) +
                              " messages generated in one run (message sequence "
                              "numbers are 32 bits; the limit is 2^32-1)");
   }
   const std::uint32_t seq = genSeq_++;
-  nodes_[src].sourceQueue.push_back(
-      QueuedMessage{cycle_, dest, seq, static_cast<std::uint16_t>(length), mode});
+  nodes_[src].sourceQueue.push_back(seq);
   markNodeWork(src);
   ++generatedTotal_;
   return seq;
 }
 
+const QueuedMessage* Network::testMessage(std::uint32_t seq) const noexcept {
+  if (testMessages_.empty()) return nullptr;  // every generated-only run
+  const auto it = std::lower_bound(
+      testMessages_.begin(), testMessages_.end(), seq,
+      [](const QueuedMessage& q, std::uint32_t s) { return q.seq < s; });
+  return it != testMessages_.end() && it->seq == seq ? &*it : nullptr;
+}
+
 MsgId Network::takeQueuedMessage(NodeId id) {
-  RingQueue<QueuedMessage>& queue = nodes_[id].sourceQueue;
-  const QueuedMessage q = queue.front();
-  queue.pop_front();
+  NodeState& node = nodes_[id];
+  const std::uint32_t seq = node.sourceQueue.front();
+  node.sourceQueue.pop_front();
   const MsgId msgId = pool_.allocate();
   Message& m = pool_.get(msgId);
   m.src = id;
-  m.finalDest = q.dest;
-  m.curTarget = q.dest;
-  m.seq = q.seq;
-  m.genCycle = q.genCycle;
-  m.length = q.length;
-  m.mode = q.mode;
+  m.seq = seq;
+  if (const QueuedMessage* q = testMessage(seq)) {
+    m.finalDest = q->dest;
+    m.genCycle = q->genCycle;
+    m.length = q->length;
+    m.mode = q->mode;
+    testMessages_.erase(testMessages_.begin() + (q - testMessages_.data()));
+  } else {
+    // Replay the generator up to this message, skipping the events
+    // stepGeneration skipped.
+    SourceEvent e;
+    do {
+      e = nextGenEvent(id, node.replayRng, node.replayNextGen);
+    } while (e.dest == kInvalidNode);
+    m.finalDest = e.dest;
+    m.genCycle = e.cycle;
+    m.length = static_cast<std::uint16_t>(cfg_.messageLength);
+    m.mode = cfg_.routing;
+  }
+  m.curTarget = m.finalDest;
   return msgId;
+}
+
+Network::SourceEvent Network::nextGenEvent(NodeId id, Rng& rng,
+                                           std::uint64_t& nextGen) const {
+  const SourceEvent e{traffic_.pickDestination(id, rng), nextGen};
+  nextGen += rng.geometric(cfg_.injectionRate);
+  return e;
 }
 
 void Network::stepGeneration(NodeId id) {
   NodeState& node = nodes_[id];
   while (node.nextGenCycle <= cycle_) {
-    const NodeId dest = traffic_.pickDestination(id, node.rng);
-    node.nextGenCycle += node.rng.geometric(cfg_.injectionRate);
-    if (dest == kInvalidNode) continue;  // permutation maps to self/faulty
-    queueMessage(id, dest, cfg_.messageLength, cfg_.routing);
+    const SourceEvent e = nextGenEvent(id, node.rng, node.nextGenCycle);
+    if (e.dest == kInvalidNode) continue;  // permutation maps to self/faulty
+    // The replay gives the message e.cycle as its generation cycle; both
+    // engines generate every event in the cycle it fires.
+    assert(e.cycle == cycle_);
+    queueMessage(id);
     if (!windowOpen_ && genSeq_ >= cfg_.warmupMessages) {
       windowOpen_ = true;
       windowStartCycle_ = cycle_;

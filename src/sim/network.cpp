@@ -76,6 +76,8 @@ Network::Network(const SimConfig& cfg)
     } else {
       node.nextGenCycle = ~std::uint64_t{0};
     }
+    node.replayRng = node.rng;
+    node.replayNextGen = node.nextGenCycle;
   }
   healthyNodeCount_ = faults_.healthyNodes().size();
   networkPorts_ = topo_.networkPorts();
@@ -122,7 +124,10 @@ std::uint32_t Network::injectTestMessage(NodeId src, NodeId dest, int length,
   if (faults_.nodeFaulty(src) || faults_.nodeFaulty(dest)) {
     throw std::invalid_argument("injectTestMessage: endpoint is faulty");
   }
-  return queueMessage(src, dest, length, mode);
+  const std::uint32_t seq = queueMessage(src);
+  testMessages_.push_back(
+      QueuedMessage{cycle_, dest, seq, static_cast<std::uint16_t>(length), mode});
+  return seq;
 }
 
 SimResult Network::snapshot() const {
@@ -174,7 +179,7 @@ SimResult runSimulation(const SimConfig& cfg) { return Network(cfg).run(); }
 
 std::string Network::validateNodeState() const {
   // Message accounting: every message generated and not yet delivered is
-  // either a source-queue record or a live pool slot, never both, and every
+  // either a source-queue entry or a live pool slot, never both, and every
   // slot id a node holds (re-injection entries, the streaming message) is
   // live.
   std::size_t sourceQueued = 0;
@@ -183,7 +188,7 @@ std::string Network::validateNodeState() const {
     return "message accounting mismatch: " + std::to_string(generatedTotal_) +
            " generated - " + std::to_string(deliveredTotal_) + " delivered != " +
            std::to_string(pool_.liveCount()) + " live pool slots + " +
-           std::to_string(sourceQueued) + " source-queue records";
+           std::to_string(sourceQueued) + " source-queue entries";
   }
   const std::vector<bool> live = pool_.liveSlots();
   const auto dead = [&](MsgId msg) { return msg >= live.size() || !live[msg]; };
@@ -198,6 +203,28 @@ std::string Network::validateNodeState() const {
         return "node " + std::to_string(id) + " re-injection queue holds dead pool slot " +
                std::to_string(n.swQueue[i].msg);
       }
+    }
+    // The replay copy sits at the node's oldest queued generated message:
+    // replaying up to the live generator's next event yields exactly one
+    // valid destination per queued generated message (the rest are the
+    // invalid ones generation skipped) and lands on the live state.
+    std::size_t queuedGenerated = 0;
+    for (std::size_t i = 0; i < n.sourceQueue.size(); ++i) {
+      if (testMessage(n.sourceQueue[i]) == nullptr) ++queuedGenerated;
+    }
+    Rng rng = n.replayRng;
+    std::uint64_t next = n.replayNextGen;
+    std::size_t replayed = 0;
+    while (next < n.nextGenCycle) {
+      if (nextGenEvent(id, rng, next).dest != kInvalidNode) ++replayed;
+    }
+    if (replayed != queuedGenerated || next != n.nextGenCycle || rng != n.rng) {
+      return "source replay of node " + std::to_string(id) +
+             " does not land on its live generator: " + std::to_string(replayed) +
+             " messages replayed for " + std::to_string(queuedGenerated) +
+             " queued, next event at cycle " + std::to_string(next) + " (live " +
+             std::to_string(n.nextGenCycle) + ")" +
+             (rng == n.rng ? "" : ", RNG state differs");
     }
   }
   // Injection-side work set covers every node with pending work (the

@@ -66,8 +66,8 @@ class Network {
   [[nodiscard]] std::uint64_t generated() const noexcept { return generatedTotal_; }
   [[nodiscard]] std::uint64_t delivered() const noexcept { return deliveredTotal_; }
   /// Messages generated and not yet delivered: queued at their source as
-  /// records, or holding a pool slot (injecting, in the network, or held by
-  /// the messaging layer).
+  /// sequence numbers, or holding a pool slot (injecting, in the network, or
+  /// held by the messaging layer).
   [[nodiscard]] std::uint64_t inFlight() const noexcept {
     return generatedTotal_ - deliveredTotal_;
   }
@@ -138,16 +138,31 @@ class Network {
   // Event-sparse implementation: generation heap + active-set walks.
   void advanceCycleSparse();
 
+  // One event of node `id`'s Poisson source, drawn from the generator
+  // (`rng`, `nextGen`) and advancing it past the event: the destination
+  // (kInvalidNode where a permutation maps the node to itself or to a
+  // faulty node) and the cycle the event fires in. stepGeneration runs it on
+  // the live generator and takeQueuedMessage on the replay copy, so both
+  // draw the same bits.
+  struct SourceEvent {
+    NodeId dest;
+    std::uint64_t cycle;
+  };
+  SourceEvent nextGenEvent(NodeId id, Rng& rng, std::uint64_t& nextGen) const;
   void stepGeneration(NodeId id);
-  // Queue a record of a message generated now at `src` for `dest` and return
-  // its sequence number: the one place stepGeneration and injectTestMessage
-  // build one. Throws std::runtime_error past kMaxMessages.
-  std::uint32_t queueMessage(NodeId src, NodeId dest, int length, RoutingMode mode);
-  // Pop the node's front source-queue record into a fresh pool slot and
-  // return its id: the one place a message gets a slot. Both engines call it
-  // once the injection VC is chosen, so they hand out the same ids in the
-  // same order.
+  // Queue the next sequence number at `src` and return it: the one place
+  // stepGeneration and injectTestMessage count a message. Throws
+  // std::runtime_error past kMaxMessages.
+  std::uint32_t queueMessage(NodeId src);
+  // Pop the node's front sequence number into a fresh pool slot and return
+  // its id: the one place a message gets a slot. The slot is filled from the
+  // message's testMessages_ record if it has one, else from the node's
+  // replay generator. Both engines call it once the injection VC is chosen,
+  // so they hand out the same ids in the same order.
   MsgId takeQueuedMessage(NodeId id);
+  // The record of queued explicit message `seq`, or nullptr for a generated
+  // one.
+  [[nodiscard]] const QueuedMessage* testMessage(std::uint32_t seq) const noexcept;
   // Pick and stream at most one flit of the node's next message. The sparse
   // walk clears the node's work bit once nodeIdle holds afterwards; only
   // queueMessage and scheduleReinjection set it again.
@@ -208,6 +223,9 @@ class Network {
   RouterArena arena_;
   std::vector<NodeState> nodes_;
   Rng engineRng_;
+  // Queued injectTestMessage messages, ascending by seq (one list for the
+  // whole network; empty, and unallocated, in every generated-only run).
+  std::vector<QueuedMessage> testMessages_;
 
   // Event-sparse engine state. genHeap_ holds every generating node's next
   // generation cycle, keyed (cycle, id) so the due nodes pop in ascending id

@@ -11,9 +11,11 @@
 
 namespace swft {
 
-/// A generated message waiting at its source. It holds only what the
-/// message's pool slot is filled from when injection starts
-/// (Network::takeQueuedMessage); the source is the queue's own node.
+/// A message queued by Network::injectTestMessage. A generated message's
+/// destination and generation cycle are recomputed from its node's
+/// generator when injection starts (NodeState::replayRng); an explicit one
+/// has no generator to replay, so the network keeps this record of it until
+/// Network::takeQueuedMessage fills its pool slot from it.
 struct QueuedMessage {
   std::uint64_t genCycle = 0;
   NodeId dest = kInvalidNode;
@@ -21,7 +23,6 @@ struct QueuedMessage {
   std::uint16_t length = 1;
   RoutingMode mode = RoutingMode::Deterministic;
 };
-static_assert(sizeof(QueuedMessage) <= 24);
 
 struct PendingReinjection {
   MsgId msg = kInvalidMsg;
@@ -29,10 +30,11 @@ struct PendingReinjection {
 };
 
 struct NodeState {
-  /// Locally generated messages waiting to enter the network, as records:
-  /// none holds a pool slot yet. Both queues own no storage until their
-  /// first push, so an idle node allocates nothing.
-  RingQueue<QueuedMessage> sourceQueue;
+  /// Sequence numbers of the messages waiting to enter the network, oldest
+  /// first: none holds a pool slot yet, and a generated one is replayed
+  /// from replayRng when its injection starts. Both queues own no storage
+  /// until their first push, so an idle node allocates nothing.
+  RingQueue<std::uint32_t> sourceQueue;
   /// Absorbed messages being held by the messaging layer for Δ cycles.
   /// FIFO: Δ is constant, so the queue stays sorted by readyCycle.
   RingQueue<PendingReinjection> swQueue;
@@ -51,10 +53,19 @@ struct NodeState {
   /// Per-node random stream: generation times, destinations.
   Rng rng;
 
+  /// A second copy of the generator (rng, nextGenCycle), kept at the
+  /// node's oldest queued generated message: the generator draws nothing
+  /// from network state, so stepping this copy gives back each queued
+  /// message's destination and generation cycle in queue order.
+  Rng replayRng;
+  std::uint64_t replayNextGen = 0;
+
   [[nodiscard]] std::size_t queuedMessages() const noexcept {
     return sourceQueue.size() + swQueue.size();
   }
 };
-static_assert(sizeof(NodeState) == 120);
+static_assert(sizeof(decltype(NodeState::sourceQueue)::value_type) == 4,
+              "a queued generated message costs one 4-byte sequence number");
+static_assert(sizeof(NodeState) == 160);
 
 }  // namespace swft

@@ -23,6 +23,8 @@ class RingQueue {
                 "RingQueue is intended for small trivially copyable types");
 
  public:
+  using value_type = T;
+
   void push_back(const T& v) {
     if (size_ == buf_.size()) grow();
     buf_[(head_ + size_) & mask()] = v;
@@ -38,6 +40,8 @@ class RingQueue {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// Elements the storage holds before the next push grows it.
+  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
 
   T& front() noexcept {
     assert(size_ > 0);

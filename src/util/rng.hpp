@@ -85,6 +85,9 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
   result_type operator()() noexcept { return next(); }
 
+  /// Same state: the two streams draw the same values from here on.
+  bool operator==(const Rng&) const noexcept = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

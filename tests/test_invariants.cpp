@@ -19,6 +19,11 @@ struct NetworkTestAccess {
     net.nodeWork_[static_cast<std::size_t>(id) >> 6] &= ~(1ULL << (id & 63));
   }
   static NodeState& node(Network& net, NodeId id) { return net.nodes_[id]; }
+  // Step the node's replay generator one event past where it should sit.
+  static void desyncReplay(Network& net, NodeId id) {
+    NodeState& n = net.nodes_[id];
+    (void)net.nextGenEvent(id, n.replayRng, n.replayNextGen);
+  }
 };
 
 namespace {
@@ -212,12 +217,12 @@ TEST(Invariants, CatchWorkBitClearedOnFullInjectionBuffer) {
             "work-set bit clear for busy node " + std::to_string(blocked));
 }
 
-// Every message generated and not yet delivered is a source-queue record
+// Every message generated and not yet delivered is a source-queue entry
 // or a live pool slot, and every slot id a node holds is live. Mid-run in a
 // saturated fault-free network (so no re-injection queue holds anything),
 // hand the messaging layer an id the pool never allocated, then (after
-// undoing that) queue a record that was never generated; the validator must
-// report each.
+// undoing that) queue a sequence number that was never generated; the
+// validator must report each.
 TEST(Invariants, CatchMessageAccountingMismatch) {
   SimConfig cfg;
   cfg.radix = 4;
@@ -251,6 +256,39 @@ TEST(Invariants, CatchMessageAccountingMismatch) {
                        " generated"),
             std::string::npos)
       << stray;
+}
+
+// A queued generated message is only a sequence number: its destination and
+// generation cycle come back from the node's replay generator when injection
+// starts. Mid-run, with a source backlog, step one node's replay copy one
+// event ahead (it would then hand its oldest queued message the next one's
+// destination); the validator must name the node.
+TEST(Invariants, CatchReplayGeneratorOffTheLiveOne) {
+  SimConfig cfg;
+  cfg.radix = 4;
+  cfg.dims = 2;
+  cfg.vcs = 2;
+  cfg.messageLength = 16;
+  cfg.injectionRate = 0.05;
+  cfg.seed = 5;
+  Network net(cfg);
+  net.step(300);
+  ASSERT_EQ(net.validateInvariants(), "");
+  NodeId busy = kInvalidNode;
+  for (NodeId id = 0; id < net.topology().nodeCount() && busy == kInvalidNode; ++id) {
+    if (net.node(id).sourceQueue.size() >= 2) busy = id;
+  }
+  ASSERT_NE(busy, kInvalidNode) << "the load must leave a source backlog";
+  const std::size_t queued = net.node(busy).sourceQueue.size();
+
+  NetworkTestAccess::desyncReplay(net, busy);
+  EXPECT_EQ(net.validateInvariants(),
+            "source replay of node " + std::to_string(busy) +
+                " does not land on its live generator: " + std::to_string(queued - 1) +
+                " messages replayed for " + std::to_string(queued) +
+                " queued, next event at cycle " +
+                std::to_string(net.node(busy).nextGenCycle) + " (live " +
+                std::to_string(net.node(busy).nextGenCycle) + ")");
 }
 
 TEST(Invariants, HoldThroughFaultRegionTraffic) {

@@ -201,11 +201,13 @@ TEST(NetworkBasics, RefusesToWrapTheSequenceCounter) {
   EXPECT_EQ(net.node(0).sourceQueue.size(), 1u) << "nor queued";
 }
 
-// A saturated source backlog waits as QueuedMessage records: only messages
-// that are injecting (at most one per node), held by the messaging layer, or
-// have a flit in some buffer hold a pool slot. So the pool's high-water mark
-// stays under that bound while the backlog grows well past it. An 8-ary
-// 2-cube with V=4 and M=32 at rate 0.03 runs about 2.5x past its knee.
+// A saturated source backlog waits as 4-byte sequence numbers: only
+// messages that are injecting (at most one per node), held by the messaging
+// layer, or have a flit in some buffer hold a pool slot. So the pool's
+// high-water mark stays under that bound while the backlog grows well past
+// it, and the source queues' storage stays within the rings' doubling slack
+// of 4 bytes per queued message. An 8-ary 2-cube with V=4 and M=32 at rate
+// 0.03 runs about 2.5x past its knee.
 TEST(NetworkBasics, SaturatedPoolHoldsOnlyInjectedMessages) {
   SimConfig cfg = quietConfig(8, 2, 4);
   cfg.messageLength = 32;
@@ -216,18 +218,26 @@ TEST(NetworkBasics, SaturatedPoolHoldsOnlyInjectedMessages) {
   const RouterArena& a = net.arena();
   const auto bufferSlots =
       static_cast<std::size_t>(a.nodes() * a.unitsPerRouter() * a.depth());
+  constexpr std::size_t kEntryBytes = sizeof(decltype(NodeState::sourceQueue)::value_type);
   std::size_t backlog = 0;
   std::size_t bound = 0;
   for (int window = 0; window < 10; ++window) {
     net.step(2000);
     backlog = 0;
     std::size_t held = 0;
+    std::size_t queueBytes = 0;
     for (NodeId id = 0; id < net.topology().nodeCount(); ++id) {
       backlog += net.node(id).sourceQueue.size();
       held += net.node(id).swQueue.size();
+      queueBytes += net.node(id).sourceQueue.capacity() * kEntryBytes;
     }
     bound = net.topology().nodeCount() + held + bufferSlots;
     ASSERT_LE(net.pool().capacity(), bound) << "cycle " << net.now();
+    // A ring holds at most twice its peak size (at least 4 entries) and
+    // never shrinks; past the knee every backlog is near its peak.
+    ASSERT_LE(queueBytes, 2 * kEntryBytes * backlog +
+                              net.topology().nodeCount() * 4 * kEntryBytes)
+        << "cycle " << net.now();
   }
   EXPECT_FALSE(net.deadlockSuspected());
   EXPECT_GT(backlog, 3 * bound) << "the run must be saturated";

@@ -14,6 +14,23 @@ TEST(RingQueue, StartsEmpty) {
   RingQueue<int> q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.capacity(), 0u) << "no storage before the first push";
+}
+
+// Storage is 4 elements from the first push and doubles only when full, so
+// it never exceeds twice the most elements held at once (or 4).
+TEST(RingQueue, CapacityDoublesOnlyWhenFull) {
+  RingQueue<int> q;
+  q.push_back(0);
+  EXPECT_EQ(q.capacity(), 4u);
+  for (int i = 1; i < 4; ++i) q.push_back(i);
+  EXPECT_EQ(q.capacity(), 4u);
+  q.push_back(4);
+  EXPECT_EQ(q.capacity(), 8u);
+  q.pop_front();
+  q.pop_front();
+  q.clear();
+  EXPECT_EQ(q.capacity(), 8u) << "clear keeps the storage";
 }
 
 TEST(RingQueue, PushPopFront) {
